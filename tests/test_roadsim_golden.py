@@ -1,0 +1,102 @@
+"""Golden trajectories: the simulator's output on the bundled scenarios is
+pinned by a sha256 over every frame and every lane change, so a refactor of
+the engine or of the car-following models must reproduce it bit for bit.
+
+The non-IDM families run a shortened showcase corridor with that family as
+the background model; the subject keeps its IDM agent.
+"""
+
+import functools
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from avcalib.demo import recovery_truth_scenario, showcase_scenario
+from avcalib.roadsim import (
+    BehaviorSpec,
+    FvdParams,
+    GippsParams,
+    KraussParams,
+    W99Params,
+    run_scenario,
+)
+
+BACKGROUND_MODELS = {
+    "gipps": GippsParams(),
+    "fvd": FvdParams(),
+    "krauss": KraussParams(),
+    "w99": W99Params(),
+}
+
+GOLDEN = {
+    "recovery": "4dfb85cd58d9c84080bf995500b5aafdaa65ea8af8daa85ca2f1cedee3360416",
+    "showcase": "f50af8c31c78239ea816bee562fec5b62ee02210504633ddef6c6e370e5d97b5",
+    "showcase-gipps": "20a6ce7bce480e20e12536187115d497e63c763f743ee40b9bca997799a47243",
+    "showcase-fvd": "22752efb05d410d5ba2ca9e05b0959aa51d4a18bc421a9e17ebe7f20592e2906",
+    "showcase-krauss": "177c3359b1dc8cb525f0f30c065b141393a991afa7320e21c7c2d1071d28c6ad",
+    "showcase-w99": "fc7dda8c03d088737a91c464bfa91a31b2c5c4da9317f5b61b118a67c82d0a69",
+}
+
+
+def _scenario(name):
+    if name == "recovery":
+        return recovery_truth_scenario(0)
+    sc = showcase_scenario(0)
+    if name == "showcase":
+        return sc
+    model = BACKGROUND_MODELS[name.split("-", 1)[1]]
+    behavior = dict(sc.behavior)
+    behavior["background"] = BehaviorSpec(model, sc.behavior["background"].lane_change)
+    return replace(sc, behavior=behavior, total_time=300.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name):
+    sc = _scenario(name)
+    return sc, run_scenario(sc)
+
+
+def trajectory_digest(log) -> str:
+    h = hashlib.sha256()
+    for f in log.frames:
+        for arr in (f.ids, f.lanes, f.link_idx, f.pos, f.lat, f.speed, f.accel, f.heading):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    for lc in log.lane_changes:
+        h.update(repr((lc.time, lc.vehicle_id, lc.link, lc.from_lane, lc.to_lane)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trajectory_matches_golden_hash(name):
+    _sc, log = _run(name)
+    assert trajectory_digest(log) == GOLDEN[name]
+
+
+W99_ABREAST_COLLISION = pytest.mark.xfail(
+    strict=True,
+    reason="two vehicles inserted abreast on L2 at t=148.4 s; the lane-change gap "
+    "check does not see a vehicle at exactly the same arc position, so one "
+    "changes onto the other and collides at t=150 s",
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run_is_feasible_and_keeps_lanes(name):
+    sc, log = _run(name)
+    assert log.feasible
+    lane_counts = np.asarray([l.lane_count for l in sc.network.route_links()])
+    for f in log.frames:
+        assert np.all(f.lanes >= 1)
+        assert np.all(f.lanes <= lane_counts[f.link_idx])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n if n != "showcase-w99" else pytest.param(n, marks=W99_ABREAST_COLLISION)
+     for n in sorted(GOLDEN)],
+)
+def test_golden_run_has_no_collisions(name):
+    _sc, log = _run(name)
+    assert log.collisions == []
