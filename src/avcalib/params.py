@@ -72,11 +72,6 @@ class ParameterSpace:
         return ParameterSpace([self._index[pid] for pid in ids])
 
 
-# A parameter combination is a plain {parameter id -> value} mapping; the
-# space above is used to validate one when it matters.
-ParameterCombination = dict
-
-
 def build_parameter_space(initial: Mapping[str, float], delta: float) -> ParameterSpace:
     """Bounds at (1 - delta) and (1 + delta) times each initial value,
     ordered so lower < upper also for negative initial values."""

@@ -17,7 +17,7 @@ import logging
 import time as _time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .metrics import (
     evaluate_moes,
 )
 from .params import ParameterSpace, ParameterSpec, build_parameter_space
-from .roadsim import run_scenario, virtual_detector_sample
+from .roadsim import MissingSubjectError, run_scenario, virtual_detector_sample
 from .roadsim.network import BehaviorSpec, ScenarioConfig, scenario_from_dict, scenario_to_dict
 from .saga import SagaConfig, SagaResult, run_saga
 
@@ -144,7 +144,7 @@ def get_parameter(scenario: ScenarioConfig, path: str) -> float:
     cls, block, name = _split_path(path)
     spec = _behavior_spec(scenario, cls)
     target = spec.car_following if block == "cf" else spec.lane_change
-    if not hasattr(target, name):
+    if not _has_parameter(target, name):
         raise ValueError(f"{path}: {type(target).__name__} has no parameter {name!r}")
     return float(getattr(target, name))
 
@@ -169,7 +169,7 @@ def apply_parameters(scenario: ScenarioConfig, values: dict) -> ScenarioConfig:
             behavior[cls] = spec
         spec = behavior[cls]
         target = spec.car_following if block == "cf" else spec.lane_change
-        if not hasattr(target, name):
+        if not _has_parameter(target, name):
             warnings.warn(f"parameter {path} does not apply to {type(target).__name__}; ignored")
             continue
         new_target = replace(target, **{name: val})
@@ -178,6 +178,12 @@ def apply_parameters(scenario: ScenarioConfig, values: dict) -> ScenarioConfig:
         else:
             behavior[cls] = BehaviorSpec(car_following=spec.car_following, lane_change=new_target)
     return replace(scenario, entrance_inputs=inputs, behavior=behavior)
+
+
+def _has_parameter(target, name: str) -> bool:
+    """Only dataclass fields are parameters; methods and properties such as
+    the car-following model's accel or spawn_gap are not."""
+    return any(f.name == name for f in fields(target))
 
 
 def _split_path(path: str):
@@ -246,7 +252,18 @@ def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
                 diagnostic=f"gridlock at t={sim_log.gridlock_at}",
             )
         collisions += sim_log.collision_count
-        dataset = virtual_detector_sample(sim_log, cfg)
+        try:
+            dataset = virtual_detector_sample(sim_log, cfg)
+        except MissingSubjectError as exc:
+            log.warning("case %s scored -inf: %s", values, exc)
+            return CaseOutcome(
+                accuracy=float("-inf"),
+                mops=None,
+                feasible=False,
+                n_simulations=n_sims,
+                collisions=collisions,
+                diagnostic=f"MissingSubjectError: {exc}",
+            )
         if ctx.stage == 1:
             vectors.append(compute_traffic_mops(dataset, per_road=ctx.per_road))
         else:

@@ -22,24 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .models import (
-    CarFollowingParams,
-    FvdParams,
-    GippsParams,
-    IdmParams,
-    KraussParams,
-    W99Params,
-    NeighborView,
     CHANGE_LEFT,
     CHANGE_RIGHT,
     STAY,
-    _fvd,
-    _gipps,
-    _idm,
-    _krauss,
-    _w99,
+    NeighborView,
     lane_change_decision,
-    min_spawn_gap,
-    model_desired_speed,
 )
 from .network import ScenarioConfig
 
@@ -90,22 +77,6 @@ class Vehicle:
         self.next_lc_check = 0.0
         self.lat_rate = 0.0
         self.fixed = fixed
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Public snapshot of one vehicle at one timestep."""
-
-    id: int
-    kind: str
-    link: str
-    lane: int
-    longitudinal_position: float
-    lateral_offset: float
-    speed: float
-    acceleration: float
-    heading: float
-    length: float
 
 
 @dataclass(frozen=True)
@@ -189,25 +160,6 @@ class TrajectoryLog:
     def live_frames(self):
         return [f for f in self.frames if not self.is_warmup(f.time)]
 
-    def states_at(self, frame: Frame) -> list[VehicleState]:
-        out = []
-        for i in range(len(frame)):
-            out.append(
-                VehicleState(
-                    id=int(frame.ids[i]),
-                    kind="subject" if frame.kinds[i] == KIND_SUBJECT else "background",
-                    link=self.route_link_ids[int(frame.link_idx[i])],
-                    lane=int(frame.lanes[i]),
-                    longitudinal_position=float(frame.pos[i]),
-                    lateral_offset=float(frame.lat[i]),
-                    speed=float(frame.speed[i]),
-                    acceleration=float(frame.accel[i]),
-                    heading=float(frame.heading[i]),
-                    length=float(frame.length[i]),
-                )
-            )
-        return out
-
     def mean_density(self) -> float:
         """Post-warm-up mean vehicle density over the route, veh/km/lane."""
         lane_km = sum(
@@ -254,21 +206,6 @@ class TrajectoryLog:
         return None
 
 
-def _make_cf_callable(model: CarFollowingParams):
-    """Bind the model family once so the per-step hot path skips dispatch."""
-    if isinstance(model, IdmParams):
-        return lambda v, gap, vl, vd, pa, la, dt: _idm(model, v, gap, vl, vd)
-    if isinstance(model, GippsParams):
-        return lambda v, gap, vl, vd, pa, la, dt: _gipps(model, v, gap, vl, vd, dt)
-    if isinstance(model, FvdParams):
-        return lambda v, gap, vl, vd, pa, la, dt: _fvd(model, v, gap, vl, vd)
-    if isinstance(model, KraussParams):
-        return lambda v, gap, vl, vd, pa, la, dt: _krauss(model, v, gap, vl, vd, dt)
-    if isinstance(model, W99Params):
-        return lambda v, gap, vl, vd, pa, la, dt: _w99(model, v, gap, vl, vd, pa, la)
-    raise TypeError(f"unknown model {type(model)!r}")
-
-
 class Simulation:
     """One scenario instance. Single-threaded and self-contained; multiple
     instances never share mutable state."""
@@ -297,9 +234,9 @@ class Simulation:
         subj = config.subject_behavior()
         self._cf_spec = {KIND_BACKGROUND: bg.car_following, KIND_SUBJECT: subj.car_following}
         self._lc_spec = {KIND_BACKGROUND: bg.lane_change, KIND_SUBJECT: subj.lane_change}
-        self._cf_call = {k: _make_cf_callable(m) for k, m in self._cf_spec.items()}
-        self._model_vdes = {k: model_desired_speed(m) for k, m in self._cf_spec.items()}
-        self._spawn_gap = min_spawn_gap(bg.car_following)
+        self._cf_call = {k: m.accel for k, m in self._cf_spec.items()}
+        self._model_vdes = {k: m.desired_speed for k, m in self._cf_spec.items()}
+        self._spawn_gap = bg.car_following.spawn_gap
 
         self.dt = config.time_step
         self.n_steps = int(round(config.total_time / config.time_step))

@@ -3,6 +3,18 @@
 Five car-following families are supported (IDM, Gipps, full velocity
 difference, Krauss and the Wiedemann-99 psychophysical model), each
 exposing exactly the calibratable parameters practitioners tune for it.
+Each family is one frozen params dataclass, registered by name in
+MODEL_CLASSES, that carries the whole model interface:
+
+* ``accel(v, gap, v_leader, v_des, prev_accel, leader_accel, dt)`` is the
+  demanded acceleration, unclamped; ``gap`` is None in free flow.
+  ``car_following_acceleration`` adds the gap check and the clamp that
+  keeps the speed non-negative after one step.
+* ``desired_speed`` is the model's own target speed in m/s; None (W99)
+  means the link speed limit.
+* ``spawn_gap`` is the smallest clear gap, in m, the simulation keeps ahead
+  of and behind a vehicle it inserts.
+
 The lane-change model is gap acceptance: a change must be safe for the
 trailing vehicle in the target lane and for the vehicle itself, and must
 promise an acceleration advantage above a configurable threshold.
@@ -50,6 +62,23 @@ class IdmParams:
     def __post_init__(self):
         _require_positive(self, ("a_max", "b", "T", "s0", "delta", "v0"))
 
+    @property
+    def desired_speed(self) -> float:
+        return self.v0
+
+    @property
+    def spawn_gap(self) -> float:
+        return self.s0
+
+    def accel(self, v, gap, v_leader, v_des, prev_accel, leader_accel, dt):
+        free = self.a_max * (1.0 - (v / v_des) ** self.delta)
+        if gap is None:
+            return free
+        s_star = self.s0 + max(
+            0.0, v * self.T + v * (v - v_leader) / (2.0 * math.sqrt(self.a_max * self.b))
+        )
+        return free - self.a_max * (s_star / gap) ** 2
+
 
 @dataclass(frozen=True)
 class GippsParams:
@@ -60,9 +89,34 @@ class GippsParams:
     v_desired: float = 22.2         # m/s
     tau: float = 0.7                # reaction time, s
 
+    spawn_gap = 2.0
+
     def __post_init__(self):
         _require_positive(self, ("accel_max", "leader_eff_length", "v_desired", "tau"))
         _require_negative(self, ("decel_max", "leader_decel_est"))
+
+    @property
+    def desired_speed(self) -> float:
+        return self.v_desired
+
+    def accel(self, v, gap, v_leader, v_des, prev_accel, leader_accel, dt):
+        ratio = min(v / v_des, 1.0)
+        v_acc = v + 2.5 * self.accel_max * self.tau * (1.0 - ratio) * math.sqrt(0.025 + ratio)
+        if gap is None:
+            v_next = min(v_acc, v_des)
+        else:
+            bn = -self.decel_max           # positive braking magnitude
+            bhat = -self.leader_decel_est  # positive estimate for the leader
+            # the effective leader length counts its physical length plus the
+            # margin the follower will not enter, measured against a nominal pcu
+            avail = gap - (self.leader_eff_length - PCU_LENGTH)
+            under = bn * bn * self.tau * self.tau + bn * (
+                2.0 * avail - v * self.tau + v_leader * v_leader / bhat
+            )
+            v_safe = -bn * self.tau + math.sqrt(under) if under > 0.0 else 0.0
+            v_next = min(v_acc, v_safe, v_des)
+        v_next = max(v_next, 0.0)
+        return (v_next - v) / self.tau
 
 
 @dataclass(frozen=True)
@@ -79,6 +133,27 @@ class FvdParams:
         if self.sc <= self.b_len:
             raise ValueError("FvdParams.sc must exceed b_len")
 
+    @property
+    def desired_speed(self) -> float:
+        return self.v0
+
+    @property
+    def spawn_gap(self) -> float:
+        return self.b_len
+
+    def _optimal_speed(self, gap):
+        if gap <= self.b_len:
+            return 0.0
+        if gap >= self.sc:
+            return self.v0
+        return self.v0 * ((gap - self.b_len) / (self.sc - self.b_len)) ** self.beta
+
+    def accel(self, v, gap, v_leader, v_des, prev_accel, leader_accel, dt):
+        if gap is None:
+            return self.alpha * (v_des - v)
+        v_opt = min(self._optimal_speed(gap), v_des)
+        return self.alpha * (v_opt - v) + self.lambda0 * (v_leader - v)
+
 
 @dataclass(frozen=True)
 class KraussParams:
@@ -87,8 +162,24 @@ class KraussParams:
     tau: float = 1.0     # reaction time, s
     v_max: float = 22.2  # m/s
 
+    spawn_gap = 2.0
+
     def __post_init__(self):
         _require_positive(self, ("a", "b", "tau", "v_max"))
+
+    @property
+    def desired_speed(self) -> float:
+        return self.v_max
+
+    def accel(self, v, gap, v_leader, v_des, prev_accel, leader_accel, dt):
+        v_cap = min(v_des, self.v_max)
+        v_want = min(v + self.a * dt, v_cap)
+        if gap is not None:
+            v_mean = max((v + v_leader) / 2.0, 0.1)
+            v_safe = v_leader + (gap - v_leader * self.tau) / (v_mean / self.b + self.tau)
+            v_want = min(v_want, v_safe)
+        v_want = max(v_want, 0.0)
+        return (v_want - v) / dt
 
 
 @dataclass(frozen=True)
@@ -104,8 +195,70 @@ class W99Params:
     cc8: float = 3.5        # standstill acceleration, m/s^2
     cc9: float = 1.5        # acceleration at 80 km/h, m/s^2
 
+    desired_speed = None  # the link speed limit drives W99
+
     def __post_init__(self):
         _require_positive(self, ("cc0", "cc1", "cc2", "cc6", "cc7", "cc8", "cc9"))
+
+    @property
+    def spawn_gap(self) -> float:
+        return self.cc0
+
+    def _free_accel(self, v):
+        return self.cc8 + (self.cc9 - self.cc8) * min(v, V80) / V80
+
+    def accel(self, v, gap, v_leader, v_des, prev_accel, leader_accel, dt):
+        if gap is None:
+            if v < v_des:
+                return self._free_accel(v)
+            return min(0.0, v_des - v)
+
+        dv = v_leader - v  # positive when the gap is opening
+        dx = gap
+        if v_leader <= 0.01:
+            sdxc = self.cc0
+        else:
+            v_slow = v if dv >= 0.0 else v_leader
+            sdxc = self.cc0 + self.cc1 * v_slow
+        sdxo = sdxc + self.cc2
+        sdxv = sdxo + self.cc3 * (dv - self.cc4)
+        sdv = self.cc6 * dx * dx
+        sdvc = (self.cc4 - sdv) if v_leader > 0.0 else 0.0
+        sdvo = (sdv + self.cc5) if v > self.cc5 else sdv
+
+        if dx <= sdxc and dv <= sdvo:
+            # emergency regime: too close, brake
+            a = 0.0
+            if v > 0.0:
+                if dv < 0.0:
+                    if dx > self.cc0:
+                        a = min(leader_accel + dv * dv / (self.cc0 - dx), 0.0)
+                    else:
+                        a = min(leader_accel + 0.5 * (dv - sdvo), 0.0)
+                a = min(a, -self.cc7)
+                a = max(a, HARD_DECEL_LIMIT)
+            return a
+        if dv < sdvc and dx < sdxv:
+            # approaching regime: brake to reach the leader speed by the time
+            # the gap closes to the desired following distance
+            if dx > sdxc:
+                a = 0.5 * dv * dv / min(sdxc - dx, -0.01)
+            else:
+                a = -self.cc7
+            return max(a, HARD_DECEL_LIMIT)
+        if dv < sdvo and dx < sdxo:
+            # following regime: oscillate gently around the current state
+            a = -self.cc7 if prev_accel <= 0.0 else self.cc7
+            if v >= v_des:
+                a = min(a, 0.0)
+            return a
+        # free regime
+        if v < v_des:
+            a = self._free_accel(v)
+            if dx < sdxo:
+                a = min(a, self.cc7)
+            return a
+        return min(0.0, v_des - v)
 
 
 CarFollowingParams = Union[IdmParams, GippsParams, FvdParams, KraussParams, W99Params]
@@ -119,142 +272,6 @@ MODEL_CLASSES = {
 }
 
 MODEL_NAMES = {cls: name for name, cls in MODEL_CLASSES.items()}
-
-
-def model_desired_speed(model: CarFollowingParams) -> Optional[float]:
-    """The model's own desired speed, None for W99 (supplied externally)."""
-    if isinstance(model, IdmParams):
-        return model.v0
-    if isinstance(model, GippsParams):
-        return model.v_desired
-    if isinstance(model, FvdParams):
-        return model.v0
-    if isinstance(model, KraussParams):
-        return model.v_max
-    return None
-
-
-def min_spawn_gap(model: CarFollowingParams) -> float:
-    """Smallest clear gap a newly inserted vehicle needs ahead of it."""
-    if isinstance(model, IdmParams):
-        return model.s0
-    if isinstance(model, W99Params):
-        return model.cc0
-    if isinstance(model, FvdParams):
-        return model.b_len
-    return 2.0
-
-
-def _idm(p: IdmParams, v, gap, v_leader, v_des):
-    free = p.a_max * (1.0 - (v / v_des) ** p.delta)
-    if gap is None:
-        return free
-    s_star = p.s0 + max(0.0, v * p.T + v * (v - v_leader) / (2.0 * math.sqrt(p.a_max * p.b)))
-    return free - p.a_max * (s_star / gap) ** 2
-
-
-def _gipps(p: GippsParams, v, gap, v_leader, v_des, dt):
-    ratio = min(v / v_des, 1.0)
-    v_acc = v + 2.5 * p.accel_max * p.tau * (1.0 - ratio) * math.sqrt(0.025 + ratio)
-    if gap is None:
-        v_next = min(v_acc, v_des)
-    else:
-        bn = -p.decel_max           # positive braking magnitude
-        bhat = -p.leader_decel_est  # positive estimate for the leader
-        # the effective leader length counts its physical length plus the
-        # margin the follower will not enter, measured against a nominal pcu
-        avail = gap - (p.leader_eff_length - PCU_LENGTH)
-        under = bn * bn * p.tau * p.tau + bn * (
-            2.0 * avail - v * p.tau + v_leader * v_leader / bhat
-        )
-        v_safe = -bn * p.tau + math.sqrt(under) if under > 0.0 else 0.0
-        v_next = min(v_acc, v_safe, v_des)
-    v_next = max(v_next, 0.0)
-    return (v_next - v) / p.tau
-
-
-def _fvd_optimal_speed(p: FvdParams, gap):
-    if gap <= p.b_len:
-        return 0.0
-    if gap >= p.sc:
-        return p.v0
-    return p.v0 * ((gap - p.b_len) / (p.sc - p.b_len)) ** p.beta
-
-
-def _fvd(p: FvdParams, v, gap, v_leader, v_des):
-    if gap is None:
-        return p.alpha * (v_des - v)
-    v_opt = min(_fvd_optimal_speed(p, gap), v_des)
-    return p.alpha * (v_opt - v) + p.lambda0 * (v_leader - v)
-
-
-def _krauss(p: KraussParams, v, gap, v_leader, v_des, dt):
-    v_cap = min(v_des, p.v_max)
-    v_want = min(v + p.a * dt, v_cap)
-    if gap is not None:
-        v_mean = max((v + v_leader) / 2.0, 0.1)
-        v_safe = v_leader + (gap - v_leader * p.tau) / (v_mean / p.b + p.tau)
-        v_want = min(v_want, v_safe)
-    v_want = max(v_want, 0.0)
-    return (v_want - v) / dt
-
-
-def _w99_free(p: W99Params, v):
-    return p.cc8 + (p.cc9 - p.cc8) * min(v, V80) / V80
-
-
-def _w99(p: W99Params, v, gap, v_leader, v_des, prev_accel, leader_accel):
-    if gap is None:
-        if v < v_des:
-            return _w99_free(p, v)
-        return min(0.0, v_des - v)
-
-    dv = v_leader - v  # positive when the gap is opening
-    dx = gap
-    if v_leader <= 0.01:
-        sdxc = p.cc0
-    else:
-        v_slow = v if dv >= 0.0 else v_leader
-        sdxc = p.cc0 + p.cc1 * v_slow
-    sdxo = sdxc + p.cc2
-    sdxv = sdxo + p.cc3 * (dv - p.cc4)
-    sdv = p.cc6 * dx * dx
-    sdvc = (p.cc4 - sdv) if v_leader > 0.0 else 0.0
-    sdvo = (sdv + p.cc5) if v > p.cc5 else sdv
-
-    if dx <= sdxc and dv <= sdvo:
-        # emergency regime: too close, brake
-        a = 0.0
-        if v > 0.0:
-            if dv < 0.0:
-                if dx > p.cc0:
-                    a = min(leader_accel + dv * dv / (p.cc0 - dx), 0.0)
-                else:
-                    a = min(leader_accel + 0.5 * (dv - sdvo), 0.0)
-            a = min(a, -p.cc7)
-            a = max(a, HARD_DECEL_LIMIT)
-        return a
-    if dv < sdvc and dx < sdxv:
-        # approaching regime: brake to reach the leader speed by the time
-        # the gap closes to the desired following distance
-        if dx > sdxc:
-            a = 0.5 * dv * dv / min(sdxc - dx, -0.01)
-        else:
-            a = -p.cc7
-        return max(a, HARD_DECEL_LIMIT)
-    if dv < sdvo and dx < sdxo:
-        # following regime: oscillate gently around the current state
-        a = -p.cc7 if prev_accel <= 0.0 else p.cc7
-        if v >= v_des:
-            a = min(a, 0.0)
-        return a
-    # free regime
-    if v < v_des:
-        a = _w99_free(p, v)
-        if dx < sdxo:
-            a = min(a, p.cc7)
-        return a
-    return min(0.0, v_des - v)
 
 
 def car_following_acceleration(
@@ -288,22 +305,10 @@ def car_following_acceleration(
     else:
         gap, v_leader = None, 0.0
 
-    v_des = desired_speed if desired_speed is not None else model_desired_speed(model)
+    v_des = desired_speed if desired_speed is not None else model.desired_speed
     if v_des is None:
         raise ValueError("this model carries no desired speed; pass desired_speed")
-
-    if isinstance(model, IdmParams):
-        a = _idm(model, v, gap, v_leader, v_des)
-    elif isinstance(model, GippsParams):
-        a = _gipps(model, v, gap, v_leader, v_des, dt)
-    elif isinstance(model, FvdParams):
-        a = _fvd(model, v, gap, v_leader, v_des)
-    elif isinstance(model, KraussParams):
-        a = _krauss(model, v, gap, v_leader, v_des, dt)
-    elif isinstance(model, W99Params):
-        a = _w99(model, v, gap, v_leader, v_des, prev_accel, leader_accel)
-    else:
-        raise TypeError(f"unknown car-following model {type(model)!r}")
+    a = model.accel(v, gap, v_leader, v_des, prev_accel, leader_accel, dt)
 
     # never integrate into negative speed
     return max(a, -v / dt)

@@ -84,19 +84,6 @@ class RoadNetwork:
     def route_links(self) -> tuple[Link, ...]:
         return tuple(self.link(lid) for lid in self.subject_route)
 
-    def route_offsets(self) -> dict[str, float]:
-        """Arc-length position of each route link's start along the route."""
-        offsets = {}
-        pos = 0.0
-        for lid in self.subject_route:
-            offsets[lid] = pos
-            pos += self.link(lid).length
-        return offsets
-
-    @property
-    def route_length(self) -> float:
-        return sum(self.link(lid).length for lid in self.subject_route)
-
 
 @dataclass(frozen=True)
 class BehaviorSpec:

@@ -1,5 +1,8 @@
 import json
+import logging
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +99,11 @@ def test_get_and_apply_parameters(micro_scenario):
     assert micro_scenario.behavior["background"].car_following.T == IdmParams().T
 
 
+# the car-following model's interface members are not parameters
+MODEL_INTERFACE_PATHS = ["background.cf.accel", "background.cf.desired_speed",
+                         "background.cf.spawn_gap"]
+
+
 def test_ill_formed_path_rejected(micro_scenario):
     with pytest.raises(ValueError):
         apply_parameters(micro_scenario, {"background.cf": 1.0})
@@ -103,14 +111,18 @@ def test_ill_formed_path_rejected(micro_scenario):
         apply_parameters(micro_scenario, {"background.xx.T": 1.0})
     with pytest.raises(ValueError):
         get_parameter(micro_scenario, "truck.cf.T")
+    for path in MODEL_INTERFACE_PATHS:
+        with pytest.raises(ValueError):
+            get_parameter(micro_scenario, path)
 
 
 def test_inapplicable_parameter_warns_and_is_ignored(micro_scenario):
-    with pytest.warns(UserWarning, match="cc0"):
-        out = apply_parameters(micro_scenario, {"background.cf.cc0": 2.0})
-    assert out.behavior["background"].car_following == micro_scenario.behavior[
-        "background"
-    ].car_following
+    for path in ["background.cf.cc0"] + MODEL_INTERFACE_PATHS:
+        with pytest.warns(UserWarning, match=path.rsplit(".", 1)[1]):
+            out = apply_parameters(micro_scenario, {path: 2.0})
+        assert out.behavior["background"].car_following == micro_scenario.behavior[
+            "background"
+        ].car_following
 
 
 def test_seed_derivation_is_stable_and_distinct():
@@ -164,6 +176,20 @@ def test_unused_parameter_does_not_change_accuracy(micro_scenario):
         a = evaluate_case({"E1": 620.0}, ctx)
         b = evaluate_case({"E1": 620.0, "background.cf.cc0": 1.0}, ctx)
     assert a.accuracy == b.accuracy
+
+
+def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog):
+    # at 60 km/h the subject clears the 900 m link before the 70 s live
+    # horizon ends, so the detector has no subject to sample
+    _, ctx = _field_and_ctx(micro_scenario, stage=1)
+    ctx = replace(ctx, scenario=replace(micro_scenario, subject_desired_speed=60.0))
+    with caplog.at_level(logging.WARNING, logger="avcalib.pipeline"):
+        out = evaluate_case({}, ctx)
+    assert out.accuracy == -math.inf
+    assert not out.feasible
+    assert out.n_simulations == 1
+    assert out.diagnostic.startswith("MissingSubjectError: ")
+    assert "scored -inf" in caplog.text
 
 
 # ---------------------------------------------------------------------------

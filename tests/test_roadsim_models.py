@@ -17,7 +17,6 @@ from avcalib.roadsim import (
     W99Params,
     car_following_acceleration,
     lane_change_decision,
-    model_desired_speed,
 )
 
 ALL_MODELS = [
@@ -147,11 +146,19 @@ def test_w99_free_acceleration_ramp():
 
 
 def test_model_desired_speeds():
-    assert model_desired_speed(IdmParams(v0=21.0)) == 21.0
-    assert model_desired_speed(GippsParams(v_desired=23.0)) == 23.0
-    assert model_desired_speed(FvdParams(v0=19.0)) == 19.0
-    assert model_desired_speed(KraussParams(v_max=24.0)) == 24.0
-    assert model_desired_speed(W99Params()) is None
+    assert IdmParams(v0=21.0).desired_speed == 21.0
+    assert GippsParams(v_desired=23.0).desired_speed == 23.0
+    assert FvdParams(v0=19.0).desired_speed == 19.0
+    assert KraussParams(v_max=24.0).desired_speed == 24.0
+    assert W99Params().desired_speed is None
+
+
+def test_model_spawn_gaps():
+    assert IdmParams(s0=2.5).spawn_gap == 2.5
+    assert FvdParams(b_len=7.0).spawn_gap == 7.0
+    assert W99Params(cc0=1.2).spawn_gap == 1.2
+    assert GippsParams().spawn_gap == 2.0
+    assert KraussParams().spawn_gap == 2.0
 
 
 def test_parameter_validation():
