@@ -161,7 +161,7 @@ def recovery_calibration_config(
         preprocess=PreprocessConfig(smoothing_window_s=0.0, max_speed_jump=float("inf")),
         extraction=RECOVERY_EXTRACTION,
         stage1=Stage1Config(
-            levels=4, delta=0.2, accuracy_threshold=1.0, batch_size=1,
+            levels=4, delta=0.2, accuracy_threshold=1.0,
             per_road_density=True,
         ),
         stage2=Stage2Config(

@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 import logging
 import time as _time
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +78,6 @@ class Stage1Config:
     levels: int = 4
     delta: float = 0.2
     accuracy_threshold: float = 0.8
-    batch_size: int = 1
     # add the per-road density MoPs from the catalog; the whole-route
     # average alone cannot attribute density to individual entrances
     per_road_density: bool = False
@@ -287,16 +288,12 @@ def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
     )
 
 
-def _case_outcome(ctx: EvalContext, values: dict) -> CaseOutcome:
-    return evaluate_case(values, ctx)
-
-
-def _pmap(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+def _evaluate_all(values_list, ctx: EvalContext, pool=None) -> list[CaseOutcome]:
+    """Evaluate cases in input order: in this process without a pool, else
+    on the calibration's worker pool. Every case of every stage goes
+    through here."""
+    mapper = map if pool is None else pool.map
+    return list(mapper(evaluate_case, values_list, repeat(ctx)))
 
 
 def usable_field_mops(mops: MopVector) -> MopVector:
@@ -326,7 +323,20 @@ class CaseRecord:
     accuracy: float
     feasible: bool
     n_simulations: int
-    entrance_inputs: dict
+    collisions: int
+    diagnostic: str
+
+    @classmethod
+    def from_outcome(cls, case, out: CaseOutcome) -> CaseRecord:
+        return cls(
+            case_id=case.case_id,
+            values=dict(case.values),
+            accuracy=out.accuracy,
+            feasible=out.feasible,
+            n_simulations=out.n_simulations,
+            collisions=out.collisions,
+            diagnostic=out.diagnostic,
+        )
 
 
 @dataclass
@@ -340,7 +350,15 @@ class Stage1Result:
     n_simulations: int
 
 
-def run_stage1(cfg: CalibrationConfig, field_dataset: FieldDataset) -> Stage1Result:
+def run_stage1(cfg: CalibrationConfig, field_dataset: FieldDataset, pool=None) -> Stage1Result:
+    """Evaluate the inflow design in design order, stopping at the first case
+    that reaches the accuracy threshold.
+
+    Cases go out in batches of cfg.workers. Records and simulation counts
+    stop at the stopping case, so the result is the same for any worker
+    count; up to workers - 1 batch-mates after it are still simulated but
+    not recorded.
+    """
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
     )
@@ -359,34 +377,22 @@ def run_stage1(cfg: CalibrationConfig, field_dataset: FieldDataset) -> Stage1Res
         extraction=cfg.extraction,
         per_road=cfg.stage1.per_road_density,
     )
+    batch = max(1, cfg.workers)
+
+    def outcomes():
+        for start in range(0, len(cases), batch):
+            chunk = cases[start : start + batch]
+            yield from zip(chunk, _evaluate_all([c.values for c in chunk], ctx, pool))
+
     records: list[CaseRecord] = []
     best_values: dict | None = None
     best_acc = float("-inf")
-    n_sims = 0
-    batch = max(1, cfg.stage1.batch_size)
-    stop = False
-    for start in range(0, len(cases), batch):
-        chunk = cases[start : start + batch]
-        outcomes = _pmap(partial(_case_outcome, ctx), [c.values for c in chunk], cfg.workers)
-        for case, out in zip(chunk, outcomes):
-            n_sims += out.n_simulations
-            records.append(
-                CaseRecord(
-                    case_id=case.case_id,
-                    values=dict(case.values),
-                    accuracy=out.accuracy,
-                    feasible=out.feasible,
-                    n_simulations=out.n_simulations,
-                    entrance_inputs=dict(case.values),
-                )
-            )
-            if out.accuracy > best_acc:
-                best_acc = out.accuracy
-                best_values = dict(case.values)
-            if out.accuracy >= cfg.stage1.accuracy_threshold:
-                stop = True
-                break
-        if stop:
+    for case, out in outcomes():
+        records.append(CaseRecord.from_outcome(case, out))
+        if out.accuracy > best_acc:
+            best_acc = out.accuracy
+            best_values = dict(case.values)
+        if out.accuracy >= cfg.stage1.accuracy_threshold:
             break
     if best_values is None or not np.isfinite(best_acc):
         raise RuntimeError("stage 1 failed: no feasible case")
@@ -397,7 +403,7 @@ def run_stage1(cfg: CalibrationConfig, field_dataset: FieldDataset) -> Stage1Res
         best_values=best_values,
         best_accuracy=best_acc,
         n_evaluated=len(records),
-        n_simulations=n_sims,
+        n_simulations=sum(r.n_simulations for r in records),
     )
 
 
@@ -438,6 +444,7 @@ def run_stage2(
     cfg: CalibrationConfig,
     field_dataset: FieldDataset,
     stage1: Stage1Result,
+    pool=None,
 ) -> Stage2Result:
     field_events = extract_events(field_dataset, **cfg.extraction.kwargs())
     field_mops = usable_field_mops(compute_vehicle_mops(field_events))
@@ -455,18 +462,8 @@ def run_stage2(
         extraction=cfg.extraction,
     )
     # phase I: full design, no early stop; range analysis needs every case
-    outcomes = _pmap(partial(_case_outcome, ctx), [c.values for c in cases], cfg.workers)
-    records = [
-        CaseRecord(
-            case_id=case.case_id,
-            values=dict(case.values),
-            accuracy=out.accuracy,
-            feasible=out.feasible,
-            n_simulations=out.n_simulations,
-            entrance_inputs=dict(stage1.best_values),
-        )
-        for case, out in zip(cases, outcomes)
-    ]
+    outcomes = _evaluate_all([c.values for c in cases], ctx, pool)
+    records = [CaseRecord.from_outcome(case, out) for case, out in zip(cases, outcomes)]
     n_sims_p1 = sum(o.n_simulations for o in outcomes)
     accuracies = [o.accuracy if np.isfinite(o.accuracy) else -1e9 for o in outcomes]
     ra = range_analysis(oa, accuracies, cfg.stage2.k_critical, parameter_ids=space.ids)
@@ -489,11 +486,11 @@ def run_stage2(
     scenario_ii = apply_parameters(scenario, frozen)
     ctx_ii = replace(ctx, scenario=scenario_ii)
 
-    sim_counter = {"n": 0}
+    phase2_sims: list[int] = []
 
-    def batch_objective(generation):
-        outs = _pmap(partial(_case_outcome, ctx_ii), list(generation), cfg.workers)
-        sim_counter["n"] += sum(o.n_simulations for o in outs)
+    def evaluate(generation):
+        outs = _evaluate_all(generation, ctx_ii, pool)
+        phase2_sims.extend(o.n_simulations for o in outs)
         return [o.accuracy for o in outs]
 
     seed_individuals = [
@@ -501,13 +498,7 @@ def run_stage2(
         {pid: space.spec(pid).initial for pid in critical},
     ]
     saga_cfg = replace(cfg.stage2.saga, seed=_derive_saga_seed(cfg.master_seed))
-    saga_result = run_saga(
-        objective=lambda comb: batch_objective([comb])[0],
-        space=space_ii,
-        config=saga_cfg,
-        seed_individuals=seed_individuals,
-        batch_objective=batch_objective,
-    )
+    saga_result = run_saga(evaluate, space_ii, saga_cfg, seed_individuals=seed_individuals)
     return Stage2Result(
         space=space,
         oa_runs=oa.runs,
@@ -521,7 +512,7 @@ def run_stage2(
         best_values=dict(saga_result.best),
         best_accuracy=saga_result.best_accuracy,
         n_simulations_phase1=n_sims_p1,
-        n_simulations_phase2=sim_counter["n"],
+        n_simulations_phase2=sum(phase2_sims),
         field_mops=field_mops,
     )
 
@@ -591,20 +582,24 @@ def load_field_dataset(cfg: CalibrationConfig) -> FieldDataset:
 
 def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None) -> CalibrationReport:
     """Run the whole pipeline: field processing, stage 1, stage 2, final
-    evaluation, and artifact persistence when an output directory is set."""
+    evaluation, and artifact persistence when an output directory is set.
+
+    With workers > 1 both stages share one process pool, shut down (its
+    workers reaped) before the final evaluation."""
     timings: dict[str, float] = {}
     t0 = _time.perf_counter()
     if field_dataset is None:
         field_dataset = load_field_dataset(cfg)
     timings["field_processing"] = _time.perf_counter() - t0
 
-    t1 = _time.perf_counter()
-    stage1 = run_stage1(cfg, field_dataset)
-    timings["stage1"] = _time.perf_counter() - t1
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        t1 = _time.perf_counter()
+        stage1 = run_stage1(cfg, field_dataset, pool)
+        timings["stage1"] = _time.perf_counter() - t1
 
-    t2 = _time.perf_counter()
-    stage2 = run_stage2(cfg, field_dataset, stage1)
-    timings["stage2"] = _time.perf_counter() - t2
+        t2 = _time.perf_counter()
+        stage2 = run_stage2(cfg, field_dataset, stage1, pool)
+        timings["stage2"] = _time.perf_counter() - t2
 
     t3 = _time.perf_counter()
     calibrated = dict(stage1.best_values)
@@ -654,50 +649,46 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
 # persistence
 
 
+def _to_plain(obj):
+    """A config value as JSON-ready data, built field by field."""
+    if isinstance(obj, ScenarioConfig):
+        return scenario_to_dict(obj)
+    if is_dataclass(obj):
+        return {f.name: _to_plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_plain(item) for item in obj]
+    return obj
+
+
+def _from_plain(hint, value):
+    """Inverse of _to_plain for a value annotated with hint. A key naming no
+    field is rejected; a missing key takes the field's default."""
+    if hint is ScenarioConfig:
+        return scenario_from_dict(value)
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(_from_plain(item, v) for v in value)
+    if not is_dataclass(hint):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"{hint.__name__} must be given as an object, not {value!r}")
+    hints = typing.get_type_hints(hint)
+    unknown = sorted(set(value) - {f.name for f in fields(hint)})
+    if unknown:
+        raise ValueError(f"{hint.__name__} has no field(s) {', '.join(map(repr, unknown))}")
+    return hint(**{name: _from_plain(hints[name], v) for name, v in value.items()})
+
+
 def config_to_dict(cfg: CalibrationConfig) -> dict:
     """Config snapshot; output_dir is deliberately left out so two runs into
     different directories snapshot identically."""
-    return {
-        "master_seed": cfg.master_seed,
-        "field_data": cfg.field_data,
-        "replications": cfg.replications,
-        "workers": cfg.workers,
-        "scenario": scenario_to_dict(cfg.scenario),
-        "preprocess": dict(cfg.preprocess.__dict__),
-        "extraction": dict(cfg.extraction.__dict__),
-        "cutin_error": dict(cfg.cutin_error.__dict__),
-        "stage1": dict(cfg.stage1.__dict__),
-        "stage2": {
-            "levels": cfg.stage2.levels,
-            "k_critical": cfg.stage2.k_critical,
-            "delta": cfg.stage2.delta,
-            "candidates": [dict(c.__dict__) for c in cfg.stage2.candidates],
-            "saga": dict(cfg.stage2.saga.__dict__),
-        },
-    }
+    d = _to_plain(cfg)
+    del d["output_dir"]
+    return d
 
 
 def config_from_dict(d: dict) -> CalibrationConfig:
-    s2 = d["stage2"]
-    return CalibrationConfig(
-        scenario=scenario_from_dict(d["scenario"]),
-        stage1=Stage1Config(**d.get("stage1", {})),
-        stage2=Stage2Config(
-            candidates=tuple(CandidateParam(**c) for c in s2["candidates"]),
-            levels=int(s2.get("levels", 4)),
-            k_critical=int(s2.get("k_critical", 10)),
-            delta=float(s2.get("delta", 0.2)),
-            saga=SagaConfig(**s2.get("saga", {})),
-        ),
-        field_data=d.get("field_data"),
-        preprocess=PreprocessConfig(**d.get("preprocess", {})),
-        extraction=ExtractionConfig(**d.get("extraction", {})),
-        cutin_error=CutinErrorParams(**d.get("cutin_error", {})),
-        replications=int(d.get("replications", 1)),
-        workers=int(d.get("workers", 1)),
-        output_dir=d.get("output_dir"),
-        master_seed=int(d.get("master_seed", 0)),
-    )
+    return _from_plain(CalibrationConfig, d)
 
 
 def load_calibration_config(path) -> CalibrationConfig:
@@ -714,12 +705,16 @@ def _cases_csv(records, target) -> None:
             w.writerow(["case_id"])
             return
         param_ids = sorted(records[0].values)
-        w.writerow(["case_id"] + param_ids + ["accuracy", "feasible", "n_simulations"])
+        w.writerow(
+            ["case_id"] + param_ids
+            + ["accuracy", "feasible", "n_simulations", "collisions", "diagnostic"]
+        )
         for r in records:
             w.writerow(
                 [r.case_id]
                 + [repr(float(r.values[p])) for p in param_ids]
-                + [repr(float(r.accuracy)), int(r.feasible), r.n_simulations]
+                + [repr(float(r.accuracy)), int(r.feasible), r.n_simulations,
+                   r.collisions, r.diagnostic]
             )
 
 

@@ -51,11 +51,11 @@ class MissingSubjectError(RuntimeError):
 class Vehicle:
     __slots__ = (
         "vid", "kind", "link_idx", "lane", "pos", "lat", "speed", "accel",
-        "length", "factor", "cf", "lc", "lc_start", "lc_from", "lc_to",
+        "length", "factor", "lc", "lc_start", "lc_from", "lc_to",
         "lc_switched", "lc_done_at", "next_lc_check", "lat_rate", "fixed",
     )
 
-    def __init__(self, vid, kind, link_idx, lane, pos, speed, length, factor, cf, lc,
+    def __init__(self, vid, kind, link_idx, lane, pos, speed, length, factor, lc,
                  fixed=False):
         self.vid = vid
         self.kind = kind
@@ -67,7 +67,6 @@ class Vehicle:
         self.accel = 0.0
         self.length = length
         self.factor = factor
-        self.cf = cf
         self.lc = lc
         self.lc_start = None
         self.lc_from = 0
@@ -398,7 +397,6 @@ class Simulation:
             speed=speed,
             length=length,
             factor=factor,
-            cf=self._cf_spec[KIND_BACKGROUND],
             lc=self._lc_spec[KIND_BACKGROUND],
         )
         veh.next_lc_check = self.time + (veh.vid % 10) * 0.1 * LC_CHECK_INTERVAL
@@ -465,7 +463,6 @@ class Simulation:
             speed=speed,
             length=length,
             factor=1.0,
-            cf=self._cf_spec[KIND_SUBJECT],
             lc=self._lc_spec[KIND_SUBJECT],
         )
         veh.next_lc_check = self.time
@@ -513,7 +510,7 @@ class Simulation:
         return best
 
     def add_vehicle(self, link_idx=0, lane=1, pos=10.0, speed=0.0, kind=KIND_BACKGROUND,
-                    fixed=False, cf=None, lc=None, factor=1.0):
+                    fixed=False, lc=None, factor=1.0):
         """Insert a vehicle directly; used by tests and custom setups. A
         fixed vehicle keeps its speed and never changes lanes."""
         veh = Vehicle(
@@ -525,7 +522,6 @@ class Simulation:
             speed=speed,
             length=self.cfg.vehicle_length,
             factor=factor,
-            cf=cf if cf is not None else self._cf_spec[kind],
             lc=lc if lc is not None else self._lc_spec[kind],
             fixed=fixed,
         )
@@ -603,7 +599,7 @@ class Simulation:
         cur = None if current_leader is None else (current_leader[0], current_leader[1])
         return lane_change_decision(
             v.speed, cur, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
-            v.lc, v.cf, dt=self.dt, desired_speed=v_des,
+            v.lc, self._cf_spec[v.kind], dt=self.dt, desired_speed=v_des,
         )
 
     def _apply(self, decisions):

@@ -9,14 +9,11 @@ the generation maximum, so strong pairs are perturbed less than weak ones.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import ParameterSpace
-
-log = logging.getLogger(__name__)
 
 _SHIFT_EPS = 1e-12
 
@@ -87,14 +84,13 @@ def selection_probabilities(accuracies) -> np.ndarray:
     return weights / total
 
 
-def selection(population, accuracies, rng, pool_size=None) -> list[dict]:
-    """Sample a mating pool with replacement, proportional to fitness."""
-    if len(population) != len(accuracies):
-        raise ValueError("population and accuracies differ in length")
+def selection(accuracies, rng, pool_size=None) -> np.ndarray:
+    """Indices of a mating pool sampled with replacement, proportional to
+    fitness; the pool has one entry per individual unless pool_size says
+    otherwise."""
     probs = selection_probabilities(accuracies)
-    n = pool_size if pool_size is not None else len(population)
-    idx = rng.choice(len(population), size=n, replace=True, p=probs)
-    return [dict(population[i]) for i in idx]
+    n = pool_size if pool_size is not None else len(probs)
+    return rng.choice(len(probs), size=n, replace=True, p=probs)
 
 
 def adaptive_probability(f_pair, f_max_cur, f_avg_cur, p_min, p_max) -> float:
@@ -150,19 +146,19 @@ def _uniform_individual(space: ParameterSpace, rng) -> dict:
 
 
 def run_saga(
-    objective,
+    evaluate,
     space: ParameterSpace,
     config: SagaConfig,
     seed_individuals=None,
-    batch_objective=None,
 ) -> SagaResult:
     """Run the adaptive GA and return the best combination ever evaluated.
 
-    objective maps a parameter combination to an accuracy; it must be
-    deterministic for a given combination. A failing evaluation scores
-    -inf and the run continues. batch_objective, when given, evaluates a
-    whole generation at once (results in input order) and is how callers
-    plug in a worker pool.
+    evaluate maps one generation, a list of parameter combinations, to
+    their accuracies in input order; it must be deterministic for a given
+    combination. A failed individual comes back as -inf: it gets no
+    selection weight and the run continues. The evaluator does that
+    conversion (in the pipeline, evaluate_case is the one place that turns
+    a case's errors into -inf); an exception it raises ends the run.
     """
     rng = np.random.default_rng([int(config.seed), 0x5A6A])
     population: list[dict] = []
@@ -173,25 +169,13 @@ def run_saga(
     while len(population) < config.population_size:
         population.append(_uniform_individual(space, rng))
 
-    def evaluate(generation: list[dict]) -> list[float]:
-        if batch_objective is not None:
-            return [float(a) for a in batch_objective(generation)]
-        scores = []
-        for ind in generation:
-            try:
-                scores.append(float(objective(ind)))
-            except Exception:
-                log.warning("objective failed for %s; scoring -inf", ind, exc_info=True)
-                scores.append(float("-inf"))
-        return scores
-
     best: dict | None = None
     best_acc = float("-inf")
     history: list[GenerationRecord] = []
     n_evals = 0
 
     for gen in range(config.max_generations + 1):
-        accuracies = evaluate(population)
+        accuracies = [float(a) for a in evaluate(population)]
         n_evals += len(population)
         finite = [a for a in accuracies if np.isfinite(a)]
         if not finite:
@@ -217,8 +201,7 @@ def run_saga(
         if best_acc > config.accuracy_threshold or gen == config.max_generations:
             break
 
-        probs = selection_probabilities(accuracies)
-        pool_idx = rng.choice(len(population), size=config.population_size, replace=True, p=probs)
+        pool_idx = selection(accuracies, rng)
         pool = [dict(population[i]) for i in pool_idx]
         pool_acc = [accuracies[i] for i in pool_idx]
         offspring: list[dict] = []

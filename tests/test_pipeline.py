@@ -3,6 +3,7 @@ import logging
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,8 +228,13 @@ def test_stage2_freezes_stage1_inputs_and_selects_critical(micro_scenario):
     s1 = run_stage1(cfg, field)
     s2 = run_stage2(cfg, field, s1)
     assert len(s2.critical_set) == 2
-    for record in s2.phase1_cases:
-        assert record.entrance_inputs == s1.best_values
+    # a phase-I case scores the same on the stage-1 inflows it was run with
+    first = s2.phase1_cases[0]
+    ctx = EvalContext(
+        scenario=apply_parameters(micro_scenario, s1.best_values), stage=2,
+        field_mops=s2.field_mops, master_seed=cfg.master_seed, extraction=cfg.extraction,
+    )
+    assert evaluate_case(first.values, ctx).accuracy == first.accuracy
     assert "background.cf.T" in s2.critical_set
     frozen_ids = set(s2.frozen_values)
     assert frozen_ids.isdisjoint(s2.critical_set)
@@ -314,6 +320,11 @@ def test_artifacts_written_and_config_roundtrip(micro_report, tmp_path):
         "config.json", "report.json", "timings.json",
         "stage1_cases.csv", "stage2_phase1_cases.csv", "saga_history.json",
     } <= names
+    for name in ("stage1_cases.csv", "stage2_phase1_cases.csv"):
+        header = (Path(out) / name).read_text().splitlines()[0].split(",")
+        assert header[-5:] == [
+            "accuracy", "feasible", "n_simulations", "collisions", "diagnostic",
+        ]
     d = config_to_dict(cfg)
     back = config_from_dict(json.loads(json.dumps(d)))
     assert config_to_dict(back) == d
@@ -322,17 +333,58 @@ def test_artifacts_written_and_config_roundtrip(micro_report, tmp_path):
     assert config_to_dict(load_calibration_config(path)) == d
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_shipped_configs_match_their_builders():
+    from avcalib.demo import recovery_calibration_config, recovery_scenario
+    from avcalib.roadsim import load_scenario
+
+    shipped = config_to_dict(load_calibration_config(CONFIGS / "recovery_calibration.json"))
+    built = config_to_dict(recovery_calibration_config())
+    shipped.pop("field_data")
+    built.pop("field_data")
+    assert shipped == built
+    assert load_scenario(CONFIGS / "recovery_scenario.json") == recovery_scenario()
+
+
+def test_malformed_config_rejected_at_load(tmp_path):
+    shipped = json.loads((CONFIGS / "recovery_calibration.json").read_text())
+    path = tmp_path / "bad.json"
+    for stage1, error in (
+        (dict(shipped["stage1"], batch_size=1), "Stage1Config has no field.*batch_size"),
+        (4, "Stage1Config must be given as an object"),
+    ):
+        path.write_text(json.dumps(dict(shipped, stage1=stage1)))
+        with pytest.raises(ValueError, match=error):
+            load_calibration_config(path)
+
+
 def test_stage2_requires_sane_k():
     with pytest.raises(ValueError):
         Stage2Config(candidates=(CandidateParam(id="background.cf.T"),), k_critical=2)
 
 
-def test_workers_pool_matches_sequential(micro_scenario):
-    _, ctx = _field_and_ctx(micro_scenario, stage=1)
-    from avcalib.pipeline import _case_outcome, _pmap
-    from functools import partial
-
-    cases = [{"E1": 560.0}, {"E1": 700.0}, {"E1": 840.0}]
-    seq = [o.accuracy for o in _pmap(partial(_case_outcome, ctx), cases, workers=1)]
-    par = [o.accuracy for o in _pmap(partial(_case_outcome, ctx), cases, workers=2)]
-    assert par == seq
+def test_workers_1_and_2_write_identical_artifacts(micro_scenario, tmp_path):
+    field = generate_field_data(
+        apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0
+    )
+    # the whole stage-1 design, then a threshold every case meets, so stage 1
+    # stops at slot 0 of its first two-case batch
+    for threshold, n_stage1 in ((1.0, 4), (-10.0, 1)):
+        artifacts = []
+        for workers in (1, 2):
+            out = tmp_path / f"t{threshold}-w{workers}"
+            cfg = micro_calibration(
+                micro_scenario, workers=workers, output_dir=str(out),
+                stage1=Stage1Config(levels=2, delta=0.2, accuracy_threshold=threshold),
+            )
+            report = calibrate(cfg, field_dataset=field)
+            assert report.stage1.n_evaluated == n_stage1
+            artifacts.append({
+                name: (out / name).read_bytes()
+                for name in ("report.json", "stage1_cases.csv",
+                             "stage2_phase1_cases.csv", "saga_history.json")
+            })
+        for name, data in artifacts[0].items():
+            assert artifacts[1][name] == data, f"{name} differs between 1 and 2 workers"

@@ -67,8 +67,8 @@ def test_empty_world_stays_empty():
 def test_single_vehicle_at_desired_speed_advances_exactly():
     cfg = corridor(total=10.0, warmup=1.0, dt=0.1)
     sim = Simulation(cfg)
-    p = IdmParams()
-    veh = sim.add_vehicle(pos=100.0, speed=p.v0, cf=p)
+    p = IdmParams()  # the corridor's background model
+    veh = sim.add_vehicle(pos=100.0, speed=p.v0)
     for _ in range(20):
         sim.step()
     frames = sim.log.frames
@@ -84,9 +84,9 @@ def test_single_vehicle_at_desired_speed_advances_exactly():
 def test_two_vehicle_platoon_converges_to_oracle_gap():
     cfg = corridor(total=300.0, warmup=1.0, dt=0.1)
     sim = Simulation(cfg)
-    p = IdmParams()
+    p = IdmParams()  # the corridor's background model
     leader = sim.add_vehicle(pos=300.0, speed=15.0, fixed=True)
-    follower = sim.add_vehicle(pos=200.0, speed=10.0, cf=p)
+    follower = sim.add_vehicle(pos=200.0, speed=10.0)
     while sim.step_index < sim.n_steps and leader.pos < cfg.network.links[0].length - 200:
         sim.step()
     assert abs(follower.speed - 15.0) <= 0.01

@@ -53,7 +53,7 @@ def test_empirical_selection_frequencies_match():
     population = [{"a": 1.0}, {"a": 2.0}, {"a": 3.0}]
     accuracies = [0.2, 0.3, 0.5]
     n = 100_000
-    pool = selection(population, accuracies, rng, pool_size=n)
+    pool = [population[i] for i in selection(accuracies, rng, pool_size=n)]
     freq = np.array([sum(1 for p in pool if p["a"] == v) / n for v in (1.0, 2.0, 3.0)])
     assert np.allclose(freq, [0.2, 0.3, 0.5], atol=0.01)
 
@@ -168,11 +168,15 @@ def test_mutated_values_uniform_on_bounds():
 # the full loop
 
 
-def _tracking_objective(target):
-    def objective(comb):
-        return 1.0 - sum(abs(comb[k] - target[k]) / abs(target[k]) for k in target)
+def per_individual(score):
+    """A batch evaluate scoring each individual of a generation with score."""
+    return lambda generation: [score(comb) for comb in generation]
 
-    return objective
+
+def _tracking_objective(target):
+    return per_individual(
+        lambda comb: 1.0 - sum(abs(comb[k] - target[k]) / abs(target[k]) for k in target)
+    )
 
 
 def test_run_saga_converges_on_synthetic_objective():
@@ -193,7 +197,7 @@ def test_run_saga_converges_on_synthetic_objective():
 
 def test_run_saga_stops_when_threshold_met_immediately():
     cfg = SagaConfig(population_size=4, max_generations=10, accuracy_threshold=0.0, seed=1)
-    result = run_saga(lambda c: 0.5, space3(), cfg)
+    result = run_saga(per_individual(lambda c: 0.5), space3(), cfg)
     assert len(result.history) == 1
     assert result.best_accuracy == 0.5
     assert result.n_evaluations == 4
@@ -230,7 +234,7 @@ def test_seed_individuals_enter_first_generation():
     space = space3()
     seeds = [space.initial_values(), {"a": 0.81, "b": 1.62, "c": 2.43}]
     cfg = SagaConfig(population_size=6, max_generations=1, accuracy_threshold=2.0, seed=0)
-    result = run_saga(lambda c: c["a"], space, cfg, seed_individuals=seeds)
+    result = run_saga(per_individual(lambda c: c["a"]), space, cfg, seed_individuals=seeds)
     first = result.history[0].population
     assert first[0] == seeds[0]
     assert first[1] == seeds[1]
@@ -239,7 +243,10 @@ def test_seed_individuals_enter_first_generation():
 def test_seed_individual_outside_bounds_rejected():
     cfg = SagaConfig(population_size=4, max_generations=1, seed=0)
     with pytest.raises(ValueError):
-        run_saga(lambda c: 1.0, space3(), cfg, seed_individuals=[{"a": 9.0, "b": 2.0, "c": 3.0}])
+        run_saga(
+            per_individual(lambda c: 1.0), space3(), cfg,
+            seed_individuals=[{"a": 9.0, "b": 2.0, "c": 3.0}],
+        )
 
 
 def test_selection_only_degeneracy_with_operators_off():
@@ -257,13 +264,15 @@ def test_selection_only_degeneracy_with_operators_off():
 
 
 def test_failed_objective_scores_minus_inf_and_run_continues():
+    # the evaluator reports every fifth individual it sees as failed
     calls = {"n": 0}
 
-    def flaky(comb):
-        calls["n"] += 1
-        if calls["n"] % 5 == 0:
-            raise RuntimeError("boom")
-        return comb["a"]
+    def flaky(generation):
+        scores = []
+        for comb in generation:
+            calls["n"] += 1
+            scores.append(float("-inf") if calls["n"] % 5 == 0 else comb["a"])
+        return scores
 
     cfg = SagaConfig(population_size=6, max_generations=3, accuracy_threshold=2.0, seed=8)
     result = run_saga(flaky, space3(), cfg)
