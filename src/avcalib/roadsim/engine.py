@@ -1,11 +1,25 @@
 """Discrete-time microscopic traffic simulation.
 
 Vehicles live on the subject-route link chain. Each step runs synchronously
-from a pre-step snapshot: arrivals and insertions first, then car-following
-and lane-change decisions for every vehicle against the snapshot, then one
-explicit Euler integration with speed clamped at zero. Lane changes flip
-the lane index at the midpoint of a fixed-duration lateral ramp so the
-lateral offset stays continuous for the detection output.
+from a pre-step snapshot, in this order:
+
+1. insert the subject (at the end of warm-up) and queued arrivals;
+2. record the frame;
+3. car-following and lane-change decisions for every vehicle against the
+   snapshot;
+4. one explicit Euler integration with speed clamped at zero, and the
+   lateral ramp of every lane change in progress;
+5. move vehicles across link boundaries and drop those leaving the route;
+6. build the lane index, then push back overlapping vehicles (rebuilding
+   the index if any moved).
+
+The lane index (``Simulation._lanes``) maps (link, lane) to the vehicles
+there, sorted by position; a vehicle mid-lane-change sits in its origin and
+target lane as well. It is built once per step, in step 6, and serves
+collision resolution and the next step's insertions and decisions; an
+inserted vehicle is added to it in place. Lane changes flip the lane index
+at the midpoint of a fixed-duration lateral ramp so the lateral offset
+stays continuous for the detection output.
 
 Everything is driven by one seeded generator per entrance plus the scenario
 seed, so an identical ScenarioConfig reproduces the run bit for bit.
@@ -13,9 +27,11 @@ seed, so an identical ScenarioConfig reproduces the run bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +60,9 @@ KIND_SUBJECT = 1
 SUBJECT_VID = 0
 
 
+_pos = operator.attrgetter("pos")
+
+
 class MissingSubjectError(RuntimeError):
     """The log has no subject vehicle where one is required."""
 
@@ -51,12 +70,11 @@ class MissingSubjectError(RuntimeError):
 class Vehicle:
     __slots__ = (
         "vid", "kind", "link_idx", "lane", "pos", "lat", "speed", "accel",
-        "length", "factor", "lc", "lc_start", "lc_from", "lc_to",
+        "length", "factor", "lc_start", "lc_from", "lc_to",
         "lc_switched", "lc_done_at", "next_lc_check", "lat_rate", "fixed",
     )
 
-    def __init__(self, vid, kind, link_idx, lane, pos, speed, length, factor, lc,
-                 fixed=False):
+    def __init__(self, vid, kind, link_idx, lane, pos, speed, length, factor, fixed=False):
         self.vid = vid
         self.kind = kind
         self.link_idx = link_idx
@@ -67,7 +85,6 @@ class Vehicle:
         self.accel = 0.0
         self.length = length
         self.factor = factor
-        self.lc = lc
         self.lc_start = None
         self.lc_from = 0
         self.lc_to = 0
@@ -243,6 +260,7 @@ class Simulation:
         self.time = 0.0
         self.step_index = 0
         self.vehicles: list[Vehicle] = []
+        self._lanes: dict[tuple[int, int], list[Vehicle]] = {}  # see _lane_map
         self.next_vid = 1
 
         self._rngs = {
@@ -296,30 +314,33 @@ class Simulation:
     def _arc(self, v: Vehicle) -> float:
         return self.offsets[v.link_idx] + v.pos
 
-    def _lane_map(self, dual: bool = False):
-        """Vehicles per (link, lane), position-sorted. With dual=True a
-        vehicle mid-lane-change occupies both its origin and target lane, so
-        gap checks respect it on either side; collision resolution uses the
-        physical lane index only."""
+    def _lane_map(self):
+        """Vehicles per (link, lane), position-sorted, ties in list order. A
+        vehicle mid-lane-change occupies its origin and target lane too, so
+        gap checks respect it on either side."""
         groups: dict[tuple[int, int], list[Vehicle]] = {}
         for v in self.vehicles:
-            if dual and v.lc_start is not None:
-                lanes = {v.lane, v.lc_from, v.lc_to}
-            else:
-                lanes = (v.lane,)
+            lanes = (v.lane,) if v.lc_start is None else {v.lane, v.lc_from, v.lc_to}
             for lane in lanes:
                 groups.setdefault((v.link_idx, lane), []).append(v)
         for g in groups.values():
-            g.sort(key=lambda v: v.pos)
+            g.sort(key=_pos)
         return groups
 
-    def _leader_in_lane(self, groups, link_idx, lane, arc, exclude=None):
+    def _add(self, veh: Vehicle) -> None:
+        """Append a new vehicle, and put it in the lane index after any
+        members at equal pos, where a fresh _lane_map would place it."""
+        self.vehicles.append(veh)
+        group = self._lanes.setdefault((veh.link_idx, veh.lane), [])
+        bisect.insort_right(group, veh, key=_pos)
+
+    def _leader_in_lane(self, link_idx, lane, arc, exclude=None):
         """Closest vehicle ahead of arc position `arc` in the given lane,
         following the chain downstream. Returns (vehicle, center_distance)."""
         lanes_here = lane
         for j in range(link_idx, min(link_idx + LOOKAHEAD_LINKS + 1, len(self.route))):
             lanes_here = min(lanes_here, self.route[j].lane_count)
-            for cand in groups.get((j, lanes_here), ()):  # sorted by pos
+            for cand in self._lanes.get((j, lanes_here), ()):  # sorted by pos
                 if cand is exclude:
                     continue
                 c_arc = self.offsets[j] + cand.pos
@@ -327,14 +348,14 @@ class Simulation:
                     return cand, c_arc - arc
         return None, math.inf
 
-    def _follower_in_lane(self, groups, link_idx, lane, arc, exclude=None):
+    def _follower_in_lane(self, link_idx, lane, arc, exclude=None):
         lanes_here = lane
         for j in range(link_idx, max(link_idx - LOOKAHEAD_LINKS - 1, -1), -1):
             if j < link_idx:
                 lanes_here = lane  # upstream links in this chain keep lane ids
                 if lane > self.route[j].lane_count:
                     break
-            for cand in reversed(groups.get((j, lanes_here), ())):
+            for cand in reversed(self._lanes.get((j, lanes_here), ())):
                 if cand is exclude:
                     continue
                 c_arc = self.offsets[j] + cand.pos
@@ -357,7 +378,6 @@ class Simulation:
         link_idx = self._entrance_link_idx[eid]
         link = self.route[link_idx]
         entrance = next(e for e in self.entrances if e.id == eid)
-        groups = self._lane_map(dual=True)
         limit = link.speed_limit_ms
         entry = limit if entrance.entry_speed is None else min(limit, entrance.entry_speed / 3.6)
 
@@ -365,7 +385,7 @@ class Simulation:
         length = self.cfg.vehicle_length
         entry_arc = self.offsets[link_idx] + length / 2.0
         for lane in range(1, link.lane_count + 1):
-            occupants = groups.get((link_idx, lane), ())
+            occupants = self._lanes.get((link_idx, lane), ())
             clear = math.inf
             leader_speed = None
             if occupants:  # sorted by pos: first occupant is the nearest
@@ -373,7 +393,7 @@ class Simulation:
                 clear = cand.pos - cand.length / 2.0 - length
                 leader_speed = cand.speed
             # a fast vehicle closing in from upstream must get braking room
-            fol, dist_r = self._follower_in_lane(groups, link_idx, lane, entry_arc)
+            fol, dist_r = self._follower_in_lane(link_idx, lane, entry_arc)
             rear_ok = True
             if fol is not None:
                 rear_gap = dist_r - (fol.length + length) / 2.0
@@ -397,11 +417,10 @@ class Simulation:
             speed=speed,
             length=length,
             factor=factor,
-            lc=self._lc_spec[KIND_BACKGROUND],
         )
         veh.next_lc_check = self.time + (veh.vid % 10) * 0.1 * LC_CHECK_INTERVAL
         self.next_vid += 1
-        self.vehicles.append(veh)
+        self._add(veh)
         self.log.spawns.append(
             SpawnEvent(time=self.time, vehicle_id=veh.vid, entrance=eid,
                        link=link.id, lane=lane)
@@ -436,12 +455,11 @@ class Simulation:
 
     def _insert_subject(self):
         link = self.route[0]
-        groups = self._lane_map(dual=True)
         length = self.cfg.vehicle_length
         margin = max(2.0, self._spawn_gap)
         best = None
         for lane in range(1, link.lane_count + 1):
-            occupants = groups.get((0, lane), ())
+            occupants = self._lanes.get((0, lane), ())
             pos, ahead_speed = self._subject_slot(occupants, link, length, margin)
             if pos is None:
                 continue
@@ -463,10 +481,9 @@ class Simulation:
             speed=speed,
             length=length,
             factor=1.0,
-            lc=self._lc_spec[KIND_SUBJECT],
         )
         veh.next_lc_check = self.time
-        self.vehicles.append(veh)
+        self._add(veh)
         self.log.spawns.append(
             SpawnEvent(time=self.time, vehicle_id=SUBJECT_VID, entrance="",
                        link=link.id, lane=lane)
@@ -474,34 +491,18 @@ class Simulation:
 
     # -- per-step dynamics --------------------------------------------------
 
-    def _leader_downstream(self, groups, link_idx, lane, v):
-        """Nearest vehicle ahead on following links, for the head of a lane
-        group."""
-        base = self.offsets[link_idx] + v.pos
-        lanes_here = lane
-        for j in range(link_idx + 1, min(link_idx + LOOKAHEAD_LINKS + 1, len(self.route))):
-            lanes_here = min(lanes_here, self.route[j].lane_count)
-            group = groups.get((j, lanes_here))
-            if group:
-                cand = group[0]
-                if cand is not v:
-                    return cand, self.offsets[j] + cand.pos - base
-                if len(group) > 1:
-                    return group[1], self.offsets[j] + group[1].pos - base
-        return None, math.inf
-
-    def _leader_table(self, groups):
+    def _leader_table(self):
         """Per-vehicle nearest leader over every lane the vehicle occupies,
-        built in one pass over the lane groups."""
+        built in one pass over the lane index."""
         best: dict[Vehicle, tuple] = {}
-        for (li, lane), group in groups.items():
+        for (li, lane), group in self._lanes.items():
             n = len(group)
             for i, v in enumerate(group):
                 if i + 1 < n:
                     cand = group[i + 1]
                     d = cand.pos - v.pos
                 else:
-                    cand, d = self._leader_downstream(groups, li, lane, v)
+                    cand, d = self._leader_in_lane(li, lane, self.offsets[li] + v.pos, exclude=v)
                 if cand is None:
                     continue
                 cur = best.get(v)
@@ -510,7 +511,7 @@ class Simulation:
         return best
 
     def add_vehicle(self, link_idx=0, lane=1, pos=10.0, speed=0.0, kind=KIND_BACKGROUND,
-                    fixed=False, lc=None, factor=1.0):
+                    fixed=False, factor=1.0):
         """Insert a vehicle directly; used by tests and custom setups. A
         fixed vehicle keeps its speed and never changes lanes."""
         veh = Vehicle(
@@ -522,15 +523,14 @@ class Simulation:
             speed=speed,
             length=self.cfg.vehicle_length,
             factor=factor,
-            lc=lc if lc is not None else self._lc_spec[kind],
             fixed=fixed,
         )
         if kind == KIND_BACKGROUND:
             self.next_vid += 1
-        self.vehicles.append(veh)
+        self._add(veh)
         return veh
 
-    def _decide(self, groups):
+    def _decide(self):
         dt = self.dt
         decisions = []
         pending_targets = [
@@ -538,7 +538,7 @@ class Simulation:
             for v in self.vehicles
             if v.lc_start is not None and not v.lc_switched
         ]
-        leader_table = self._leader_table(groups)
+        leader_table = self._leader_table()
         for v in self.vehicles:
             if v.fixed:
                 decisions.append((v, 0.0, STAY))
@@ -568,12 +568,12 @@ class Simulation:
             ):
                 v.next_lc_check = self.time + LC_CHECK_INTERVAL
                 direction = self._evaluate_lane_change(
-                    v, groups, arc, leader_tuple, v_des, pending_targets
+                    v, arc, leader_tuple, v_des, pending_targets
                 )
             decisions.append((v, a, direction))
         return decisions
 
-    def _evaluate_lane_change(self, v, groups, arc, current_leader, v_des, pending):
+    def _evaluate_lane_change(self, v, arc, current_leader, v_des, pending):
         link = self.route[v.link_idx]
         sides = {}
         for name, lane in ((CHANGE_LEFT, v.lane + 1), (CHANGE_RIGHT, v.lane - 1)):
@@ -585,8 +585,8 @@ class Simulation:
                     sides[name] = None
                     break
             else:
-                lead, dist_f = self._leader_in_lane(groups, v.link_idx, lane, arc, exclude=v)
-                fol, dist_r = self._follower_in_lane(groups, v.link_idx, lane, arc, exclude=v)
+                lead, dist_f = self._leader_in_lane(v.link_idx, lane, arc, exclude=v)
+                fol, dist_r = self._follower_in_lane(v.link_idx, lane, arc, exclude=v)
                 leader = None
                 follower = None
                 if lead is not None:
@@ -599,7 +599,7 @@ class Simulation:
         cur = None if current_leader is None else (current_leader[0], current_leader[1])
         return lane_change_decision(
             v.speed, cur, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
-            v.lc, self._cf_spec[v.kind], dt=self.dt, desired_speed=v_des,
+            self._lc_spec[v.kind], self._cf_spec[v.kind], dt=self.dt, desired_speed=v_des,
         )
 
     def _apply(self, decisions):
@@ -628,17 +628,14 @@ class Simulation:
             if v.lc_start is not None:
                 elapsed = t + dt - v.lc_start
                 sign = 1.0 if v.lc_to > v.lc_from else -1.0
+                if elapsed >= half and not v.lc_switched:
+                    v.lane = v.lc_to
+                    v.lc_switched = True
                 if elapsed < half:
                     new_lat = sign * ramp_rate * elapsed
                 elif elapsed < LC_DURATION:
-                    if not v.lc_switched:
-                        v.lane = v.lc_to
-                        v.lc_switched = True
                     new_lat = -sign * (LANE_WIDTH / 2.0) + sign * ramp_rate * (elapsed - half)
                 else:
-                    if not v.lc_switched:
-                        v.lane = v.lc_to
-                        v.lc_switched = True
                     new_lat = 0.0
                     v.lc_start = None
                     v.lc_done_at = t + dt
@@ -665,10 +662,12 @@ class Simulation:
         self.vehicles = survivors
 
     def _resolve_collisions(self):
+        """Push back the rear vehicle of every overlapping pair in a physical
+        lane; the lane index is rebuilt if any vehicle moved."""
         t = self.time + self.dt
-        groups = self._lane_map()
         overlapping = set()
-        for (link_idx, lane), group in sorted(groups.items()):
+        for (link_idx, lane), members in sorted(self._lanes.items()):
+            group = [v for v in members if v.lane == lane]
             for rear, front in zip(group[:-1], group[1:]):
                 gap = front.pos - rear.pos - (front.length + rear.length) / 2.0
                 if gap <= 0.0:
@@ -688,6 +687,8 @@ class Simulation:
                     rear.speed = 0.0
                     rear.accel = 0.0
         self._collision_pairs = overlapping
+        if overlapping:
+            self._lanes = self._lane_map()
 
     def _record_frame(self):
         vs = sorted(self.vehicles, key=lambda v: v.vid)
@@ -730,10 +731,9 @@ class Simulation:
             self._insert_subject()
         self._spawn_step()
         self._record_frame()
-        groups = self._lane_map(dual=True)
-        decisions = self._decide(groups)
-        self._apply(decisions)
+        self._apply(self._decide())
         self._advance_links()
+        self._lanes = self._lane_map()
         self._resolve_collisions()
 
         if self.vehicles and all(v.speed < GRIDLOCK_SPEED for v in self.vehicles):

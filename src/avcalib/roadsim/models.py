@@ -276,28 +276,23 @@ MODEL_NAMES = {cls: name for name, cls in MODEL_CLASSES.items()}
 
 def car_following_acceleration(
     model: CarFollowingParams,
-    follower,
+    speed: float,
     leader: Optional[tuple[float, float]] = None,
     dt: float = 0.1,
     desired_speed: Optional[float] = None,
     leader_accel: float = 0.0,
 ) -> float:
-    """Acceleration demanded by `model` for the follower.
+    """Acceleration demanded by `model` for a follower at `speed` m/s.
 
-    follower is a vehicle state (anything carrying .speed, optionally
-    .acceleration) or a bare speed in m/s. leader is (bumper gap m,
-    leader speed m/s) or None for free flow. desired_speed overrides the
-    model's own target speed and is mandatory for W99, which has none.
+    leader is (bumper gap m, leader speed m/s) or None for free flow.
+    desired_speed overrides the model's own target speed and is mandatory
+    for W99, which has none. The follower's previous acceleration is taken
+    as zero.
 
     The returned value is finite and never brakes the vehicle below zero
     speed within one step of length dt.
     """
-    if hasattr(follower, "speed"):
-        v = float(follower.speed)
-        prev_accel = float(getattr(follower, "acceleration", 0.0))
-    else:
-        v = float(follower)
-        prev_accel = 0.0
+    v = float(speed)
     if leader is not None:
         gap, v_leader = float(leader[0]), float(leader[1])
         if gap <= 0.0:
@@ -308,7 +303,7 @@ def car_following_acceleration(
     v_des = desired_speed if desired_speed is not None else model.desired_speed
     if v_des is None:
         raise ValueError("this model carries no desired speed; pass desired_speed")
-    a = model.accel(v, gap, v_leader, v_des, prev_accel, leader_accel, dt)
+    a = model.accel(v, gap, v_leader, v_des, 0.0, leader_accel, dt)
 
     # never integrate into negative speed
     return max(a, -v / dt)
@@ -378,7 +373,7 @@ def _side_evaluation(v, a_current, side: NeighborView, p: LaneChangeParams,
 
 
 def lane_change_decision(
-    vehicle,
+    speed: float,
     current_leader: Optional[tuple[float, float]],
     left: Optional[NeighborView],
     right: Optional[NeighborView],
@@ -387,7 +382,7 @@ def lane_change_decision(
     dt: float = 0.1,
     desired_speed: Optional[float] = None,
 ) -> str:
-    """Gap-acceptance lane-change decision.
+    """Gap-acceptance lane-change decision for a vehicle at `speed` m/s.
 
     left/right are None when that side has no lane. A side is taken only if
     it is safe (headway margins hold and neither the target follower nor
@@ -395,7 +390,7 @@ def lane_change_decision(
     and offers an acceleration advantage above the threshold. With both
     sides eligible the larger advantage wins, right on a tie.
     """
-    v = float(vehicle.speed) if hasattr(vehicle, "speed") else float(vehicle)
+    v = float(speed)
     a_current = car_following_acceleration(
         cf_model, v, current_leader, dt, desired_speed=desired_speed
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from avcalib.demo import showcase_scenario
 from avcalib.roadsim import (
     BehaviorSpec,
     Entrance,
@@ -276,3 +277,23 @@ def test_multi_link_transitions_and_despawn():
     assert len(log.despawns) > 0
     seen_links = {int(i) for f in log.frames for i in f.link_idx}
     assert seen_links == {0, 1}
+
+
+def test_lane_index_built_once_per_step(monkeypatch):
+    # one build per step, plus one after a step whose collision pushback
+    # moved a vehicle; insertions add to the index instead of rebuilding it
+    builds = []
+    build = Simulation._lane_map
+
+    def counted(self, *args, **kwargs):
+        builds.append(self.step_index)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "_lane_map", counted)
+    sim = Simulation(replace(showcase_scenario(0), warmup_time=40.0, total_time=100.0))
+    pushback_steps = 0
+    while sim.step_index < sim.n_steps:
+        sim.step()
+        pushback_steps += bool(sim._collision_pairs)
+    assert len(sim.log.spawns) > 20 and sim.log.lane_changes
+    assert len(builds) <= sim.n_steps + pushback_steps
