@@ -335,8 +335,9 @@ class Simulation:
         bisect.insort_right(group, veh, key=_pos)
 
     def _leader_in_lane(self, link_idx, lane, arc, exclude=None):
-        """Closest vehicle ahead of arc position `arc` in the given lane,
-        following the chain downstream. Returns (vehicle, center_distance)."""
+        """Closest vehicle at or ahead of arc position `arc` in the given
+        lane, following the chain downstream; a vehicle exactly abreast is a
+        leader at distance 0. Returns (vehicle, center_distance)."""
         lanes_here = lane
         for j in range(link_idx, min(link_idx + LOOKAHEAD_LINKS + 1, len(self.route))):
             lanes_here = min(lanes_here, self.route[j].lane_count)
@@ -344,7 +345,7 @@ class Simulation:
                 if cand is exclude:
                     continue
                 c_arc = self.offsets[j] + cand.pos
-                if c_arc > arc:
+                if c_arc >= arc:
                     return cand, c_arc - arc
         return None, math.inf
 

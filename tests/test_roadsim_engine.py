@@ -297,3 +297,17 @@ def test_lane_index_built_once_per_step(monkeypatch):
         pushback_steps += bool(sim._collision_pairs)
     assert len(sim.log.spawns) > 20 and sim.log.lane_changes
     assert len(builds) <= sim.n_steps + pushback_steps
+
+
+def test_vehicle_abreast_in_target_lane_blocks_the_change():
+    # a slow leader ahead makes the left lane attractive, but a vehicle sits
+    # exactly abreast there: the change must wait until it is clear
+    sim = Simulation(corridor(lanes=2, total=10.0, warmup=9.0, dt=0.1))
+    sim.add_vehicle(lane=1, pos=144.5, speed=15.0, fixed=True)
+    changer = sim.add_vehicle(lane=1, pos=100.0, speed=15.0)
+    abreast = sim.add_vehicle(lane=2, pos=100.0, speed=15.0, fixed=True)
+    sim.run()
+    starts = [lc for lc in sim.log.lane_changes if lc.vehicle_id == changer.vid]
+    assert starts and starts[0].time > 0.0
+    assert sim.log.collisions == []
+    assert abs(changer.pos - abreast.pos) > changer.length

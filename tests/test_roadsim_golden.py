@@ -36,7 +36,7 @@ GOLDEN = {
     "showcase-gipps": "20a6ce7bce480e20e12536187115d497e63c763f743ee40b9bca997799a47243",
     "showcase-fvd": "22752efb05d410d5ba2ca9e05b0959aa51d4a18bc421a9e17ebe7f20592e2906",
     "showcase-krauss": "177c3359b1dc8cb525f0f30c065b141393a991afa7320e21c7c2d1071d28c6ad",
-    "showcase-w99": "fc7dda8c03d088737a91c464bfa91a31b2c5c4da9317f5b61b118a67c82d0a69",
+    "showcase-w99": "bbf325071f74191f8bc4e2db2cfa618d904b66c0cd0e882cf7c69c42272b9e8a",
 }
 
 
@@ -74,14 +74,6 @@ def test_trajectory_matches_golden_hash(name):
     assert trajectory_digest(log) == GOLDEN[name]
 
 
-W99_ABREAST_COLLISION = pytest.mark.xfail(
-    strict=True,
-    reason="two vehicles inserted abreast on L2 at t=148.4 s; the lane-change gap "
-    "check does not see a vehicle at exactly the same arc position, so one "
-    "changes onto the other and collides at t=150 s",
-)
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_is_feasible_and_keeps_lanes(name):
     sc, log = _run(name)
@@ -92,11 +84,7 @@ def test_golden_run_is_feasible_and_keeps_lanes(name):
         assert np.all(f.lanes <= lane_counts[f.link_idx])
 
 
-@pytest.mark.parametrize(
-    "name",
-    [n if n != "showcase-w99" else pytest.param(n, marks=W99_ABREAST_COLLISION)
-     for n in sorted(GOLDEN)],
-)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_has_no_collisions(name):
     _sc, log = _run(name)
     assert log.collisions == []
