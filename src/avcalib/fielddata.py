@@ -210,15 +210,20 @@ def export_detection_csv(dataset: FieldDataset, target=None) -> str | None:
 # preprocessing
 
 
-def _segments(indices):
-    """Split a sorted index list into runs of consecutive indices."""
-    segs = []
-    start = 0
-    for i in range(1, len(indices) + 1):
-        if i == len(indices) or indices[i] != indices[i - 1] + 1:
-            segs.append(indices[start:i])
-            start = i
-    return segs
+def _presence_segments(records):
+    """Each surrounding vehicle's runs of consecutive records, vehicles in id
+    order: (vehicle id, [(record index, index in its surroundings), ...])."""
+    per_vehicle: dict[str, list[tuple[int, int]]] = {}
+    for idx, rec in enumerate(records):
+        for oi, obs in enumerate(rec.surroundings):
+            per_vehicle.setdefault(obs.vehicle_id, []).append((idx, oi))
+    for vid in sorted(per_vehicle):
+        entries = per_vehicle[vid]
+        start = 0
+        for k in range(1, len(entries) + 1):
+            if k == len(entries) or entries[k][0] != entries[k - 1][0] + 1:
+                yield vid, entries[start:k]
+                start = k
 
 
 def _despike(values, max_jump):
@@ -286,38 +291,28 @@ def preprocess(
     subj_speed = _smooth(subj_speed, n_side)
 
     # per-vehicle surrounding series, smoothed within contiguous presence
-    per_vehicle: dict[str, list[tuple[int, int]]] = {}
     obs_fix: dict[tuple[int, int], SurroundingObs] = {}
-    for idx, rec in enumerate(dataset.records):
-        for oi, obs in enumerate(rec.surroundings):
-            per_vehicle.setdefault(obs.vehicle_id, []).append((idx, oi))
-    for vid in sorted(per_vehicle):
-        entries = per_vehicle[vid]
-        for seg in _segments([idx for idx, _ in entries]):
-            seg_entries = [e for e in entries if seg[0] <= e[0] <= seg[-1]]
-            speeds = [dataset.records[i].surroundings[oi].speed_kmh for i, oi in seg_entries]
-            rlon = [dataset.records[i].surroundings[oi].rel_longitudinal for i, oi in seg_entries]
-            rlat = [dataset.records[i].surroundings[oi].rel_lateral for i, oi in seg_entries]
-            speeds, k = _despike(speeds, jump_kmh)
-            n_fixed += k
-            speeds = _smooth(speeds, n_side)
-            rlon = _smooth(rlon, n_side)
-            rlat = _smooth(rlat, n_side)
-            for j, (i, oi) in enumerate(seg_entries):
-                obs = dataset.records[i].surroundings[oi]
-                if (
-                    speeds[j] != obs.speed_kmh
-                    or rlon[j] != obs.rel_longitudinal
-                    or rlat[j] != obs.rel_lateral
-                ):
-                    obs_fix[(i, oi)] = SurroundingObs(
-                        vehicle_id=obs.vehicle_id,
-                        lane_id=obs.lane_id,
-                        rel_longitudinal=rlon[j],
-                        rel_lateral=rlat[j],
-                        speed_kmh=speeds[j],
-                        heading_deg=obs.heading_deg,
-                    )
+    for _vid, seg_entries in _presence_segments(dataset.records):
+        seg_obs = [dataset.records[i].surroundings[oi] for i, oi in seg_entries]
+        speeds, k = _despike([o.speed_kmh for o in seg_obs], jump_kmh)
+        n_fixed += k
+        speeds = _smooth(speeds, n_side)
+        rlon = _smooth([o.rel_longitudinal for o in seg_obs], n_side)
+        rlat = _smooth([o.rel_lateral for o in seg_obs], n_side)
+        for j, obs in enumerate(seg_obs):
+            if (
+                speeds[j] != obs.speed_kmh
+                or rlon[j] != obs.rel_longitudinal
+                or rlat[j] != obs.rel_lateral
+            ):
+                obs_fix[seg_entries[j]] = SurroundingObs(
+                    vehicle_id=obs.vehicle_id,
+                    lane_id=obs.lane_id,
+                    rel_longitudinal=rlon[j],
+                    rel_lateral=rlat[j],
+                    speed_kmh=speeds[j],
+                    heading_deg=obs.heading_deg,
+                )
 
     records = []
     for idx, rec in enumerate(dataset.records):
@@ -472,26 +467,18 @@ def _lane_change_details(dataset: FieldDataset, debounce_s: float):
     for idx_init, frm, to in _scan_lane_changes(times, lanes, None, debounce_s):
         detailed.append((SUBJECT, idx_init - 1, idx_init, frm, to))
 
-    per_vehicle: dict[str, list[tuple[int, SurroundingObs]]] = {}
-    for idx, rec in enumerate(records):
-        for obs in rec.surroundings:
-            per_vehicle.setdefault(obs.vehicle_id, []).append((idx, obs))
-    for vid in sorted(per_vehicle):
-        entries = per_vehicle[vid]
-        for seg in _segments([idx for idx, _ in entries]):
-            seg_entries = [e for e in entries if seg[0] <= e[0] <= seg[-1]]
-            if len(seg_entries) < 2:
-                continue
-            seg_times = [records[i].timestamp for i, _ in seg_entries]
-            seg_lanes = [o.lane_id for _, o in seg_entries]
-            seg_lats = [o.rel_lateral for _, o in seg_entries]
-            seg_subject = [records[i].lane_id for i, _ in seg_entries]
-            for k_init, frm, to in _scan_lane_changes(
-                seg_times, seg_lanes, seg_lats, debounce_s, seg_subject
-            ):
-                detailed.append(
-                    (vid, seg_entries[k_init - 1][0], seg_entries[k_init][0], frm, to)
-                )
+    for vid, seg_entries in _presence_segments(records):
+        if len(seg_entries) < 2:
+            continue
+        seg_obs = [records[i].surroundings[oi] for i, oi in seg_entries]
+        seg_times = [records[i].timestamp for i, _ in seg_entries]
+        seg_lanes = [o.lane_id for o in seg_obs]
+        seg_lats = [o.rel_lateral for o in seg_obs]
+        seg_subject = [records[i].lane_id for i, _ in seg_entries]
+        for k_init, frm, to in _scan_lane_changes(
+            seg_times, seg_lanes, seg_lats, debounce_s, seg_subject
+        ):
+            detailed.append((vid, seg_entries[k_init - 1][0], seg_entries[k_init][0], frm, to))
     detailed.sort(key=lambda e: (dataset.records[e[2]].timestamp, str(e[0])))
     return detailed
 
@@ -502,8 +489,12 @@ def detect_lane_changes(dataset: FieldDataset, debounce_s: float = 1.0):
     The gap between the target-lane leader and follower is measured at
     initiation (the last sample in the origin lane).
     """
+    return _lane_change_events(dataset, _lane_change_details(dataset, debounce_s))
+
+
+def _lane_change_events(dataset: FieldDataset, details):
     events = []
-    for actor, idx_init, idx_entry, frm, to in _lane_change_details(dataset, debounce_s):
+    for actor, idx_init, idx_entry, frm, to in details:
         rec_init = dataset.records[idx_init]
         events.append(
             LaneChangeEvent(
@@ -526,9 +517,14 @@ def detect_cut_ins(
 ):
     """Surrounding vehicles entering the subject's lane ahead of it, at most
     one event per intruder per dedup window."""
+    details = _lane_change_details(dataset, debounce_s)
+    return _cut_in_events(dataset, details, front_max, dedup_window_s)
+
+
+def _cut_in_events(dataset: FieldDataset, details, front_max, dedup_window_s):
     events = []
     last_event: dict[str, float] = {}
-    for actor, _idx_init, idx_entry, _frm, to in _lane_change_details(dataset, debounce_s):
+    for actor, _idx_init, idx_entry, _frm, to in details:
         if actor == SUBJECT:
             continue
         rec = dataset.records[idx_entry]
@@ -643,12 +639,12 @@ def extract_events(
     cf_min_duration: float = 5.0,
     cf_min_speed: float = 1.0,
 ) -> EventSet:
-    """Run all three detectors with one set of thresholds."""
+    """Run all three detectors with one set of thresholds; lane changes and
+    cut-ins share one lane-change scan."""
+    details = _lane_change_details(dataset, debounce_s)
     return EventSet(
-        lane_changes=tuple(detect_lane_changes(dataset, debounce_s)),
-        cut_ins=tuple(
-            detect_cut_ins(dataset, cutin_front_max, cutin_dedup_s, debounce_s)
-        ),
+        lane_changes=tuple(_lane_change_events(dataset, details)),
+        cut_ins=tuple(_cut_in_events(dataset, details, cutin_front_max, cutin_dedup_s)),
         episodes=tuple(
             detect_car_following(dataset, cf_max_gap, cf_min_duration, cf_min_speed)
         ),

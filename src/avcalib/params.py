@@ -68,9 +68,6 @@ class ParameterSpace:
             if not (s.lower <= v <= s.upper):
                 raise ValueError(f"{s.id}={v} outside [{s.lower}, {s.upper}]")
 
-    def subset(self, ids) -> "ParameterSpace":
-        return ParameterSpace([self._index[pid] for pid in ids])
-
 
 def build_parameter_space(initial: Mapping[str, float], delta: float) -> ParameterSpace:
     """Bounds at (1 - delta) and (1 + delta) times each initial value,

@@ -10,7 +10,7 @@ routes the calibration targets without a full graph model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .models import (
@@ -149,14 +149,38 @@ def _cf_to_dict(cf: CarFollowingParams) -> dict:
     return d
 
 
-def _cf_from_dict(d: dict) -> CarFollowingParams:
-    d = dict(d)
-    name = d.pop("model")
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, not {obj!r}")
+    return obj
+
+
+def _keys(obj, where: str, required, optional=()) -> dict:
+    """obj, once it is known to be an object holding every required key
+    and no key outside required and optional."""
+    _object(obj, where)
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
+    return obj
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _cf_from_dict(d: dict, where: str) -> CarFollowingParams:
+    name = _object(d, where).get("model")
     try:
         cls = MODEL_CLASSES[name]
-    except KeyError:
-        raise ValueError(f"unknown car-following model {name!r}") from None
-    return cls(**d)
+    except (KeyError, TypeError):
+        raise ValueError(f"{where}: unknown car-following model {name!r}") from None
+    params = dict(_keys(d, where, ("model",), _field_names(cls)))
+    del params["model"]
+    return cls(**params)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -195,42 +219,57 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
+# scenario settings stored as plain values, with the type each is read as;
+# a missing one takes the ScenarioConfig default
+_SETTINGS = {
+    "subject_desired_speed": float,
+    "total_time": float,
+    "warmup_time": float,
+    "time_step": float,
+    "detection_range": tuple,
+    "speed_variation": float,
+    "vehicle_length": float,
+    "seed": int,
+}
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
+    """Inverse of scenario_to_dict. A missing required key or a key that
+    names nothing is a ValueError naming it."""
+    _keys(d, "scenario", ("links", "entrances", "subject_route"),
+          ("entrance_inputs", "behavior", *_SETTINGS))
+    links = []
+    for i, l in enumerate(d["links"]):
+        _keys(l, f"scenario links[{i}]", ("id", "length", "lanes", "speed_limit"), ("downstream",))
+        links.append(Link(
+            id=l["id"],
+            length=float(l["length"]),
+            lane_count=int(l["lanes"]),
+            speed_limit=float(l["speed_limit"]),
+            downstream=l.get("downstream"),
+        ))
+    entrances = []
+    for i, e in enumerate(d["entrances"]):
+        _keys(e, f"scenario entrances[{i}]", ("id", "link"), ("entry_speed",))
+        entrances.append(Entrance(id=e["id"], link=e["link"], entry_speed=e.get("entry_speed")))
     network = RoadNetwork(
-        links=tuple(
-            Link(
-                id=l["id"],
-                length=float(l["length"]),
-                lane_count=int(l.get("lanes", l.get("lane_count", 1))),
-                speed_limit=float(l["speed_limit"]),
-                downstream=l.get("downstream"),
-            )
-            for l in d["links"]
-        ),
-        entrances=tuple(
-            Entrance(id=e["id"], link=e["link"], entry_speed=e.get("entry_speed"))
-            for e in d["entrances"]
-        ),
-        subject_route=tuple(d["subject_route"]),
+        links=tuple(links), entrances=tuple(entrances), subject_route=tuple(d["subject_route"])
     )
     behavior = {}
-    for cls, spec in d.get("behavior", {}).items():
+    for cls, spec in _object(d.get("behavior", {}), "scenario behavior").items():
+        where = f"scenario behavior {cls!r}"
+        _keys(spec, where, ("car_following",), ("lane_change",))
+        lane_change = spec.get("lane_change", {})
+        _keys(lane_change, f"{where} lane_change", (), _field_names(LaneChangeParams))
         behavior[cls] = BehaviorSpec(
-            car_following=_cf_from_dict(spec["car_following"]),
-            lane_change=LaneChangeParams(**spec.get("lane_change", {})),
+            car_following=_cf_from_dict(spec["car_following"], f"{where} car_following"),
+            lane_change=LaneChangeParams(**lane_change),
         )
     return ScenarioConfig(
         network=network,
         entrance_inputs={k: float(v) for k, v in d.get("entrance_inputs", {}).items()},
         behavior=behavior,
-        subject_desired_speed=float(d.get("subject_desired_speed", 60.0)),
-        total_time=float(d.get("total_time", 1750.0)),
-        warmup_time=float(d.get("warmup_time", 600.0)),
-        time_step=float(d.get("time_step", 0.1)),
-        detection_range=tuple(d.get("detection_range", (-150.0, 150.0))),
-        speed_variation=float(d.get("speed_variation", 0.1)),
-        vehicle_length=float(d.get("vehicle_length", 4.5)),
-        seed=int(d.get("seed", 0)),
+        **{name: read(d[name]) for name, read in _SETTINGS.items() if name in d},
     )
 
 
