@@ -1,25 +1,19 @@
 """Discrete-time microscopic traffic simulation.
 
 Vehicles live on the subject-route link chain. Each step runs synchronously
-from a pre-step snapshot, in this order:
+from a pre-step snapshot, in this order: insert the subject (at the end of
+warm-up) and queued arrivals; record the frame; take car-following and
+lane-change decisions for every vehicle against the snapshot; integrate once
+(explicit Euler, speed clamped at zero); move vehicles across link ends;
+build the lane index; push back overlapping vehicles. Lane changes flip the
+lane index at the midpoint of a fixed-duration lateral ramp so the lateral
+offset stays continuous for the detection output.
 
-1. insert the subject (at the end of warm-up) and queued arrivals;
-2. record the frame;
-3. car-following and lane-change decisions for every vehicle against the
-   snapshot;
-4. one explicit Euler integration with speed clamped at zero, and the
-   lateral ramp of every lane change in progress;
-5. move vehicles across link boundaries and drop those leaving the route;
-6. build the lane index, then push back overlapping vehicles (rebuilding
-   the index if any moved).
-
-The lane index (``Simulation._lanes``) maps (link, lane) to the vehicles
-there, sorted by position; a vehicle mid-lane-change sits in its origin and
-target lane as well. It is built once per step, in step 6, and serves
-collision resolution and the next step's insertions and decisions; an
-inserted vehicle is added to it in place. Lane changes flip the lane index
-at the midpoint of a fixed-duration lateral ramp so the lateral offset
-stays continuous for the detection output.
+The lane index (``Simulation._lanes``) holds each (link, lane)'s vehicles
+sorted by position, a vehicle mid-lane-change in its origin and target lane
+too. It is built once per step, after the link moves, and again only after
+a collision pushback; it serves collision resolution and the next step's
+insertions, which add to it in place, and decisions.
 
 Everything is driven by one seeded generator per entrance plus the scenario
 seed, so an identical ScenarioConfig reproduces the run bit for bit.
@@ -545,20 +539,16 @@ class Simulation:
                 decisions.append((v, 0.0, STAY))
                 continue
             arc = self._arc(v)
-            hit = leader_table.get(v)
-            if hit is not None:
-                lead, dist = hit
-                gap = self._bumper(dist, v, lead)
-                leader_tuple = (max(gap, 0.05), lead.speed, lead.accel)
-            else:
-                leader_tuple = None
             v_des = self._desired_speed(v)
             cf = self._cf_call[v.kind]
-            if leader_tuple is None:
+            hit = leader_table.get(v)
+            if hit is None:
+                leader = None
                 a = cf(v.speed, None, 0.0, v_des, v.accel, 0.0, dt)
             else:
-                a = cf(v.speed, leader_tuple[0], leader_tuple[1], v_des,
-                       v.accel, leader_tuple[2], dt)
+                lead, dist = hit
+                leader = (max(self._bumper(dist, v, lead), 0.05), lead.speed)
+                a = cf(v.speed, leader[0], lead.speed, v_des, v.accel, lead.accel, dt)
             a = max(a, -v.speed / dt)
 
             direction = STAY
@@ -568,9 +558,7 @@ class Simulation:
                 and self.time - v.lc_done_at >= LC_COOLDOWN
             ):
                 v.next_lc_check = self.time + LC_CHECK_INTERVAL
-                direction = self._evaluate_lane_change(
-                    v, arc, leader_tuple, v_des, pending_targets
-                )
+                direction = self._evaluate_lane_change(v, arc, leader, v_des, pending_targets)
             decisions.append((v, a, direction))
         return decisions
 
@@ -588,8 +576,7 @@ class Simulation:
             else:
                 lead, dist_f = self._leader_in_lane(v.link_idx, lane, arc, exclude=v)
                 fol, dist_r = self._follower_in_lane(v.link_idx, lane, arc, exclude=v)
-                leader = None
-                follower = None
+                leader = follower = None
                 if lead is not None:
                     leader = (max(self._bumper(dist_f, v, lead), 0.01), lead.speed)
                 if fol is not None:
@@ -597,9 +584,8 @@ class Simulation:
                 sides[name] = NeighborView(leader=leader, follower=follower)
         if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
             return STAY
-        cur = None if current_leader is None else (current_leader[0], current_leader[1])
         return lane_change_decision(
-            v.speed, cur, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
+            v.speed, current_leader, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
             self._lc_spec[v.kind], self._cf_spec[v.kind], dt=self.dt, desired_speed=v_des,
         )
 

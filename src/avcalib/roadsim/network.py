@@ -10,7 +10,7 @@ routes the calibration targets without a full graph model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .models import (
@@ -149,41 +149,37 @@ def _cf_to_dict(cf: CarFollowingParams) -> dict:
     return d
 
 
-def _object(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object, not {obj!r}")
-    return obj
-
-
 def _keys(obj, where: str, required, optional=()) -> dict:
     """obj, once it is known to be an object holding every required key
     and no key outside required and optional."""
-    _object(obj, where)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, not {obj!r}")
     unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
     missing = [k for k in required if k not in obj]
-    if missing:
-        raise ValueError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ValueError(f"{where}: {problem} key(s) {', '.join(map(repr, names))}")
     return obj
 
 
-def _field_names(cls) -> list[str]:
-    return [f.name for f in fields(cls)]
-
-
-def _cf_from_dict(d: dict, where: str) -> CarFollowingParams:
-    name = _object(d, where).get("model")
-    try:
-        cls = MODEL_CLASSES[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"{where}: unknown car-following model {name!r}") from None
-    params = dict(_keys(d, where, ("model",), _field_names(cls)))
+def _cf_from_dict(d, where: str) -> CarFollowingParams:
+    name = d.get("model") if isinstance(d, dict) else None
+    cls = MODEL_CLASSES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"{where}: unknown car-following model {name!r}")
+    params = dict(_keys(d, where, ("model",), [f.name for f in fields(cls)]))
     del params["model"]
     return cls(**params)
 
 
+# the plain settings of a ScenarioConfig, each read as its default's type; a
+# missing one takes that default
+_SETTINGS = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.default is not MISSING}
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    settings = {name: getattr(cfg, name) for name in _SETTINGS}
+    settings["detection_range"] = list(cfg.detection_range)
     return {
         "links": [
             {
@@ -208,65 +204,36 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             }
             for cls, spec in cfg.behavior.items()
         },
-        "subject_desired_speed": cfg.subject_desired_speed,
-        "total_time": cfg.total_time,
-        "warmup_time": cfg.warmup_time,
-        "time_step": cfg.time_step,
-        "detection_range": list(cfg.detection_range),
-        "speed_variation": cfg.speed_variation,
-        "vehicle_length": cfg.vehicle_length,
-        "seed": cfg.seed,
+        **settings,
     }
 
 
-# scenario settings stored as plain values, with the type each is read as;
-# a missing one takes the ScenarioConfig default
-_SETTINGS = {
-    "subject_desired_speed": float,
-    "total_time": float,
-    "warmup_time": float,
-    "time_step": float,
-    "detection_range": tuple,
-    "speed_variation": float,
-    "vehicle_length": float,
-    "seed": int,
-}
-
-
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    """Inverse of scenario_to_dict. A missing required key or a key that
-    names nothing is a ValueError naming it."""
+    """Inverse of scenario_to_dict. A missing required key, or a key that
+    names nothing, is a ValueError naming it."""
     _keys(d, "scenario", ("links", "entrances", "subject_route"),
           ("entrance_inputs", "behavior", *_SETTINGS))
     links = []
     for i, l in enumerate(d["links"]):
-        _keys(l, f"scenario links[{i}]", ("id", "length", "lanes", "speed_limit"), ("downstream",))
-        links.append(Link(
-            id=l["id"],
-            length=float(l["length"]),
-            lane_count=int(l["lanes"]),
-            speed_limit=float(l["speed_limit"]),
-            downstream=l.get("downstream"),
-        ))
+        _keys(l, f"scenario links[{i}]",
+              ("id", "length", "lanes", "speed_limit"), ("downstream",))
+        links.append(Link(id=l["id"], length=float(l["length"]), lane_count=int(l["lanes"]),
+                          speed_limit=float(l["speed_limit"]), downstream=l.get("downstream")))
     entrances = []
     for i, e in enumerate(d["entrances"]):
         _keys(e, f"scenario entrances[{i}]", ("id", "link"), ("entry_speed",))
         entrances.append(Entrance(id=e["id"], link=e["link"], entry_speed=e.get("entry_speed")))
-    network = RoadNetwork(
-        links=tuple(links), entrances=tuple(entrances), subject_route=tuple(d["subject_route"])
-    )
     behavior = {}
-    for cls, spec in _object(d.get("behavior", {}), "scenario behavior").items():
+    for cls, spec in d.get("behavior", {}).items():
         where = f"scenario behavior {cls!r}"
-        _keys(spec, where, ("car_following",), ("lane_change",))
-        lane_change = spec.get("lane_change", {})
-        _keys(lane_change, f"{where} lane_change", (), _field_names(LaneChangeParams))
+        lane_change = _keys(spec, where, ("car_following",), ("lane_change",)).get("lane_change", {})
+        _keys(lane_change, f"{where} lane_change", (), [f.name for f in fields(LaneChangeParams)])
         behavior[cls] = BehaviorSpec(
             car_following=_cf_from_dict(spec["car_following"], f"{where} car_following"),
             lane_change=LaneChangeParams(**lane_change),
         )
     return ScenarioConfig(
-        network=network,
+        network=RoadNetwork(tuple(links), tuple(entrances), tuple(d["subject_route"])),
         entrance_inputs={k: float(v) for k, v in d.get("entrance_inputs", {}).items()},
         behavior=behavior,
         **{name: read(d[name]) for name, read in _SETTINGS.items() if name in d},
