@@ -3,7 +3,8 @@ pinned by a sha256 over every frame and every lane change, so a refactor of
 the engine or of the car-following models must reproduce it bit for bit.
 
 The non-IDM families run a shortened showcase corridor with that family as
-the background model; the subject keeps its IDM agent.
+the background model; the subject keeps its IDM agent. ``showcase-fine-step``
+runs the showcase corridor at the paper's 0.1 s step (the others use 0.2 s).
 """
 
 import functools
@@ -37,6 +38,7 @@ GOLDEN = {
     "showcase-fvd": "22752efb05d410d5ba2ca9e05b0959aa51d4a18bc421a9e17ebe7f20592e2906",
     "showcase-krauss": "177c3359b1dc8cb525f0f30c065b141393a991afa7320e21c7c2d1071d28c6ad",
     "showcase-w99": "bbf325071f74191f8bc4e2db2cfa618d904b66c0cd0e882cf7c69c42272b9e8a",
+    "showcase-fine-step": "fef9f3e887050037c44a52f84a1a71cdd435175ccf0c738b6c32c8228da407d4",
 }
 
 
@@ -46,6 +48,8 @@ def _scenario(name):
     sc = showcase_scenario(0)
     if name == "showcase":
         return sc
+    if name == "showcase-fine-step":
+        return replace(sc, time_step=0.1, total_time=250.0)
     model = BACKGROUND_MODELS[name.split("-", 1)[1]]
     behavior = dict(sc.behavior)
     behavior["background"] = BehaviorSpec(model, sc.behavior["background"].lane_change)
