@@ -4,10 +4,17 @@ Vehicles live on the subject-route link chain. Each step runs synchronously
 from a pre-step snapshot, in this order: insert the subject (at the end of
 warm-up) and queued arrivals; record the frame; take car-following and
 lane-change decisions for every vehicle against the snapshot; integrate once
-(explicit Euler, speed clamped at zero); move vehicles across link ends;
-build the lane index; push back overlapping vehicles. Lane changes flip the
-lane index at the midpoint of a fixed-duration lateral ramp so the lateral
-offset stays continuous for the detection output.
+(explicit Euler, speed clamped at zero) and move each vehicle across link
+ends; build the lane index; push back overlapping vehicles. Lane changes
+flip the lane index at the midpoint of a fixed-duration lateral ramp so the
+lateral offset stays continuous for the detection output.
+
+A vehicle due a lane-change evaluation first gets its current-lane
+acceleration ``a_current`` (previous and leader acceleration 0). No side can
+pay off when ``max(max_free_accel(v, v_des, dt), -v/dt) - a_current`` is at
+most the advantage threshold, since no leader in a target lane can demand
+more than that bound; the vehicle then stays without a neighbour-lane scan.
+The skip is exact: the full evaluation would also decide to stay.
 
 The lane index (``Simulation._lanes``) holds each (link, lane)'s vehicles
 sorted by position, a vehicle mid-lane-change in its origin and target lane
@@ -36,6 +43,7 @@ from .models import (
     CHANGE_RIGHT,
     STAY,
     NeighborView,
+    car_following_acceleration,
     lane_change_decision,
 )
 from .network import ScenarioConfig
@@ -55,6 +63,7 @@ SUBJECT_VID = 0
 
 
 _pos = operator.attrgetter("pos")
+_vid = operator.attrgetter("vid")
 
 
 class MissingSubjectError(RuntimeError):
@@ -225,9 +234,14 @@ class Simulation:
         net = config.network
         self.route = [net.link(lid) for lid in net.subject_route]
         self.route_ids = tuple(l.id for l in self.route)
-        self.offsets = np.zeros(len(self.route) + 1)
+        offsets = np.zeros(len(self.route) + 1)
         for i, link in enumerate(self.route):
-            self.offsets[i + 1] = self.offsets[i] + link.length
+            offsets[i + 1] = offsets[i] + link.length
+        # arc position of each link start; a list of the same float64 values,
+        # which indexes faster than the array
+        self.offsets = list(offsets)
+        self._lengths = [l.length for l in self.route]
+        self._limits = [l.speed_limit_ms for l in self.route]
         self.entrances = sorted(
             (e for e in net.entrances if config.entrance_inputs.get(e.id, 0.0) >= 0.0),
             key=lambda e: e.id,
@@ -305,9 +319,6 @@ class Simulation:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _arc(self, v: Vehicle) -> float:
-        return self.offsets[v.link_idx] + v.pos
-
     def _lane_map(self):
         """Vehicles per (link, lane), position-sorted, ties in list order. A
         vehicle mid-lane-change occupies its origin and target lane too, so
@@ -357,15 +368,6 @@ class Simulation:
                 if c_arc < arc:
                     return cand, arc - c_arc
         return None, math.inf
-
-    def _bumper(self, center_dist, a: Vehicle, b: Vehicle) -> float:
-        return center_dist - (a.length + b.length) / 2.0
-
-    def _desired_speed(self, v: Vehicle) -> float:
-        base = self._model_vdes[v.kind]
-        if base is None:
-            base = self.route[v.link_idx].speed_limit_ms
-        return base * v.factor
 
     # -- spawning -----------------------------------------------------------
 
@@ -527,42 +529,68 @@ class Simulation:
 
     def _decide(self):
         dt = self.dt
-        decisions = []
+        t = self.time
+        offsets = self.offsets
+        limits = self._limits
+        cf_call = self._cf_call
+        model_vdes = self._model_vdes
         pending_targets = [
-            (v.link_idx, v.lc_to, self._arc(v))
+            (v.link_idx, v.lc_to, offsets[v.link_idx] + v.pos)
             for v in self.vehicles
             if v.lc_start is not None and not v.lc_switched
         ]
-        leader_table = self._leader_table()
+        leader_of = self._leader_table().get
+        decisions = []
+        append = decisions.append
         for v in self.vehicles:
             if v.fixed:
-                decisions.append((v, 0.0, STAY))
+                append((v, 0.0, STAY))
                 continue
-            arc = self._arc(v)
-            v_des = self._desired_speed(v)
-            cf = self._cf_call[v.kind]
-            hit = leader_table.get(v)
+            speed = v.speed
+            v_des = model_vdes[v.kind]
+            if v_des is None:
+                v_des = limits[v.link_idx]
+            v_des = v_des * v.factor
+            hit = leader_of(v)
             if hit is None:
-                leader = None
-                a = cf(v.speed, None, 0.0, v_des, v.accel, 0.0, dt)
+                gap = None
+                a = cf_call[v.kind](speed, None, 0.0, v_des, v.accel, 0.0, dt)
             else:
                 lead, dist = hit
-                leader = (max(self._bumper(dist, v, lead), 0.05), lead.speed)
-                a = cf(v.speed, leader[0], lead.speed, v_des, v.accel, lead.accel, dt)
-            a = max(a, -v.speed / dt)
+                gap = dist - (v.length + lead.length) / 2.0
+                if 0.05 > gap:
+                    gap = 0.05
+                a = cf_call[v.kind](speed, gap, lead.speed, v_des, v.accel, lead.accel, dt)
+            floor = -speed / dt
+            if floor > a:
+                a = floor
 
             direction = STAY
-            if (
-                v.lc_start is None
-                and self.time >= v.next_lc_check
-                and self.time - v.lc_done_at >= LC_COOLDOWN
-            ):
-                v.next_lc_check = self.time + LC_CHECK_INTERVAL
-                direction = self._evaluate_lane_change(v, arc, leader, v_des, pending_targets)
-            decisions.append((v, a, direction))
+            if v.lc_start is None and t >= v.next_lc_check and t - v.lc_done_at >= LC_COOLDOWN:
+                v.next_lc_check = t + LC_CHECK_INTERVAL
+                leader = None if gap is None else (gap, lead.speed)
+                direction = self._evaluate_lane_change(v, leader, v_des, pending_targets)
+            append((v, a, direction))
         return decisions
 
-    def _evaluate_lane_change(self, v, arc, current_leader, v_des, pending):
+    def _evaluate_lane_change(self, v, current_leader, v_des, pending):
+        """Lane-change decision for `v`; STAY without scanning the
+        neighbour lanes when no side can pay off (see the module docstring)."""
+        dt = self.dt
+        cf_model = self._cf_spec[v.kind]
+        params = self._lc_spec[v.kind]
+        a_current = car_following_acceleration(
+            cf_model, v.speed, current_leader, dt, desired_speed=v_des
+        )
+        speed = float(v.speed)
+        bound = cf_model.max_free_accel(speed, v_des, dt)
+        floor = -speed / dt
+        if floor > bound:
+            bound = floor
+        if bound - a_current <= params.advantage_threshold:
+            return STAY
+
+        arc = self.offsets[v.link_idx] + v.pos
         link = self.route[v.link_idx]
         sides = {}
         for name, lane in ((CHANGE_LEFT, v.lane + 1), (CHANGE_RIGHT, v.lane - 1)):
@@ -578,22 +606,31 @@ class Simulation:
                 fol, dist_r = self._follower_in_lane(v.link_idx, lane, arc, exclude=v)
                 leader = follower = None
                 if lead is not None:
-                    leader = (max(self._bumper(dist_f, v, lead), 0.01), lead.speed)
+                    leader = (max(dist_f - (v.length + lead.length) / 2.0, 0.01), lead.speed)
                 if fol is not None:
-                    follower = (max(self._bumper(dist_r, v, fol), 0.01), fol.speed)
+                    follower = (max(dist_r - (v.length + fol.length) / 2.0, 0.01), fol.speed)
                 sides[name] = NeighborView(leader=leader, follower=follower)
         if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
             return STAY
         return lane_change_decision(
-            v.speed, current_leader, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
-            self._lc_spec[v.kind], self._cf_spec[v.kind], dt=self.dt, desired_speed=v_des,
+            v.speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
+            params, cf_model, dt=dt, desired_speed=v_des,
         )
 
     def _apply(self, decisions):
+        """Integrate every vehicle one step, advance its lane-change ramp and
+        move it across link ends; a vehicle leaving the route's last link
+        despawns."""
         dt = self.dt
         t = self.time
+        t_next = t + dt
         half = LC_DURATION / 2.0
         ramp_rate = (LANE_WIDTH / 2.0) / half
+        route = self.route
+        lengths = self._lengths
+        last_link = len(route) - 1
+        log = self.log
+        survivors = []
         for v, a, direction in decisions:
             if direction != STAY and v.lc_start is None:
                 target = v.lane + 1 if direction == CHANGE_LEFT else v.lane - 1
@@ -601,19 +638,22 @@ class Simulation:
                 v.lc_from = v.lane
                 v.lc_to = target
                 v.lc_switched = False
-                self.log.lane_changes.append(
+                log.lane_changes.append(
                     LaneChangeRecord(
-                        time=t, vehicle_id=v.vid, link=self.route[v.link_idx].id,
+                        time=t, vehicle_id=v.vid, link=route[v.link_idx].id,
                         from_lane=v.lane, to_lane=target,
                     )
                 )
-            new_speed = max(0.0, v.speed + a * dt)
-            v.accel = (new_speed - v.speed) / dt
+            speed = v.speed
+            new_speed = speed + a * dt
+            if not new_speed > 0.0:
+                new_speed = 0.0
+            v.accel = (new_speed - speed) / dt
             v.speed = new_speed
             v.pos += new_speed * dt
 
             if v.lc_start is not None:
-                elapsed = t + dt - v.lc_start
+                elapsed = t_next - v.lc_start
                 sign = 1.0 if v.lc_to > v.lc_from else -1.0
                 if elapsed >= half and not v.lc_switched:
                     v.lane = v.lc_to
@@ -625,25 +665,21 @@ class Simulation:
                 else:
                     new_lat = 0.0
                     v.lc_start = None
-                    v.lc_done_at = t + dt
+                    v.lc_done_at = t_next
                 v.lat_rate = (new_lat - v.lat) / dt
                 v.lat = new_lat
             else:
                 v.lat_rate = 0.0
                 v.lat = 0.0
 
-    def _advance_links(self):
-        t = self.time + self.dt
-        survivors = []
-        for v in self.vehicles:
-            while v.pos > self.route[v.link_idx].length:
-                if v.link_idx + 1 >= len(self.route):
-                    self.log.despawns.append(DespawnEvent(time=t, vehicle_id=v.vid))
+            while v.pos > lengths[v.link_idx]:
+                if v.link_idx >= last_link:
+                    log.despawns.append(DespawnEvent(time=t_next, vehicle_id=v.vid))
                     v.link_idx = -1
                     break
-                v.pos -= self.route[v.link_idx].length
+                v.pos -= lengths[v.link_idx]
                 v.link_idx += 1
-                v.lane = min(v.lane, self.route[v.link_idx].lane_count)
+                v.lane = min(v.lane, route[v.link_idx].lane_count)
             if v.link_idx >= 0:
                 survivors.append(v)
         self.vehicles = survivors
@@ -671,44 +707,36 @@ class Simulation:
                         front.pos - (front.length + rear.length) / 2.0 - 0.1,
                         rear.length / 2.0,
                     )
-                    rear.speed = 0.0
-                    rear.accel = 0.0
+                    if not rear.fixed:  # a fixed vehicle keeps its speed
+                        rear.speed = 0.0
+                        rear.accel = 0.0
         self._collision_pairs = overlapping
         if overlapping:
             self._lanes = self._lane_map()
 
     def _record_frame(self):
-        vs = sorted(self.vehicles, key=lambda v: v.vid)
-        ids, kinds, links, lanes = [], [], [], []
-        pos, lat, speed, accel, heading, length = [], [], [], [], [], []
-        for v in vs:
-            ids.append(v.vid)
-            kinds.append(v.kind)
-            links.append(v.link_idx)
-            lanes.append(v.lane)
-            pos.append(v.pos)
-            lat.append(v.lat)
-            speed.append(v.speed)
-            accel.append(v.accel)
-            heading.append(
-                math.degrees(math.atan2(v.lat_rate, v.speed))
-                if v.lat_rate != 0.0 and v.speed > 0.5
-                else 0.0
-            )
-            length.append(v.length)
+        vs = sorted(self.vehicles, key=_vid)
         self.log.frames.append(
             Frame(
                 time=self.time,
-                ids=np.asarray(ids, dtype=np.int32),
-                kinds=np.asarray(kinds, dtype=np.int8),
-                link_idx=np.asarray(links, dtype=np.int16),
-                lanes=np.asarray(lanes, dtype=np.int16),
-                pos=np.asarray(pos, dtype=np.float64),
-                lat=np.asarray(lat, dtype=np.float64),
-                speed=np.asarray(speed, dtype=np.float64),
-                accel=np.asarray(accel, dtype=np.float64),
-                heading=np.asarray(heading, dtype=np.float64),
-                length=np.asarray(length, dtype=np.float64),
+                ids=np.asarray([v.vid for v in vs], dtype=np.int32),
+                kinds=np.asarray([v.kind for v in vs], dtype=np.int8),
+                link_idx=np.asarray([v.link_idx for v in vs], dtype=np.int16),
+                lanes=np.asarray([v.lane for v in vs], dtype=np.int16),
+                pos=np.asarray([v.pos for v in vs], dtype=np.float64),
+                lat=np.asarray([v.lat for v in vs], dtype=np.float64),
+                speed=np.asarray([v.speed for v in vs], dtype=np.float64),
+                accel=np.asarray([v.accel for v in vs], dtype=np.float64),
+                heading=np.asarray(
+                    [
+                        math.degrees(math.atan2(v.lat_rate, v.speed))
+                        if v.lat_rate != 0.0 and v.speed > 0.5
+                        else 0.0
+                        for v in vs
+                    ],
+                    dtype=np.float64,
+                ),
+                length=np.asarray([v.length for v in vs], dtype=np.float64),
             )
         )
 
@@ -719,7 +747,6 @@ class Simulation:
         self._spawn_step()
         self._record_frame()
         self._apply(self._decide())
-        self._advance_links()
         self._lanes = self._lane_map()
         self._resolve_collisions()
 

@@ -10,6 +10,12 @@ MODEL_CLASSES, that carries the whole model interface:
   demanded acceleration, unclamped; ``gap`` is None in free flow.
   ``car_following_acceleration`` adds the gap check and the clamp that
   keeps the speed non-negative after one step.
+* ``max_free_accel(v, v_des, dt)`` bounds ``accel`` from above over every
+  possible leader, with ``prev_accel = 0``: the free-road value for IDM,
+  Gipps and Krauss, that value or 0 for W99, whose interaction regimes
+  never accelerate then, and infinity for FVD, whose speed-difference term
+  has no bound. A lane change cannot pay off when this bound, clamped like
+  ``accel``, is no more than the threshold above the current-lane value.
 * ``desired_speed`` is the model's own target speed in m/s; None (W99)
   means the link speed limit.
 * ``spawn_gap`` is the smallest clear gap, in m, the simulation keeps ahead
@@ -61,6 +67,13 @@ class IdmParams:
 
     def __post_init__(self):
         _require_positive(self, ("a_max", "b", "T", "s0", "delta", "v0"))
+        # what accel reads, with 2*sqrt(a_max*b) worked out once; a plain
+        # attribute, not a field, so equality, hashing and the field-based
+        # (de)serialisation see the six parameters only
+        object.__setattr__(
+            self, "_terms",
+            (self.a_max, self.T, self.s0, self.delta, 2.0 * math.sqrt(self.a_max * self.b)),
+        )
 
     @property
     def desired_speed(self) -> float:
@@ -71,13 +84,16 @@ class IdmParams:
         return self.s0
 
     def accel(self, v, gap, v_leader, v_des, prev_accel, leader_accel, dt):
-        free = self.a_max * (1.0 - (v / v_des) ** self.delta)
+        a_max, T, s0, delta, two_sqrt_ab = self._terms
+        free = a_max * (1.0 - (v / v_des) ** delta)
         if gap is None:
             return free
-        s_star = self.s0 + max(
-            0.0, v * self.T + v * (v - v_leader) / (2.0 * math.sqrt(self.a_max * self.b))
-        )
-        return free - self.a_max * (s_star / gap) ** 2
+        s_dyn = v * T + v * (v - v_leader) / two_sqrt_ab
+        s_star = s0 + (s_dyn if s_dyn > 0.0 else 0.0)
+        return free - a_max * (s_star / gap) ** 2
+
+    def max_free_accel(self, v, v_des, dt):
+        return self.accel(v, None, 0.0, v_des, 0.0, 0.0, dt)
 
 
 @dataclass(frozen=True)
@@ -118,6 +134,9 @@ class GippsParams:
         v_next = max(v_next, 0.0)
         return (v_next - v) / self.tau
 
+    def max_free_accel(self, v, v_des, dt):
+        return self.accel(v, None, 0.0, v_des, 0.0, 0.0, dt)
+
 
 @dataclass(frozen=True)
 class FvdParams:
@@ -154,6 +173,9 @@ class FvdParams:
         v_opt = min(self._optimal_speed(gap), v_des)
         return self.alpha * (v_opt - v) + self.lambda0 * (v_leader - v)
 
+    def max_free_accel(self, v, v_des, dt):
+        return math.inf  # lambda0 * (v_leader - v) grows without bound
+
 
 @dataclass(frozen=True)
 class KraussParams:
@@ -180,6 +202,9 @@ class KraussParams:
             v_want = min(v_want, v_safe)
         v_want = max(v_want, 0.0)
         return (v_want - v) / dt
+
+    def max_free_accel(self, v, v_des, dt):
+        return self.accel(v, None, 0.0, v_des, 0.0, 0.0, dt)
 
 
 @dataclass(frozen=True)
@@ -259,6 +284,12 @@ class W99Params:
                 a = min(a, self.cc7)
             return a
         return min(0.0, v_des - v)
+
+    def max_free_accel(self, v, v_des, dt):
+        # with prev_accel = 0 the emergency, approaching and following
+        # regimes never accelerate, and the free regime is capped by the
+        # leaderless value
+        return max(self.accel(v, None, 0.0, v_des, 0.0, 0.0, dt), 0.0)
 
 
 CarFollowingParams = Union[IdmParams, GippsParams, FvdParams, KraussParams, W99Params]
@@ -374,7 +405,7 @@ def _side_evaluation(v, a_current, side: NeighborView, p: LaneChangeParams,
 
 def lane_change_decision(
     speed: float,
-    current_leader: Optional[tuple[float, float]],
+    a_current: float,
     left: Optional[NeighborView],
     right: Optional[NeighborView],
     params: LaneChangeParams,
@@ -384,16 +415,16 @@ def lane_change_decision(
 ) -> str:
     """Gap-acceptance lane-change decision for a vehicle at `speed` m/s.
 
-    left/right are None when that side has no lane. A side is taken only if
+    a_current is its acceleration in the current lane, as
+    car_following_acceleration gives it for the current leader (previous
+    and leader acceleration 0). left/right are None when that side has no
+    lane. A side is taken only if
     it is safe (headway margins hold and neither the target follower nor
     the vehicle itself would need to brake beyond the configured bounds)
     and offers an acceleration advantage above the threshold. With both
     sides eligible the larger advantage wins, right on a tie.
     """
     v = float(speed)
-    a_current = car_following_acceleration(
-        cf_model, v, current_leader, dt, desired_speed=desired_speed
-    )
     candidates = []
     if right is not None:
         ok, adv = _side_evaluation(v, a_current, right, params, cf_model, dt, desired_speed)

@@ -145,7 +145,7 @@ class ScenarioConfig:
 
 def _cf_to_dict(cf: CarFollowingParams) -> dict:
     d = {"model": MODEL_NAMES[type(cf)]}
-    d.update(cf.__dict__)
+    d.update((f.name, getattr(cf, f.name)) for f in fields(cf))
     return d
 
 

@@ -9,6 +9,7 @@ runs the showcase corridor at the paper's 0.1 s step (the others use 0.2 s).
 
 import functools
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,11 @@ from avcalib.roadsim import (
     FvdParams,
     GippsParams,
     KraussParams,
+    Simulation,
     W99Params,
     run_scenario,
 )
+from avcalib.roadsim.models import MODEL_CLASSES
 
 BACKGROUND_MODELS = {
     "gipps": GippsParams(),
@@ -92,3 +95,29 @@ def test_golden_run_is_feasible_and_keeps_lanes(name):
 def test_golden_run_has_no_collisions(name):
     _sc, log = _run(name)
     assert log.collisions == []
+
+
+def test_side_scan_skip_changes_no_trajectory(monkeypatch):
+    # with an infinite max_free_accel no lane-change evaluation can skip the
+    # neighbour-lane scan: the trajectories must not move, and the scans
+    # (insertions also look for followers) must get more frequent
+    scans = []
+    follower_in_lane = Simulation._follower_in_lane
+
+    def counted(self, *args, **kwargs):
+        scans.append(1)
+        return follower_in_lane(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "_follower_in_lane", counted)
+    names = ("showcase", "showcase-w99")
+    skipping = {}
+    for name in names:
+        scans.clear()
+        assert trajectory_digest(run_scenario(_scenario(name))) == GOLDEN[name]
+        skipping[name] = len(scans)
+    for cls in MODEL_CLASSES.values():
+        monkeypatch.setattr(cls, "max_free_accel", lambda self, v, v_des, dt: math.inf)
+    for name in names:
+        scans.clear()
+        assert trajectory_digest(run_scenario(_scenario(name))) == GOLDEN[name]
+        assert len(scans) > skipping[name]

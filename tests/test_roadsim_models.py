@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcalib.roadsim import (
     CHANGE_LEFT,
@@ -185,7 +187,7 @@ LC = LaneChangeParams()
 def test_blocked_by_slow_leader_with_empty_target_changes():
     decision = lane_change_decision(
         15.0,
-        current_leader=(8.0, 5.0),
+        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
         left=NeighborView(),  # empty lane
         right=None,
         params=LC,
@@ -197,7 +199,7 @@ def test_blocked_by_slow_leader_with_empty_target_changes():
 def test_close_fast_rear_vehicle_blocks_change():
     decision = lane_change_decision(
         15.0,
-        current_leader=(8.0, 5.0),
+        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
         left=NeighborView(follower=(1.0, 20.0)),
         right=None,
         params=LC,
@@ -210,7 +212,7 @@ def test_symmetric_conditions_stay():
     same = NeighborView(leader=(40.0, 15.0), follower=(40.0, 15.0))
     decision = lane_change_decision(
         15.0,
-        current_leader=(40.0, 15.0),
+        a_current=car_following_acceleration(CF, 15.0, (40.0, 15.0)),
         left=same,
         right=same,
         params=LC,
@@ -223,7 +225,7 @@ def test_right_preferred_on_equal_advantage():
     empty = NeighborView()
     decision = lane_change_decision(
         15.0,
-        current_leader=(8.0, 5.0),
+        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
         left=empty,
         right=empty,
         params=LC,
@@ -235,7 +237,7 @@ def test_right_preferred_on_equal_advantage():
 def test_absent_neighbors_mean_infinite_gaps():
     decision = lane_change_decision(
         15.0,
-        current_leader=(8.0, 5.0),
+        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
         left=NeighborView(leader=None, follower=None),
         right=None,
         params=LC,
@@ -249,7 +251,7 @@ def test_trailing_decel_bound_respected():
     strict = LaneChangeParams(max_decel_trailing=-0.5)
     decision = lane_change_decision(
         15.0,
-        current_leader=(8.0, 5.0),
+        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
         left=NeighborView(follower=(12.0, 24.0)),
         right=None,
         params=strict,
@@ -262,10 +264,40 @@ def test_insufficient_advantage_stays():
     slightly_better = NeighborView(leader=(42.0, 15.0))
     decision = lane_change_decision(
         15.0,
-        current_leader=(40.0, 15.0),
+        a_current=car_following_acceleration(CF, 15.0, (40.0, 15.0)),
         left=slightly_better,
         right=None,
         params=LC,
         cf_model=CF,
     )
     assert decision == STAY
+
+
+# ---------------------------------------------------------------------------
+# max_free_accel: the bound behind the engine's lane-change side-scan skip
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    model=st.sampled_from(ALL_MODELS),
+    v=st.floats(0.0, 45.0),
+    gap=st.floats(0.01, 400.0),
+    v_leader=st.floats(0.0, 45.0),
+    leader_accel=st.floats(-10.0, 5.0),
+    v_des=st.floats(0.5, 45.0),
+    dt=st.floats(0.01, 1.0),
+)
+def test_max_free_accel_bounds_every_leader(model, v, gap, v_leader, leader_accel, v_des, dt):
+    bound = max(model.max_free_accel(v, v_des, dt), -v / dt)
+    a = car_following_acceleration(
+        model, v, (gap, v_leader), dt, desired_speed=v_des, leader_accel=leader_accel
+    )
+    assert a <= bound
+
+
+def test_fvd_leader_can_demand_more_than_any_finite_bound():
+    fvd = FvdParams()
+    for ceiling in (10.0, 1e3, 1e6):
+        v_leader = (ceiling + fvd.alpha * fvd.v0) / fvd.lambda0
+        a = car_following_acceleration(fvd, 0.0, (fvd.sc, v_leader), 0.1)
+        assert a > ceiling
