@@ -120,9 +120,16 @@ class FieldDataset:
                     f"timestamps must be non-decreasing; {rec.timestamp} after {prev}"
                 )
             prev = rec.timestamp
+            seen = set()
             for obs in rec.surroundings:
-                if not obs.vehicle_id:
+                vid = obs.vehicle_id
+                if not vid:
                     raise ValueError(f"empty surrounding vehicle id at t={rec.timestamp}")
+                if vid in seen:
+                    raise ValueError(
+                        f"surrounding vehicle {vid!r} listed twice at t={rec.timestamp}"
+                    )
+                seen.add(vid)
 
     def with_meta(self, **changes) -> "FieldDataset":
         return FieldDataset(records=self.records, meta=replace(self.meta, **changes))

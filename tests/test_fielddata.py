@@ -79,6 +79,12 @@ def test_decreasing_timestamps_rejected():
         parse_field_data(io.StringIO(HEADER + "\n" + "\n".join(rows) + "\n"))
 
 
+def test_vehicle_listed_twice_in_one_record_rejected():
+    row = "1.5,R1,80,54.0,0,0,0,0,2,0.1,7,1,33.5,-3.5,61.2,0.0"
+    with pytest.raises(ValueError, match=r"'7' listed twice at t=1\.5"):
+        parse_field_data(io.StringIO(HEADER + "\n" + row + "\n" + row + "\n"))
+
+
 def test_export_parse_roundtrip_identity():
     records = []
     rng = random.Random(4)

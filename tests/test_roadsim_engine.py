@@ -311,3 +311,19 @@ def test_vehicle_abreast_in_target_lane_blocks_the_change():
     assert starts and starts[0].time > 0.0
     assert sim.log.collisions == []
     assert abs(changer.pos - abreast.pos) > changer.length
+
+
+def test_fixed_vehicle_keeps_its_speed_through_a_pushback():
+    # a fixed vehicle runs into a slower free one: the pushback moves it
+    # back, but it keeps its speed, as add_vehicle promises
+    sim = Simulation(corridor(lanes=1, total=10.0, warmup=9.0, dt=0.1))
+    fixed = sim.add_vehicle(pos=100.0, speed=15.0, fixed=True)
+    sim.add_vehicle(pos=102.0, speed=0.0)
+    sim.run()
+    # it never brakes, so it runs into the free vehicle more than once
+    assert sim.log.collisions
+    assert all(c.follower_id == fixed.vid for c in sim.log.collisions)
+    assert fixed.speed == 15.0
+    assert all(
+        f.speed[f.ids == fixed.vid][0] == 15.0 for f in sim.log.frames if fixed.vid in f.ids
+    )
