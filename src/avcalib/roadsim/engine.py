@@ -579,10 +579,10 @@ class Simulation:
         dt = self.dt
         cf_model = self._cf_spec[v.kind]
         params = self._lc_spec[v.kind]
-        a_current = car_following_acceleration(
-            cf_model, v.speed, current_leader, dt, desired_speed=v_des
-        )
         speed = float(v.speed)
+        a_current = car_following_acceleration(
+            cf_model, speed, current_leader, dt, desired_speed=v_des
+        )
         bound = cf_model.max_free_accel(speed, v_des, dt)
         floor = -speed / dt
         if floor > bound:
@@ -613,7 +613,7 @@ class Simulation:
         if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
             return STAY
         return lane_change_decision(
-            v.speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
+            speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
             params, cf_model, dt=dt, desired_speed=v_des,
         )
 

@@ -418,11 +418,11 @@ def lane_change_decision(
     a_current is its acceleration in the current lane, as
     car_following_acceleration gives it for the current leader (previous
     and leader acceleration 0). left/right are None when that side has no
-    lane. A side is taken only if
-    it is safe (headway margins hold and neither the target follower nor
-    the vehicle itself would need to brake beyond the configured bounds)
-    and offers an acceleration advantage above the threshold. With both
-    sides eligible the larger advantage wins, right on a tie.
+    lane. A side is taken only if it is safe (headway margins hold and
+    neither the target follower nor the vehicle itself would need to brake
+    beyond the configured bounds) and offers an acceleration advantage
+    above the threshold. With both sides eligible the larger advantage
+    wins, right on a tie.
     """
     v = float(speed)
     candidates = []

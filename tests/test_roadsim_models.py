@@ -294,10 +294,3 @@ def test_max_free_accel_bounds_every_leader(model, v, gap, v_leader, leader_acce
     )
     assert a <= bound
 
-
-def test_fvd_leader_can_demand_more_than_any_finite_bound():
-    fvd = FvdParams()
-    for ceiling in (10.0, 1e3, 1e6):
-        v_leader = (ceiling + fvd.alpha * fvd.v0) / fvd.lambda0
-        a = car_following_acceleration(fvd, 0.0, (fvd.sc, v_leader), 0.1)
-        assert a > ceiling
