@@ -5,6 +5,10 @@ the engine or of the car-following models must reproduce it bit for bit.
 The non-IDM families run a shortened showcase corridor with that family as
 the background model; the subject keeps its IDM agent. ``showcase-fine-step``
 runs the showcase corridor at the paper's 0.1 s step (the others use 0.2 s).
+
+The detection digests pin the virtual detector's output on three of those
+runs: a sha256 over the ``repr`` of every detection record and of the
+dataset's meta, so a numpy scalar reaching a record fails them too.
 """
 
 import functools
@@ -24,6 +28,7 @@ from avcalib.roadsim import (
     Simulation,
     W99Params,
     run_scenario,
+    virtual_detector_sample,
 )
 from avcalib.roadsim.models import MODEL_CLASSES
 
@@ -42,6 +47,12 @@ GOLDEN = {
     "showcase-krauss": "177c3359b1dc8cb525f0f30c065b141393a991afa7320e21c7c2d1071d28c6ad",
     "showcase-w99": "bbf325071f74191f8bc4e2db2cfa618d904b66c0cd0e882cf7c69c42272b9e8a",
     "showcase-fine-step": "fef9f3e887050037c44a52f84a1a71cdd435175ccf0c738b6c32c8228da407d4",
+}
+
+DETECTION_GOLDEN = {
+    "recovery": "35d95a8ba45c30cdfbe409dc28f6c577e0a109432d67c262b7384a0ccdb2c1f0",
+    "showcase": "dd24f49859e22ed2215086877c4247c4bb6ed7d8f11faee39af52b93ad6adfbf",
+    "showcase-fine-step": "7b3286316cab87c57c69dbf6f9a8f20ef3242f1279c938fe9f75160b1de36468",
 }
 
 
@@ -73,6 +84,20 @@ def trajectory_digest(log) -> str:
     for lc in log.lane_changes:
         h.update(repr((lc.time, lc.vehicle_id, lc.link, lc.from_lane, lc.to_lane)).encode())
     return h.hexdigest()
+
+
+def detection_digest(dataset) -> str:
+    h = hashlib.sha256()
+    for record in dataset.records:
+        h.update(repr(record).encode())
+    h.update(repr(dataset.meta).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DETECTION_GOLDEN))
+def test_detection_matches_golden_hash(name):
+    sc, log = _run(name)
+    assert detection_digest(virtual_detector_sample(log, sc)) == DETECTION_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
