@@ -15,7 +15,7 @@ from .fielddata import export_detection_csv, export_events_csv, extract_events, 
 from .metrics import CutinErrorParams, compute_traffic_mops, compute_vehicle_mops, evaluate_moes
 from .pipeline import calibrate as run_calibration
 from .pipeline import load_calibration_config
-from .roadsim import load_scenario, run_scenario, virtual_detector_sample
+from .roadsim import VirtualDetector, load_scenario, record_frame, run_scenario, virtual_detector_sample
 
 
 @click.group()
@@ -36,19 +36,24 @@ def simulate(scenario_path, out_dir, seed):
         from dataclasses import replace
 
         cfg = replace(cfg, seed=seed)
-    log = run_scenario(cfg)
+    detector = VirtualDetector(cfg)
+
+    def record_and_detect(sim):
+        record_frame(sim)
+        detector(sim)
+
+    log = run_scenario(cfg, record_and_detect)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log.to_csv(out / "trajectory.csv")
-    dataset = virtual_detector_sample(log, cfg)
-    export_detection_csv(dataset, out / "detection.csv")
+    export_detection_csv(virtual_detector_sample(detector), out / "detection.csv")
     summary = {
         "feasible": log.feasible,
         "gridlock_at": log.gridlock_at,
         "collisions": log.collision_count,
         "spawned": len(log.spawns),
         "lane_changes": len(log.lane_changes),
-        "frames": len(log.frames),
+        "frames": log.steps,
         "mean_density_veh_km_lane": log.mean_density(),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -43,7 +43,7 @@ from .metrics import (
     evaluate_moes,
 )
 from .params import ParameterSpace, ParameterSpec, build_parameter_space
-from .roadsim import MissingSubjectError, run_scenario, virtual_detector_sample
+from .roadsim import MissingSubjectError, VirtualDetector, run_scenario, virtual_detector_sample
 from .roadsim.network import BehaviorSpec, ScenarioConfig, scenario_from_dict, scenario_to_dict
 from .saga import SagaConfig, SagaResult, run_saga
 
@@ -233,28 +233,21 @@ class CaseOutcome:
 
 
 def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
-    """Configure, simulate (one run per replication, fixed derived seeds),
-    extract the stage MoPs, and score against the field MoPs."""
+    """Configure, simulate (one run per replication, fixed derived seeds)
+    through the virtual detector, extract the stage MoPs, and score against
+    the field MoPs. A run stores no frames. It stops at a gridlock or at
+    the first live step without the subject, whichever comes first, and the
+    case then scores -inf with that diagnostic."""
     scenario = apply_parameters(ctx.scenario, values)
     vectors = []
     collisions = 0
     n_sims = 0
     for rep in range(ctx.replications):
         cfg = replace(scenario, seed=derive_scenario_seed(ctx.master_seed, rep))
-        sim_log = run_scenario(cfg)
+        detector = VirtualDetector(cfg)
         n_sims += 1
-        if not sim_log.feasible:
-            return CaseOutcome(
-                accuracy=float("-inf"),
-                mops=None,
-                feasible=False,
-                n_simulations=n_sims,
-                collisions=collisions + sim_log.collision_count,
-                diagnostic=f"gridlock at t={sim_log.gridlock_at}",
-            )
-        collisions += sim_log.collision_count
         try:
-            dataset = virtual_detector_sample(sim_log, cfg)
+            sim_log = run_scenario(cfg, detector)
         except MissingSubjectError as exc:
             log.warning("case %s scored -inf: %s", values, exc)
             return CaseOutcome(
@@ -262,9 +255,20 @@ def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
                 mops=None,
                 feasible=False,
                 n_simulations=n_sims,
-                collisions=collisions,
+                collisions=collisions + exc.log.collision_count,
                 diagnostic=f"MissingSubjectError: {exc}",
             )
+        collisions += sim_log.collision_count
+        if not sim_log.feasible:
+            return CaseOutcome(
+                accuracy=float("-inf"),
+                mops=None,
+                feasible=False,
+                n_simulations=n_sims,
+                collisions=collisions,
+                diagnostic=f"gridlock at t={sim_log.gridlock_at}",
+            )
+        dataset = virtual_detector_sample(detector)
         if ctx.stage == 1:
             vectors.append(compute_traffic_mops(dataset, per_road=ctx.per_road))
         else:
@@ -607,8 +611,9 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     calibrated.update(stage2.best_values)
     final_scenario = apply_parameters(cfg.scenario, calibrated)
     final_scenario = replace(final_scenario, seed=derive_scenario_seed(cfg.master_seed, 0))
-    final_log = run_scenario(final_scenario)
-    sim_dataset = virtual_detector_sample(final_log, final_scenario)
+    detector = VirtualDetector(final_scenario)
+    final_log = run_scenario(final_scenario, detector)
+    sim_dataset = virtual_detector_sample(detector)
     sim_events = extract_events(sim_dataset, **cfg.extraction.kwargs())
     field_events = extract_events(field_dataset, **cfg.extraction.kwargs())
     final_moes = evaluate_moes(
@@ -763,6 +768,6 @@ def generate_field_data(
     through the virtual detector; the result parses and scores like real
     field data."""
     cfg = replace(scenario, seed=derive_scenario_seed(master_seed, replication))
-    sim_log = run_scenario(cfg)
-    dataset = virtual_detector_sample(sim_log, cfg)
-    return dataset.with_meta(source="field")
+    detector = VirtualDetector(cfg)
+    run_scenario(cfg, detector)
+    return virtual_detector_sample(detector).with_meta(source="field")

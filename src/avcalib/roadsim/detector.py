@@ -1,18 +1,22 @@
 """Virtual detector: what the subject vehicle's sensors would report.
 
-Walks the post-warm-up frames of a trajectory log and emits one detection
-record per timestep. A background vehicle is visible when its position
-along the route arc falls inside the detection window around the subject;
-positions are reported front-positive / left-positive and speeds in km/h,
-matching the field-data schema bit for bit.
+``VirtualDetector`` is a simulation sink (see ``engine.py``): the engine
+hands it the live vehicles once per step, and after warm-up it builds one
+detection record per step from them, storing nothing else. A background
+vehicle is visible when its position along the route arc falls inside the
+detection window around the subject; positions are reported front-positive /
+left-positive and speeds in km/h, matching the field-data schema bit for
+bit. Every value is a plain Python float or int.
+
+The first live step without the subject raises ``MissingSubjectError``,
+which ends the run. ``virtual_detector_sample`` turns the records of a
+finished run into a validated ``FieldDataset``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..detection import DatasetMeta, DetectionRecord, FieldDataset, SurroundingObs
-from .engine import KIND_SUBJECT, LANE_WIDTH, TrajectoryLog, MissingSubjectError
+from .engine import KIND_SUBJECT, LANE_WIDTH, MissingSubjectError, heading_deg
 from .network import ScenarioConfig
 
 MS_TO_KMH = 3.6
@@ -25,89 +29,99 @@ def _lane_distance(lat: float) -> float:
     return d if lat >= 0.0 else -d
 
 
-def virtual_detector_sample(log: TrajectoryLog, config: ScenarioConfig) -> FieldDataset:
-    """Sample the log through the subject's detection window.
+class VirtualDetector:
+    """Sink that samples one run through the subject's detection window.
 
-    Requires the subject to be present in every post-warm-up frame; raises
-    MissingSubjectError otherwise.
-    """
-    rear, front = config.detection_range
-    offsets = np.zeros(len(log.route_lengths))
-    acc = 0.0
-    for i, length in enumerate(log.route_lengths):
-        offsets[i] = acc
-        acc += length
+    One detector serves one run of `config`; its records accumulate in
+    ``records``."""
 
-    records = []
-    prev_lat = None
-    dt = log.time_step
-    for frame in log.frames:
-        if log.is_warmup(frame.time):
-            continue
-        subj_mask = frame.kinds == KIND_SUBJECT
-        if not subj_mask.any():
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.links = config.network.route_links()
+        self.offsets = []  # arc position of each route link's start
+        acc = 0.0
+        for link in self.links:
+            self.offsets.append(acc)
+            acc += link.length
+        self.records: list[DetectionRecord] = []
+        self._prev_lat = None
+
+    def __call__(self, sim) -> None:
+        t = sim.time
+        cfg = self.config
+        if t < cfg.warmup_time:
+            return
+        vehicles = sim.vehicles
+        subject = next((v for v in vehicles if v.kind == KIND_SUBJECT), None)
+        if subject is None:
             raise MissingSubjectError(
-                f"no subject vehicle in frame at t={frame.time}; "
-                "shorten the horizon or extend the route"
+                f"no subject vehicle in frame at t={t}; "
+                "shorten the horizon or extend the route",
+                sim.log,
             )
-        si = int(np.nonzero(subj_mask)[0][0])
-        s_link = int(frame.link_idx[si])
-        s_arc = offsets[s_link] + frame.pos[si]
-        s_lane = int(frame.lanes[si])
-        s_lat = float(frame.lat[si])
-        s_speed = float(frame.speed[si])
+        rear, front = cfg.detection_range
+        offsets = self.offsets
+        s_link = int(subject.link_idx)
+        s_arc = offsets[s_link] + float(subject.pos)
+        s_lane = int(subject.lane)
+        s_lat = float(subject.lat)
+        s_speed = float(subject.speed)
 
-        arcs = offsets[frame.link_idx] + frame.pos
-        rel = arcs - s_arc
-        visible = (~subj_mask) & (rel >= rear) & (rel <= front)
-
-        obs = []
-        for i in np.nonzero(visible)[0]:
-            i = int(i)
-            rel_lat = (int(frame.lanes[i]) - s_lane) * LANE_WIDTH + (
-                float(frame.lat[i]) - s_lat
+        visible = []
+        for v in vehicles:
+            if v.kind == KIND_SUBJECT:
+                continue
+            rel = offsets[v.link_idx] + v.pos - s_arc
+            if rear <= rel <= front:
+                visible.append((int(v.vid), rel, v))
+        visible.sort(key=lambda hit: hit[0])
+        obs = tuple(
+            SurroundingObs(
+                vehicle_id=str(vid),
+                lane_id=int(v.lane),
+                rel_longitudinal=float(rel),
+                rel_lateral=(int(v.lane) - s_lane) * LANE_WIDTH + (float(v.lat) - s_lat),
+                speed_kmh=float(v.speed) * MS_TO_KMH,
+                heading_deg=float(heading_deg(v)),
             )
-            obs.append(
-                SurroundingObs(
-                    vehicle_id=str(int(frame.ids[i])),
-                    lane_id=int(frame.lanes[i]),
-                    rel_longitudinal=float(rel[i]),
-                    rel_lateral=rel_lat,
-                    speed_kmh=float(frame.speed[i]) * MS_TO_KMH,
-                    heading_deg=float(frame.heading[i]),
-                )
-            )
-        obs.sort(key=lambda o: int(o.vehicle_id))
+            for vid, rel, v in visible
+        )
 
-        if prev_lat is None:
+        if self._prev_lat is None:
             yaw = 0.0
         else:
-            yaw = (s_lat - prev_lat) / dt / max(s_speed, 0.1)
-        prev_lat = s_lat
+            yaw = (s_lat - self._prev_lat) / cfg.time_step / max(s_speed, 0.1)
+        self._prev_lat = s_lat
 
-        link = config.network.link(log.route_link_ids[s_link])
-        records.append(
+        link = self.links[s_link]
+        self.records.append(
             DetectionRecord(
-                timestamp=float(frame.time),
+                timestamp=float(t),
                 road_name=link.id,
                 speed_limit_kmh=link.speed_limit,
                 speed_kmh=s_speed * MS_TO_KMH,
                 yaw_rate=yaw,
                 longitude=float(s_arc),
                 latitude=0.0,
-                acceleration=float(frame.accel[si]),
+                acceleration=float(subject.accel),
                 lane_id=s_lane,
                 lane_distance=_lane_distance(s_lat),
-                surroundings=tuple(obs),
+                surroundings=obs,
             )
         )
 
+
+def virtual_detector_sample(detector: VirtualDetector) -> FieldDataset:
+    """The validated dataset of the records `detector` took during its
+    run."""
+    cfg = detector.config
+    rear, front = cfg.detection_range
     dataset = FieldDataset(
-        records=tuple(records),
+        records=tuple(detector.records),
         meta=DatasetMeta(
             source="simulation",
-            interval=dt,
-            route="->".join(log.route_link_ids),
+            interval=cfg.time_step,
+            route="->".join(link.id for link in detector.links),
             detection_range=(float(rear), float(front)),
         ),
     )

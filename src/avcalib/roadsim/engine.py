@@ -2,12 +2,19 @@
 
 Vehicles live on the subject-route link chain. Each step runs synchronously
 from a pre-step snapshot, in this order: insert the subject (at the end of
-warm-up) and queued arrivals; record the frame; take car-following and
-lane-change decisions for every vehicle against the snapshot; integrate once
-(explicit Euler, speed clamped at zero) and move each vehicle across link
-ends; build the lane index; push back overlapping vehicles. Lane changes
-flip the lane index at the midpoint of a fixed-duration lateral ramp so the
-lateral offset stays continuous for the detection output.
+warm-up) and queued arrivals; count the step on the log and hand the
+simulation to the run's sink; take car-following and lane-change decisions
+for every vehicle against the snapshot; integrate once (explicit Euler,
+speed clamped at zero) and move each vehicle across link ends; build the
+lane index; push back overlapping vehicles. Lane changes flip the lane index
+at the midpoint of a fixed-duration lateral ramp so the lateral offset stays
+continuous for the detection output.
+
+A sink is a callable that takes the Simulation once per step and reads the
+live vehicle state. ``record_frame``, the default, stores a ``Frame`` per
+step in ``TrajectoryLog.frames``; the virtual detector (``detector.py``) is
+a sink that stores nothing but its detection records. An exception raised
+by the sink ends the run. The log's step counters do not depend on the sink.
 
 A vehicle due a lane-change evaluation first gets its current-lane
 acceleration ``a_current`` (previous and leader acceleration 0). No side can
@@ -64,10 +71,16 @@ SUBJECT_VID = 0
 
 _pos = operator.attrgetter("pos")
 _vid = operator.attrgetter("vid")
+_key = operator.itemgetter(0)
 
 
 class MissingSubjectError(RuntimeError):
-    """The log has no subject vehicle where one is required."""
+    """No subject vehicle where one is required. ``log`` is the log of the
+    run that stopped, up to the step that lacked the subject."""
+
+    def __init__(self, message: str, log: TrajectoryLog | None = None):
+        super().__init__(message)
+        self.log = log
 
 
 class Vehicle:
@@ -151,9 +164,13 @@ class CollisionEvent:
 
 @dataclass
 class TrajectoryLog:
-    """Per-step vehicle snapshots plus spawn/despawn/lane-change/collision
-    events. Frames before warmup_time are flagged warm-up and excluded from
-    metric extraction."""
+    """Spawn/despawn/lane-change/collision events, step counters and, when
+    the run records them, per-step vehicle snapshots (``frames``). Steps
+    before warmup_time are warm-up and excluded from metric extraction.
+
+    The counters count every step the engine handed to its sink: ``steps``
+    and ``vehicle_steps`` (vehicles present, summed over steps), and the
+    same for the live steps after warm-up."""
 
     time_step: float
     warmup_time: float
@@ -168,6 +185,10 @@ class TrajectoryLog:
     arrival_times: dict = field(default_factory=dict)
     feasible: bool = True
     gridlock_at: float | None = None
+    steps: int = 0
+    vehicle_steps: int = 0
+    live_steps: int = 0
+    live_vehicle_steps: int = 0
 
     @property
     def collision_count(self) -> int:
@@ -176,18 +197,14 @@ class TrajectoryLog:
     def is_warmup(self, t: float) -> bool:
         return t < self.warmup_time
 
-    def live_frames(self):
-        return [f for f in self.frames if not self.is_warmup(f.time)]
-
     def mean_density(self) -> float:
         """Post-warm-up mean vehicle density over the route, veh/km/lane."""
         lane_km = sum(
             length * lanes for length, lanes in zip(self.route_lengths, self.route_lane_counts)
         ) / 1000.0
-        live = self.live_frames()
-        if not live or lane_km <= 0:
+        if not self.live_steps or lane_km <= 0:
             return 0.0
-        return sum(len(f) for f in live) / len(live) / lane_km
+        return self.live_vehicle_steps / self.live_steps / lane_km
 
     def to_csv(self, target=None) -> str | None:
         buf = io.StringIO()
@@ -223,6 +240,35 @@ class TrajectoryLog:
         else:
             target.write(text)
         return None
+
+
+def heading_deg(v: Vehicle) -> float:
+    """Angle of the vehicle's motion to the road direction, 0 unless it is
+    moving sideways above 0.5 m/s."""
+    if v.lat_rate != 0.0 and v.speed > 0.5:
+        return math.degrees(math.atan2(v.lat_rate, v.speed))
+    return 0.0
+
+
+def record_frame(sim: Simulation) -> None:
+    """The recording sink: append the step's vehicles, in id order, to
+    ``sim.log.frames``."""
+    vs = sorted(sim.vehicles, key=_vid)
+    sim.log.frames.append(
+        Frame(
+            time=sim.time,
+            ids=np.asarray([v.vid for v in vs], dtype=np.int32),
+            kinds=np.asarray([v.kind for v in vs], dtype=np.int8),
+            link_idx=np.asarray([v.link_idx for v in vs], dtype=np.int16),
+            lanes=np.asarray([v.lane for v in vs], dtype=np.int16),
+            pos=np.asarray([v.pos for v in vs], dtype=np.float64),
+            lat=np.asarray([v.lat for v in vs], dtype=np.float64),
+            speed=np.asarray([v.speed for v in vs], dtype=np.float64),
+            accel=np.asarray([v.accel for v in vs], dtype=np.float64),
+            heading=np.asarray([heading_deg(v) for v in vs], dtype=np.float64),
+            length=np.asarray([v.length for v in vs], dtype=np.float64),
+        )
+    )
 
 
 class Simulation:
@@ -686,66 +732,59 @@ class Simulation:
 
     def _resolve_collisions(self):
         """Push back the rear vehicle of every overlapping pair in a physical
-        lane; the lane index is rebuilt if any vehicle moved."""
-        t = self.time + self.dt
+        lane; the lane index is rebuilt if any vehicle moved.
+
+        Each vehicle is in exactly one physical lane and a pushback moves
+        only the rear of its pair, so every overlap can be found first, in
+        one pass over the index, and resolved after, in (link, lane) order."""
+        found = []
+        for key, members in self._lanes.items():
+            lane = key[1]
+            rear = None
+            for front in members:
+                if front.lane != lane:
+                    continue
+                if rear is not None and front.pos - rear.pos - (front.length + rear.length) / 2.0 <= 0.0:
+                    found.append((key, rear, front))
+                rear = front
         overlapping = set()
-        for (link_idx, lane), members in sorted(self._lanes.items()):
-            group = [v for v in members if v.lane == lane]
-            for rear, front in zip(group[:-1], group[1:]):
-                gap = front.pos - rear.pos - (front.length + rear.length) / 2.0
-                if gap <= 0.0:
-                    key = (rear.vid, front.vid)
-                    overlapping.add(key)
-                    if key not in self._collision_pairs:
-                        self.log.collisions.append(
-                            CollisionEvent(
-                                time=t, follower_id=rear.vid, leader_id=front.vid,
-                                link=self.route[link_idx].id, lane=lane,
-                            )
+        if found:
+            t = self.time + self.dt
+            found.sort(key=_key)
+            for (link_idx, lane), rear, front in found:
+                pair = (rear.vid, front.vid)
+                overlapping.add(pair)
+                if pair not in self._collision_pairs:
+                    self.log.collisions.append(
+                        CollisionEvent(
+                            time=t, follower_id=rear.vid, leader_id=front.vid,
+                            link=self.route[link_idx].id, lane=lane,
                         )
-                    rear.pos = max(
-                        front.pos - (front.length + rear.length) / 2.0 - 0.1,
-                        rear.length / 2.0,
                     )
-                    if not rear.fixed:  # a fixed vehicle keeps its speed
-                        rear.speed = 0.0
-                        rear.accel = 0.0
-        self._collision_pairs = overlapping
-        if overlapping:
+                rear.pos = max(
+                    front.pos - (front.length + rear.length) / 2.0 - 0.1,
+                    rear.length / 2.0,
+                )
+                if not rear.fixed:  # a fixed vehicle keeps its speed
+                    rear.speed = 0.0
+                    rear.accel = 0.0
             self._lanes = self._lane_map()
+        self._collision_pairs = overlapping
 
-    def _record_frame(self):
-        vs = sorted(self.vehicles, key=_vid)
-        self.log.frames.append(
-            Frame(
-                time=self.time,
-                ids=np.asarray([v.vid for v in vs], dtype=np.int32),
-                kinds=np.asarray([v.kind for v in vs], dtype=np.int8),
-                link_idx=np.asarray([v.link_idx for v in vs], dtype=np.int16),
-                lanes=np.asarray([v.lane for v in vs], dtype=np.int16),
-                pos=np.asarray([v.pos for v in vs], dtype=np.float64),
-                lat=np.asarray([v.lat for v in vs], dtype=np.float64),
-                speed=np.asarray([v.speed for v in vs], dtype=np.float64),
-                accel=np.asarray([v.accel for v in vs], dtype=np.float64),
-                heading=np.asarray(
-                    [
-                        math.degrees(math.atan2(v.lat_rate, v.speed))
-                        if v.lat_rate != 0.0 and v.speed > 0.5
-                        else 0.0
-                        for v in vs
-                    ],
-                    dtype=np.float64,
-                ),
-                length=np.asarray([v.length for v in vs], dtype=np.float64),
-            )
-        )
-
-    def step(self):
-        """Advance the world by one time step."""
+    def step(self, sink=None):
+        """Advance the world by one time step; `sink` (default
+        ``record_frame``) sees the vehicles after this step's insertions."""
         if self.step_index == self.warmup_steps:
             self._insert_subject()
         self._spawn_step()
-        self._record_frame()
+        log = self.log
+        n = len(self.vehicles)
+        log.steps += 1
+        log.vehicle_steps += n
+        if not log.is_warmup(self.time):
+            log.live_steps += 1
+            log.live_vehicle_steps += n
+        (record_frame if sink is None else sink)(self)
         self._apply(self._decide())
         self._lanes = self._lane_map()
         self._resolve_collisions()
@@ -758,9 +797,11 @@ class Simulation:
         self.step_index += 1
         self.time = self.step_index * self.dt
 
-    def run(self) -> TrajectoryLog:
+    def run(self, sink=None) -> TrajectoryLog:
+        """Step to the horizon or to a gridlock, handing every step to `sink`
+        (default ``record_frame``)."""
         while self.step_index < self.n_steps:
-            self.step()
+            self.step(sink)
             if self._gridlock_accum > GRIDLOCK_TIME:
                 self.log.feasible = False
                 self.log.gridlock_at = self.time
@@ -770,7 +811,8 @@ class Simulation:
         return self.log
 
 
-def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
-    """Simulate one scenario; identical configs (same seed) give identical
+def run_scenario(config: ScenarioConfig, sink=None) -> TrajectoryLog:
+    """Simulate one scenario, handing every step to `sink`; without one the
+    log records every frame. Identical configs (same seed) give identical
     logs."""
-    return Simulation(config).run()
+    return Simulation(config).run(sink)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avcalib import pipeline
 from avcalib.metrics import compute_traffic_mops, compute_vehicle_mops
 from avcalib.fielddata import extract_events
 from avcalib.params import build_parameter_space
@@ -32,7 +33,7 @@ from avcalib.pipeline import (
     run_stage2,
     usable_field_mops,
 )
-from avcalib.roadsim import IdmParams
+from avcalib.roadsim import IdmParams, Simulation, engine, run_scenario
 from avcalib.saga import SagaConfig
 
 
@@ -179,11 +180,21 @@ def test_unused_parameter_does_not_change_accuracy(micro_scenario):
     assert a.accuracy == b.accuracy
 
 
-def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog):
+def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog, monkeypatch):
     # at 60 km/h the subject clears the 900 m link before the 70 s live
     # horizon ends, so the detector has no subject to sample
     _, ctx = _field_and_ctx(micro_scenario, stage=1)
     ctx = replace(ctx, scenario=replace(micro_scenario, subject_desired_speed=60.0))
+    runs = []
+
+    def spied_run(cfg, sink=None):
+        sim = Simulation(cfg)
+        try:
+            return sim.run(sink)
+        finally:
+            runs.append((cfg, sim.log))
+
+    monkeypatch.setattr(pipeline, "run_scenario", spied_run)
     with caplog.at_level(logging.WARNING, logger="avcalib.pipeline"):
         out = evaluate_case({}, ctx)
     assert out.accuracy == -math.inf
@@ -191,6 +202,31 @@ def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog):
     assert out.n_simulations == 1
     assert out.diagnostic.startswith("MissingSubjectError: ")
     assert "scored -inf" in caplog.text
+    # the run stopped at the first live step without the subject, the one
+    # the diagnostic names, and stored no frame
+    ((cfg, stopped),) = runs
+    full = run_scenario(cfg)
+    k, first_missing = next(
+        (k, f.time) for k, f in enumerate(full.frames)
+        if not full.is_warmup(f.time) and engine.KIND_SUBJECT not in f.kinds
+    )
+    assert f" at t={first_missing};" in out.diagnostic
+    assert stopped.steps == k + 1 < full.steps
+    assert stopped.frames == []
+
+
+def test_calibration_path_builds_no_frame(micro_scenario, monkeypatch):
+    _, ctx = _field_and_ctx(micro_scenario, stage=2)
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a Frame was built")
+
+    monkeypatch.setattr(engine, "Frame", no_frame)
+    assert evaluate_case({}, ctx).accuracy == pytest.approx(1.0, abs=1e-12)
+    field = generate_field_data(micro_scenario, 0)
+    assert len(field.records) == round(
+        (micro_scenario.total_time - micro_scenario.warmup_time) / micro_scenario.time_step
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,14 +14,14 @@ from avcalib.roadsim import (
     MissingSubjectError,
     RoadNetwork,
     ScenarioConfig,
+    VirtualDetector,
     virtual_detector_sample,
 )
 from avcalib.roadsim.engine import (
-    Frame,
     KIND_BACKGROUND,
     KIND_SUBJECT,
     LANE_WIDTH,
-    TrajectoryLog,
+    Vehicle,
 )
 
 
@@ -48,37 +49,25 @@ def make_config(lengths=(1000.0, 1000.0), lanes=2, rng=(-150.0, 150.0)):
     )
 
 
-def make_log(config, rows_per_frame, times=None):
-    """rows_per_frame: list of frames, each a list of
-    (vid, kind, link_idx, lane, pos, lat, speed)."""
-    cfg = config
-    log = TrajectoryLog(
-        time_step=cfg.time_step,
-        warmup_time=cfg.warmup_time,
-        route_link_ids=tuple(l.id for l in cfg.network.route_links()),
-        route_lane_counts=tuple(l.lane_count for l in cfg.network.route_links()),
-        route_lengths=tuple(l.length for l in cfg.network.route_links()),
-    )
+def default_times(config, rows_per_frame):
+    return [config.warmup_time + k * config.time_step for k in range(len(rows_per_frame))]
+
+
+def detect(config, rows_per_frame, times=None):
+    """Hand a detector one step per entry of rows_per_frame, each a list of
+    vehicles placed as (vid, kind, link_idx, lane, pos, lat, speed), and
+    return its dataset."""
+    detector = VirtualDetector(config)
     if times is None:
-        times = [cfg.warmup_time + k * cfg.time_step for k in range(len(rows_per_frame))]
+        times = default_times(config, rows_per_frame)
     for t, rows in zip(times, rows_per_frame):
-        rows = sorted(rows, key=lambda r: r[0])
-        log.frames.append(
-            Frame(
-                time=t,
-                ids=np.array([r[0] for r in rows], dtype=np.int32),
-                kinds=np.array([r[1] for r in rows], dtype=np.int8),
-                link_idx=np.array([r[2] for r in rows], dtype=np.int16),
-                lanes=np.array([r[3] for r in rows], dtype=np.int16),
-                pos=np.array([r[4] for r in rows], dtype=float),
-                lat=np.array([r[5] for r in rows], dtype=float),
-                speed=np.array([r[6] for r in rows], dtype=float),
-                accel=np.zeros(len(rows)),
-                heading=np.zeros(len(rows)),
-                length=np.full(len(rows), 4.5),
-            )
-        )
-    return log
+        vehicles = []
+        for vid, kind, link_idx, lane, pos, lat, speed in rows:
+            v = Vehicle(vid, kind, link_idx, lane, pos, speed, length=4.5, factor=1.0)
+            v.lat = lat
+            vehicles.append(v)
+        detector(SimpleNamespace(time=t, vehicles=vehicles, log=None))
+    return virtual_detector_sample(detector)
 
 
 def subject_row(link_idx=0, lane=1, pos=500.0, lat=0.0, speed=15.0):
@@ -91,29 +80,26 @@ def bg(vid, link_idx=0, lane=1, pos=500.0, lat=0.0, speed=20.0):
 
 def test_vehicle_just_beyond_range_is_absent():
     cfg = make_config()
-    log = make_log(cfg, [[subject_row(pos=500.0), bg(1, pos=651.0), bg(2, pos=650.0)]])
-    ds = virtual_detector_sample(log, cfg)
+    ds = detect(cfg, [[subject_row(pos=500.0), bg(1, pos=651.0), bg(2, pos=650.0)]])
     ids = [o.vehicle_id for o in ds.records[0].surroundings]
     assert ids == ["2"]  # +151 m excluded, +150 m included
 
 
 def test_relative_positions_same_lane_ahead():
     cfg = make_config()
-    log = make_log(cfg, [[subject_row(pos=500.0, lane=1), bg(1, pos=530.0, lane=1)]])
-    obs = virtual_detector_sample(log, cfg).records[0].surroundings[0]
+    obs = detect(cfg, [[subject_row(pos=500.0, lane=1), bg(1, pos=530.0, lane=1)]]).records[0].surroundings[0]
     assert obs.rel_longitudinal == pytest.approx(30.0)
     assert obs.rel_lateral == pytest.approx(0.0)
 
 
 def test_relative_positions_across_links_and_lanes():
     cfg = make_config()
-    log = make_log(
+    rec = detect(
         cfg,
         [[subject_row(link_idx=0, pos=950.0, lane=1),
           bg(1, link_idx=1, pos=70.0, lane=2),
           bg(2, link_idx=1, pos=300.0, lane=1)]],
-    )
-    rec = virtual_detector_sample(log, cfg).records[0]
+    ).records[0]
     assert len(rec.surroundings) == 1  # vehicle 2 is 350 m ahead along the route
     obs = rec.surroundings[0]
     assert obs.rel_longitudinal == pytest.approx(120.0)
@@ -122,8 +108,7 @@ def test_relative_positions_across_links_and_lanes():
 
 def test_units_and_subject_fields():
     cfg = make_config()
-    log = make_log(cfg, [[subject_row(pos=400.0, speed=15.0), bg(4, pos=460.0, speed=20.0)]])
-    rec = virtual_detector_sample(log, cfg).records[0]
+    rec = detect(cfg, [[subject_row(pos=400.0, speed=15.0), bg(4, pos=460.0, speed=20.0)]]).records[0]
     assert rec.speed_kmh == pytest.approx(54.0)
     assert rec.surroundings[0].speed_kmh == pytest.approx(72.0)
     assert rec.road_name == "L1"
@@ -134,41 +119,39 @@ def test_units_and_subject_fields():
 
 def test_missing_subject_raises():
     cfg = make_config()
-    log = make_log(cfg, [[bg(1, pos=100.0)]])
     with pytest.raises(MissingSubjectError):
-        virtual_detector_sample(log, cfg)
+        detect(cfg, [[bg(1, pos=100.0)]])
 
 
 def test_warmup_frames_excluded():
     cfg = make_config()
     rows = [[subject_row()]] * 3
-    log = make_log(cfg, rows, times=[0.5, 1.0, 1.1])  # first frame is warm-up
-    ds = virtual_detector_sample(log, cfg)
+    ds = detect(cfg, rows, times=[0.5, 1.0, 1.1])  # first step is warm-up
     assert [r.timestamp for r in ds.records] == [1.0, 1.1]
 
 
-def _brute_force_records(log, cfg):
+def _brute_force_records(cfg, rows_per_frame):
     rear, front = cfg.detection_range
     offsets = {}
     acc = 0.0
-    for i, length in enumerate(log.route_lengths):
+    for i, link in enumerate(cfg.network.route_links()):
         offsets[i] = acc
-        acc += length
+        acc += link.length
     out = []
-    for frame in log.frames:
-        if frame.time < cfg.warmup_time:
+    for t, rows in zip(default_times(cfg, rows_per_frame), rows_per_frame):
+        if t < cfg.warmup_time:
             continue
-        si = [i for i in range(len(frame)) if frame.kinds[i] == KIND_SUBJECT][0]
-        s_arc = offsets[int(frame.link_idx[si])] + frame.pos[si]
+        si = [i for i in range(len(rows)) if rows[i][1] == KIND_SUBJECT][0]
+        s_arc = offsets[rows[si][2]] + rows[si][4]
         visible = []
-        for i in range(len(frame)):
+        for i, (vid, _kind, link_idx, _lane, pos, _lat, _speed) in enumerate(rows):
             if i == si:
                 continue
-            rel = offsets[int(frame.link_idx[i])] + frame.pos[i] - s_arc
+            rel = offsets[link_idx] + pos - s_arc
             if rear <= rel <= front:
-                visible.append((int(frame.ids[i]), round(float(rel), 9)))
+                visible.append((vid, round(float(rel), 9)))
         visible.sort()
-        out.append((float(frame.time), tuple(visible)))
+        out.append((float(t), tuple(visible)))
     return out
 
 
@@ -193,23 +176,21 @@ def test_detector_equals_brute_force_filter(seed):
                    speed=float(rng.uniform(0, 30)))
             )
         frames.append(rows)
-    log = make_log(cfg, frames)
-    ds = virtual_detector_sample(log, cfg)
+    ds = detect(cfg, frames)
     got = [
         (r.timestamp, tuple(sorted((int(o.vehicle_id), round(o.rel_longitudinal, 9))
                                    for o in r.surroundings)))
         for r in ds.records
     ]
-    assert got == _brute_force_records(log, cfg)
+    assert got == _brute_force_records(cfg, frames)
 
 
 def test_detector_output_parses_identically():
     cfg = make_config()
-    log = make_log(
+    ds = detect(
         cfg,
         [[subject_row(pos=500.0 + 10 * k, lat=0.3),
           bg(3, pos=540.0 + 10 * k, lane=2, speed=22.0)] for k in range(5)],
     )
-    ds = virtual_detector_sample(log, cfg)
     back = parse_field_data(io.StringIO(export_detection_csv(ds)), source_kind="simulation")
     assert back.records == ds.records

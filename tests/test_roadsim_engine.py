@@ -205,16 +205,19 @@ def test_gridlock_reported_as_infeasible_partial_log():
 def test_exactly_one_live_frame_when_total_is_warmup_plus_dt():
     cfg = corridor(total=50.1, warmup=50.0, dt=0.1)
     log = run_scenario(cfg)
-    live = log.live_frames()
+    live = [f for f in log.frames if not log.is_warmup(f.time)]
     assert len(live) == 1
     assert live[0].time == pytest.approx(50.0)
+    assert log.live_steps == 1
 
 
 def test_subject_present_for_whole_live_horizon():
     cfg = corridor(inputs=400.0, lanes=2, total=120.0, warmup=30.0, dt=0.2,
                    length=3000.0, seed=2, subject_speed=50.0)
     log = run_scenario(cfg)
-    for frame in log.live_frames():
+    live = [f for f in log.frames if not log.is_warmup(f.time)]
+    assert len(live) == log.live_steps > 0
+    for frame in live:
         assert (frame.kinds == KIND_SUBJECT).sum() == 1
 
 

@@ -26,7 +26,9 @@ from avcalib.roadsim import (
     GippsParams,
     KraussParams,
     Simulation,
+    VirtualDetector,
     W99Params,
+    record_frame,
     run_scenario,
     virtual_detector_sample,
 )
@@ -72,8 +74,16 @@ def _scenario(name):
 
 @functools.lru_cache(maxsize=None)
 def _run(name):
+    """The recorded log and the detector's dataset of one run."""
     sc = _scenario(name)
-    return sc, run_scenario(sc)
+    detector = VirtualDetector(sc)
+
+    def record_and_detect(sim):
+        record_frame(sim)
+        detector(sim)
+
+    log = run_scenario(sc, record_and_detect)
+    return sc, log, virtual_detector_sample(detector)
 
 
 def trajectory_digest(log) -> str:
@@ -96,19 +106,19 @@ def detection_digest(dataset) -> str:
 
 @pytest.mark.parametrize("name", sorted(DETECTION_GOLDEN))
 def test_detection_matches_golden_hash(name):
-    sc, log = _run(name)
-    assert detection_digest(virtual_detector_sample(log, sc)) == DETECTION_GOLDEN[name]
+    _sc, _log, dataset = _run(name)
+    assert detection_digest(dataset) == DETECTION_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trajectory_matches_golden_hash(name):
-    _sc, log = _run(name)
+    _sc, log, _dataset = _run(name)
     assert trajectory_digest(log) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_is_feasible_and_keeps_lanes(name):
-    sc, log = _run(name)
+    sc, log, _dataset = _run(name)
     assert log.feasible
     lane_counts = np.asarray([l.lane_count for l in sc.network.route_links()])
     for f in log.frames:
@@ -118,8 +128,24 @@ def test_golden_run_is_feasible_and_keeps_lanes(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_has_no_collisions(name):
-    _sc, log = _run(name)
+    _sc, log, _dataset = _run(name)
     assert log.collisions == []
+
+
+@pytest.mark.parametrize("name", ["recovery", "showcase-fine-step"])
+def test_step_counters_match_the_recorded_frames(name):
+    sc, log, dataset = _run(name)
+    live = [f for f in log.frames if f.time >= sc.warmup_time]
+    assert log.steps == len(log.frames)
+    assert log.vehicle_steps == sum(len(f) for f in log.frames)
+    assert log.live_steps == len(live) == len(dataset.records)
+    assert log.live_vehicle_steps == sum(len(f) for f in live)
+    # and a run that records nothing counts the same
+    bare = run_scenario(sc, lambda sim: None)
+    assert bare.frames == []
+    assert (bare.steps, bare.vehicle_steps, bare.live_steps, bare.live_vehicle_steps) == (
+        log.steps, log.vehicle_steps, log.live_steps, log.live_vehicle_steps
+    )
 
 
 def test_side_scan_skip_changes_no_trajectory(monkeypatch):
