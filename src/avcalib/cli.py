@@ -15,7 +15,14 @@ from .fielddata import export_detection_csv, export_events_csv, extract_events, 
 from .metrics import CutinErrorParams, compute_traffic_mops, compute_vehicle_mops, evaluate_moes
 from .pipeline import calibrate as run_calibration
 from .pipeline import load_calibration_config
-from .roadsim import VirtualDetector, load_scenario, record_frame, run_scenario, virtual_detector_sample
+from .roadsim import (
+    MissingSubjectError,
+    VirtualDetector,
+    load_scenario,
+    record_frame,
+    run_scenario,
+    virtual_detector_sample,
+)
 
 
 @click.group()
@@ -30,7 +37,9 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 def simulate(scenario_path, out_dir, seed):
-    """Run one scenario; write trajectory and detection CSVs."""
+    """Run one scenario; write trajectory and detection CSVs. A run whose
+    subject leaves the route stops there: its trajectory so far is written
+    and the command fails."""
     cfg = load_scenario(scenario_path)
     if seed is not None:
         from dataclasses import replace
@@ -42,9 +51,13 @@ def simulate(scenario_path, out_dir, seed):
         record_frame(sim)
         detector(sim)
 
-    log = run_scenario(cfg, record_and_detect)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        log = run_scenario(cfg, record_and_detect)
+    except MissingSubjectError as exc:
+        exc.log.to_csv(out / "trajectory.csv")
+        raise click.ClickException(str(exc)) from exc
     log.to_csv(out / "trajectory.csv")
     export_detection_csv(virtual_detector_sample(detector), out / "detection.csv")
     summary = {

@@ -31,6 +31,22 @@ def test_simulate_writes_logs(tmp_path):
     assert summary["frames"] > 0
 
 
+def test_simulate_stops_where_the_subject_leaves(tmp_path, micro_scenario):
+    # at 60 km/h the subject clears the 900 m link before the horizon
+    from dataclasses import replace
+
+    path = tmp_path / "scenario.json"
+    save_scenario(replace(micro_scenario, subject_desired_speed=60.0), path)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["simulate", "--scenario", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "no subject vehicle in frame at t=" in result.output
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    last_time = float(rows[-1].split(",")[0])
+    assert micro_scenario.warmup_time < last_time < micro_scenario.total_time
+    assert not (out / "detection.csv").exists()
+
+
 def test_extract_and_evaluate(tmp_path):
     sc = small_scenario()
     field = generate_field_data(sc, 0)
