@@ -330,3 +330,23 @@ def test_fixed_vehicle_keeps_its_speed_through_a_pushback():
     assert all(
         f.speed[f.ids == fixed.vid][0] == 15.0 for f in sim.log.frames if fixed.vid in f.ids
     )
+
+
+def test_collisions_are_reported_in_lane_order_and_from_the_rear():
+    # overlapping vehicles added lane 3 first, so the lane index does not
+    # hold its lanes in order; events still come lane by lane and, within a
+    # lane, pair by pair from the rear
+    sim = Simulation(corridor(lanes=3, total=10.0, warmup=9.0, dt=0.1))
+    placed = {}
+    for lane, positions in ((3, (200.0, 203.0)), (1, (100.0, 103.0, 106.0)), (2, (50.0, 52.0))):
+        placed[lane] = [
+            sim.add_vehicle(lane=lane, pos=pos, speed=10.0, fixed=True).vid for pos in positions
+        ]
+    sim.step()
+    events = [(c.lane, c.follower_id, c.leader_id) for c in sim.log.collisions]
+    assert events == [
+        (1, placed[1][0], placed[1][1]),
+        (1, placed[1][1], placed[1][2]),
+        (2, placed[2][0], placed[2][1]),
+        (3, placed[3][0], placed[3][1]),
+    ]
