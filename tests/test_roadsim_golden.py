@@ -9,8 +9,13 @@ runs the showcase corridor at the paper's 0.1 s step (the others use 0.2 s).
 The detection digests pin the virtual detector's output on three of those
 runs: a sha256 over the ``repr`` of every detection record and of the
 dataset's meta, so a numpy scalar reaching a record fails them too.
+
+The engine keeps vehicle state and route geometry in plain Python floats; a
+numpy scalar there would keep every digest but slow the step loop several
+times, so a counting sink checks the type of the state at every step.
 """
 
+import collections
 import functools
 import hashlib
 import math
@@ -146,6 +151,24 @@ def test_step_counters_match_the_recorded_frames(name):
     assert (bare.steps, bare.vehicle_steps, bare.live_steps, bare.live_vehicle_steps) == (
         log.steps, log.vehicle_steps, log.live_steps, log.live_vehicle_steps
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_vehicle_state_and_route_offsets_are_plain_floats(name):
+    sc = _scenario(name)
+    sim = Simulation(sc)
+    assert [type(x) for x in sim.offsets] == [float] * len(sim.offsets)
+    assert list(sim.offsets) == list(VirtualDetector(sc).offsets)
+    seen = collections.Counter()
+
+    def count_state_types(sim):
+        for v in sim.vehicles:
+            for attr in ("pos", "speed", "accel", "lat", "lat_rate"):
+                seen[attr, type(getattr(v, attr))] += 1
+
+    sim.run(count_state_types)
+    assert seen
+    assert {key: n for key, n in seen.items() if key[1] is not float} == {}
 
 
 def test_side_scan_skip_changes_no_trajectory(monkeypatch):
