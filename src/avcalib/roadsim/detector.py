@@ -38,11 +38,7 @@ class VirtualDetector:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.links = config.network.route_links()
-        self.offsets = []  # arc position of each route link's start
-        acc = 0.0
-        for link in self.links:
-            self.offsets.append(acc)
-            acc += link.length
+        self.offsets = config.network.route_offsets()
         self.records: list[DetectionRecord] = []
         self._prev_lat = None
 

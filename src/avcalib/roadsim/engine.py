@@ -31,6 +31,11 @@ insertions, which add to it in place, and decisions.
 
 Everything is driven by one seeded generator per entrance plus the scenario
 seed, so an identical ScenarioConfig reproduces the run bit for bit.
+
+Vehicle state and route geometry are plain Python floats; numpy appears only
+in recorded ``Frame``s, the log's arrival times and the arrival generators,
+whose draws are floats. A numpy scalar reaching the state would change no
+result but make every operation of the step loop several times slower.
 """
 
 from __future__ import annotations
@@ -280,12 +285,7 @@ class Simulation:
         net = config.network
         self.route = [net.link(lid) for lid in net.subject_route]
         self.route_ids = tuple(l.id for l in self.route)
-        offsets = np.zeros(len(self.route) + 1)
-        for i, link in enumerate(self.route):
-            offsets[i + 1] = offsets[i] + link.length
-        # arc position of each link start; a list of the same float64 values,
-        # which indexes faster than the array
-        self.offsets = list(offsets)
+        self.offsets = net.route_offsets()
         self._lengths = [l.length for l in self.route]
         self._limits = [l.speed_limit_ms for l in self.route]
         self.entrances = sorted(
@@ -625,7 +625,7 @@ class Simulation:
         dt = self.dt
         cf_model = self._cf_spec[v.kind]
         params = self._lc_spec[v.kind]
-        speed = float(v.speed)
+        speed = v.speed
         a_current = car_following_acceleration(
             cf_model, speed, current_leader, dt, desired_speed=v_des
         )

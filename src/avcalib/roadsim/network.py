@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import accumulate
 from pathlib import Path
 
 from .models import (
@@ -83,6 +84,12 @@ class RoadNetwork:
 
     def route_links(self) -> tuple[Link, ...]:
         return tuple(self.link(lid) for lid in self.subject_route)
+
+    def route_offsets(self) -> tuple[float, ...]:
+        """Arc position of each route link's start: the lengths of the links
+        before it, summed in route order, as plain floats."""
+        lengths = [link.length for link in self.route_links()[:-1]]
+        return tuple(accumulate(lengths, initial=0.0))
 
 
 @dataclass(frozen=True)
