@@ -40,7 +40,6 @@ class VirtualDetector:
         self.links = config.network.route_links()
         self.offsets = config.network.route_offsets()
         self.records: list[DetectionRecord] = []
-        self._prev_lat = None
 
     def __call__(self, sim) -> None:
         t = sim.time
@@ -83,12 +82,6 @@ class VirtualDetector:
             for vid, rel, v in visible
         )
 
-        if self._prev_lat is None:
-            yaw = 0.0
-        else:
-            yaw = (s_lat - self._prev_lat) / cfg.time_step / max(s_speed, 0.1)
-        self._prev_lat = s_lat
-
         link = self.links[s_link]
         self.records.append(
             DetectionRecord(
@@ -96,7 +89,7 @@ class VirtualDetector:
                 road_name=link.id,
                 speed_limit_kmh=link.speed_limit,
                 speed_kmh=s_speed * MS_TO_KMH,
-                yaw_rate=yaw,
+                yaw_rate=float(subject.lat_rate) / max(s_speed, 0.1),
                 longitude=float(s_arc),
                 latitude=0.0,
                 acceleration=float(subject.accel),

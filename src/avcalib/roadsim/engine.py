@@ -701,9 +701,11 @@ class Simulation:
             if v.lc_start is not None:
                 elapsed = t_next - v.lc_start
                 sign = 1.0 if v.lc_to > v.lc_from else -1.0
+                lat = v.lat
                 if elapsed >= half and not v.lc_switched:
                     v.lane = v.lc_to
                     v.lc_switched = True
+                    lat -= sign * LANE_WIDTH  # from here on, from the new lane
                 if elapsed < half:
                     new_lat = sign * ramp_rate * elapsed
                 elif elapsed < LC_DURATION:
@@ -712,7 +714,7 @@ class Simulation:
                     new_lat = 0.0
                     v.lc_start = None
                     v.lc_done_at = t_next
-                v.lat_rate = (new_lat - v.lat) / dt
+                v.lat_rate = (new_lat - lat) / dt
                 v.lat = new_lat
             else:
                 v.lat_rate = 0.0

@@ -37,6 +37,7 @@ from avcalib.roadsim import (
     run_scenario,
     virtual_detector_sample,
 )
+from avcalib.roadsim.engine import LC_DURATION, SUBJECT_VID
 from avcalib.roadsim.models import MODEL_CLASSES
 
 BACKGROUND_MODELS = {
@@ -47,19 +48,19 @@ BACKGROUND_MODELS = {
 }
 
 GOLDEN = {
-    "recovery": "4dfb85cd58d9c84080bf995500b5aafdaa65ea8af8daa85ca2f1cedee3360416",
-    "showcase": "f50af8c31c78239ea816bee562fec5b62ee02210504633ddef6c6e370e5d97b5",
-    "showcase-gipps": "20a6ce7bce480e20e12536187115d497e63c763f743ee40b9bca997799a47243",
-    "showcase-fvd": "22752efb05d410d5ba2ca9e05b0959aa51d4a18bc421a9e17ebe7f20592e2906",
-    "showcase-krauss": "177c3359b1dc8cb525f0f30c065b141393a991afa7320e21c7c2d1071d28c6ad",
-    "showcase-w99": "bbf325071f74191f8bc4e2db2cfa618d904b66c0cd0e882cf7c69c42272b9e8a",
-    "showcase-fine-step": "fef9f3e887050037c44a52f84a1a71cdd435175ccf0c738b6c32c8228da407d4",
+    "recovery": "da7aef06fc1b414276a1e824cc4613bc0610d64eaa9afa6e8fea87d29941026d",
+    "showcase": "586fc6845ec5f81db6efc744859a8218c445f1d1080015ef20da7982a2266ea1",
+    "showcase-gipps": "0a2d9efc1d2eff018be2f2f8afc4d4fd27731666b2600c8574e358e6c78be740",
+    "showcase-fvd": "c1a1c399eba8356abcb1e63cc7d52942ad51935d5a9ea2ee0916ecc0f91c440a",
+    "showcase-krauss": "fb46f4bd8d4cb311ea717f0a927b71728b4a62405aa1df146b733ab5e29ffa17",
+    "showcase-w99": "7b9c16450ecb54841c77c70e4f1593a5941ab654dcd414386c6f8181e9796d2f",
+    "showcase-fine-step": "b2f84d8a2802752ad7048a0eb7fe2476c91115935625e204b25da121830a9b07",
 }
 
 DETECTION_GOLDEN = {
     "recovery": "35d95a8ba45c30cdfbe409dc28f6c577e0a109432d67c262b7384a0ccdb2c1f0",
-    "showcase": "dd24f49859e22ed2215086877c4247c4bb6ed7d8f11faee39af52b93ad6adfbf",
-    "showcase-fine-step": "7b3286316cab87c57c69dbf6f9a8f20ef3242f1279c938fe9f75160b1de36468",
+    "showcase": "2398a7cc83255721e1866ab2a88fb730fbe8a4c98d8e231625b236ffe3c17e80",
+    "showcase-fine-step": "3bc749cc99703b7f922dc41082f8e7441901fea29fa50d8213d101a4900c8621",
 }
 
 
@@ -151,6 +152,31 @@ def test_step_counters_match_the_recorded_frames(name):
     assert (bare.steps, bare.vehicle_steps, bare.live_steps, bare.live_vehicle_steps) == (
         log.steps, log.vehicle_steps, log.live_steps, log.live_vehicle_steps
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_heading_and_yaw_point_the_way_of_each_lane_change(name):
+    # the lane index flips halfway through a change and lat is then measured
+    # from the new lane; the heading must not jump the other way there
+    _sc, log, dataset = _run(name)
+    yaw_at = {r.timestamp: r.yaw_rate for r in dataset.records}
+    starts = {}
+    for lc in log.lane_changes:
+        starts.setdefault(lc.time, []).append(lc)
+    changing = {}  # vehicle id -> (end of its lane change, its direction)
+    checked = 0
+    for f in log.frames:
+        changing = {vid: w for vid, w in changing.items() if f.time <= w[0]}
+        for i, vid in enumerate(f.ids.tolist()):
+            if vid in changing:
+                sign = changing[vid][1]
+                assert f.heading[i] * sign >= 0.0, (vid, f.time, f.heading[i])
+                checked += f.heading[i] != 0.0
+                if vid == SUBJECT_VID and f.time in yaw_at:
+                    assert yaw_at[f.time] * sign >= 0.0, (f.time, yaw_at[f.time])
+        for lc in starts.get(f.time, ()):
+            changing[lc.vehicle_id] = (f.time + LC_DURATION, 1.0 if lc.to_lane > lc.from_lane else -1.0)
+    assert checked > 0
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
