@@ -348,10 +348,6 @@ class LaneChangeEvent:
     to_lane: int
     lc_distance: float | None  # None when a target-lane neighbor was unobserved
 
-    @property
-    def partially_observed(self) -> bool:
-        return self.lc_distance is None
-
 
 @dataclass(frozen=True)
 class CutInEvent:

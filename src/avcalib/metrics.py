@@ -76,14 +76,6 @@ class MopVector:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MopVector":
-        return cls(
-            MopEntry(name=k, value=v["value"], units=v.get("units", ""),
-                     count=v.get("count", 0))
-            for k, v in d.items()
-        )
-
-    @classmethod
     def mean_of(cls, vectors) -> "MopVector":
         """Entry-wise mean over several vectors; an entry missing in every
         vector stays missing, otherwise present values are averaged."""

