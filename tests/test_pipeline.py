@@ -330,6 +330,21 @@ def test_calibrate_produces_consistent_report(micro_report):
     assert set(d["calibrated_values"]) >= {"E1", "background.cf.T"}
 
 
+def test_total_simulations_counts_simulator_runs(micro_scenario, monkeypatch):
+    field = generate_field_data(
+        apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0
+    )
+    calls = []
+
+    def counted_run(cfg, sink=None):
+        calls.append(cfg)
+        return run_scenario(cfg, sink)
+
+    monkeypatch.setattr(pipeline, "run_scenario", counted_run)
+    report = calibrate(micro_calibration(micro_scenario), field_dataset=field)
+    assert report.total_simulations == len(calls)
+
+
 def test_reported_best_re_evaluates_to_reported_accuracy(micro_report):
     cfg, report, field = micro_report
     extraction = cfg.extraction
