@@ -86,22 +86,20 @@ def parse_field_data(
         def iget(row, name, line):
             return int(round(fget(row, name, line)))
 
-        records: list[DetectionRecord] = []
-        current_key = None
-        current: DetectionRecord | None = None
+        # each record's fields, and its surroundings, one per row until the
+        # timestamp changes; every record is built once, at the end
+        parsed: list[tuple[dict, list[SurroundingObs]]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < len(header):
                 raise RowError(line_no, f"expected {len(header)} fields, got {len(row)}")
             t = fget(row, "Timestamp", line_no)
-            if current is None or t != current_key:
-                if current is not None:
-                    records.append(current)
+            if not parsed or t != parsed[-1][0]["timestamp"]:
                 extras = tuple(
                     (name, row[col[name]]) for name in extra_cols
                 )
-                current = DetectionRecord(
+                parsed.append((dict(
                     timestamp=t,
                     road_name=row[col["Road name"]].strip(),
                     speed_limit_kmh=fget(row, "Speed limit", line_no),
@@ -113,26 +111,22 @@ def parse_field_data(
                     lane_id=iget(row, "Lane ID", line_no),
                     lane_distance=fget(row, "Lane distance", line_no),
                     extras=extras,
-                )
-                current_key = t
+                ), []))
             vid = row[col["Vehicle ID"]].strip()
             if vid:
-                obs = SurroundingObs(
+                parsed[-1][1].append(SurroundingObs(
                     vehicle_id=vid,
                     lane_id=iget(row, "Surrounding vehicle's Lane ID", line_no),
                     rel_longitudinal=fget(row, "Relative longitudinal position", line_no),
                     rel_lateral=fget(row, "Relative lateral position", line_no),
                     speed_kmh=fget(row, "Absolute velocity", line_no),
                     heading_deg=fget(row, "Vehicle heading", line_no),
-                )
-                current = DetectionRecord(
-                    **{**current.__dict__, "surroundings": current.surroundings + (obs,)}
-                )
-        if current is not None:
-            records.append(current)
+                ))
     finally:
         if owned:
             stream.close()
+
+    records = [DetectionRecord(**head, surroundings=tuple(obs)) for head, obs in parsed]
 
     dataset = FieldDataset(
         records=tuple(records),

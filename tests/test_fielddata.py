@@ -97,9 +97,13 @@ def test_export_parse_roundtrip_identity():
         records.append(rec(t * 0.1, lane=rng.randint(1, 3),
                            speed_ms=rng.uniform(0, 30), surroundings=surrs,
                            accel=rng.uniform(-3, 2), lane_distance=rng.uniform(-1.7, 1.7)))
+    # a record with many surroundings, one CSV row each, keeps them in order
+    crowd = [surr(k, 1 + k % 3, rng.uniform(-140, 140)) for k in range(60)]
+    records.append(rec(4.0, surroundings=crowd))
     ds = dataset(records)
     back = parse_field_data(io.StringIO(export_detection_csv(ds)))
     assert back.records == ds.records
+    assert back.records[-1].surroundings == tuple(crowd)
 
 
 # ---------------------------------------------------------------------------
