@@ -107,7 +107,10 @@ def calibrate(config_path):
     click.echo(f"stage 1 best accuracy: {report.stage1.best_accuracy:.4f}")
     click.echo(f"critical parameters:   {', '.join(report.stage2.critical_set)}")
     click.echo(f"stage 2 best accuracy: {report.stage2.best_accuracy:.4f}")
-    click.echo(f"simulations used:      {report.optimization_simulations} (budget {report.simulation_budget})")
+    click.echo(
+        f"calibration cost:      {report.optimization_simulations} simulations for "
+        f"{report.cases_scored} cases scored (budget {report.simulation_budget})"
+    )
     if cfg.output_dir:
         click.echo(f"artifacts in {cfg.output_dir}")
 
@@ -170,7 +173,8 @@ def report(run_dir):
         f"critical parameters:    {', '.join(rep['stage2']['critical_set'])}",
         f"stage 2 best accuracy:  {rep['stage2']['best_accuracy']:.4f}",
         f"generations run:        {rep['stage2']['saga_generations']}",
-        f"simulations (budget):   {rep['optimization_simulations']} ({rep['simulation_budget']})",
+        f"calibration cost:       {rep['optimization_simulations']} simulations for "
+        f"{rep['cases_scored']} cases scored (budget {rep['simulation_budget']})",
         "final evaluation measures:",
     ]
     for name, value in sorted(rep["final_moes"].items()):

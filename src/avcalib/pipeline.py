@@ -8,6 +8,11 @@ genetic algorithm (phase II), warm-started from the phase-I best level
 combination. All simulator seeds derive from one master seed and the
 replication index only, so every case in every stage sees the same random
 draws (common random numbers) and a re-run reproduces the report exactly.
+
+Because a case's outcome depends only on its inputs, each distinct case is
+simulated once per calibration: a repeat, within a batch or from an earlier
+one, gets the stored outcome. Every simulation count in a report therefore
+counts simulations actually run, not cases scored.
 """
 
 from __future__ import annotations
@@ -292,12 +297,45 @@ def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
     )
 
 
-def _evaluate_all(values_list, ctx: EvalContext, pool=None) -> list[CaseOutcome]:
-    """Evaluate cases in input order: in this process without a pool, else
-    on the calibration's worker pool. Every case of every stage goes
-    through here."""
-    mapper = map if pool is None else pool.map
-    return list(mapper(evaluate_case, values_list, repeat(ctx)))
+def _case_key(values: dict, ctx: EvalContext) -> str:
+    """Every input evaluate_case reads, in canonical form: the scenario with
+    the values applied, and every other EvalContext field. Floats go through
+    repr, so equal keys mean equal inputs. Values for a parameter the model
+    ignores build the same scenario, so they share a key."""
+    case_ctx = replace(ctx, scenario=apply_parameters(ctx.scenario, values))
+    return json.dumps(_to_plain(case_ctx), sort_keys=True)
+
+
+class CaseEvaluator:
+    """Evaluates the cases of one calibration, in this process without a
+    pool, else on the calibration's worker pool. Every case of every stage
+    goes through evaluate_all, which simulates each distinct case once; a
+    stage called without an evaluator makes its own."""
+
+    def __init__(self, pool=None):
+        self._pool = pool
+        self._memo: dict[str, CaseOutcome] = {}
+
+    def evaluate_all(self, values_list, ctx: EvalContext) -> list[CaseOutcome]:
+        """One outcome per case, in input order. Only cases not seen before
+        in this calibration are simulated, once each, in first-seen order;
+        a repeat gets the stored outcome with n_simulations = 0."""
+        keys = [_case_key(values, ctx) for values in values_list]
+        new = {}
+        for key, values in zip(keys, values_list):
+            if key not in self._memo:
+                new.setdefault(key, values)
+        mapper = map if self._pool is None else self._pool.map
+        fresh = dict(zip(new, mapper(evaluate_case, new.values(), repeat(ctx))))
+        self._memo.update(fresh)
+        log.info(
+            "stage %d batch: %d cases, %d distinct, %d simulated",
+            ctx.stage, len(keys), len(set(keys)), len(fresh),
+        )
+        return [
+            fresh.pop(key) if key in fresh else replace(self._memo[key], n_simulations=0)
+            for key in keys
+        ]
 
 
 def usable_field_mops(mops: MopVector) -> MopVector:
@@ -354,7 +392,9 @@ class Stage1Result:
     n_simulations: int
 
 
-def run_stage1(cfg: CalibrationConfig, field_dataset: FieldDataset, pool=None) -> Stage1Result:
+def run_stage1(
+    cfg: CalibrationConfig, field_dataset: FieldDataset, evaluator: CaseEvaluator | None = None
+) -> Stage1Result:
     """Evaluate the inflow design in design order, stopping at the first case
     that reaches the accuracy threshold.
 
@@ -382,11 +422,13 @@ def run_stage1(cfg: CalibrationConfig, field_dataset: FieldDataset, pool=None) -
         per_road=cfg.stage1.per_road_density,
     )
     batch = max(1, cfg.workers)
+    if evaluator is None:
+        evaluator = CaseEvaluator()
 
     def outcomes():
         for start in range(0, len(cases), batch):
             chunk = cases[start : start + batch]
-            yield from zip(chunk, _evaluate_all([c.values for c in chunk], ctx, pool))
+            yield from zip(chunk, evaluator.evaluate_all([c.values for c in chunk], ctx))
 
     records: list[CaseRecord] = []
     best_values: dict | None = None
@@ -448,7 +490,7 @@ def run_stage2(
     cfg: CalibrationConfig,
     field_dataset: FieldDataset,
     stage1: Stage1Result,
-    pool=None,
+    evaluator: CaseEvaluator | None = None,
 ) -> Stage2Result:
     field_events = extract_events(field_dataset, **cfg.extraction.kwargs())
     field_mops = usable_field_mops(compute_vehicle_mops(field_events))
@@ -465,8 +507,10 @@ def run_stage2(
         replications=cfg.replications,
         extraction=cfg.extraction,
     )
+    if evaluator is None:
+        evaluator = CaseEvaluator()
     # phase I: full design, no early stop; range analysis needs every case
-    outcomes = _evaluate_all([c.values for c in cases], ctx, pool)
+    outcomes = evaluator.evaluate_all([c.values for c in cases], ctx)
     records = [CaseRecord.from_outcome(case, out) for case, out in zip(cases, outcomes)]
     n_sims_p1 = sum(o.n_simulations for o in outcomes)
     accuracies = [o.accuracy if np.isfinite(o.accuracy) else -1e9 for o in outcomes]
@@ -493,7 +537,7 @@ def run_stage2(
     phase2_sims: list[int] = []
 
     def evaluate(generation):
-        outs = _evaluate_all(generation, ctx_ii, pool)
+        outs = evaluator.evaluate_all(generation, ctx_ii)
         phase2_sims.extend(o.n_simulations for o in outs)
         return [o.accuracy for o in outs]
 
@@ -534,6 +578,7 @@ class CalibrationReport:
     final_moes: MoeReport
     total_simulations: int
     optimization_simulations: int
+    cases_scored: int
     simulation_budget: int
     diagnostics: dict
     timings: dict
@@ -566,6 +611,7 @@ class CalibrationReport:
             "final_moes": self.final_moes.to_dict(),
             "total_simulations": self.total_simulations,
             "optimization_simulations": self.optimization_simulations,
+            "cases_scored": self.cases_scored,
             "simulation_budget": self.simulation_budget,
             "diagnostics": self.diagnostics,
         }
@@ -588,8 +634,9 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     """Run the whole pipeline: field processing, stage 1, stage 2, final
     evaluation, and artifact persistence when an output directory is set.
 
-    With workers > 1 both stages share one process pool, shut down (its
-    workers reaped) before the final evaluation."""
+    Both stages share one case evaluator, so a case simulated in either is
+    not simulated again. With workers > 1 it holds one process pool, shut
+    down (its workers reaped) before the final evaluation."""
     timings: dict[str, float] = {}
     t0 = _time.perf_counter()
     if field_dataset is None:
@@ -598,11 +645,12 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
 
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         t1 = _time.perf_counter()
-        stage1 = run_stage1(cfg, field_dataset, pool)
+        evaluator = CaseEvaluator(pool)
+        stage1 = run_stage1(cfg, field_dataset, evaluator)
         timings["stage1"] = _time.perf_counter() - t1
 
         t2 = _time.perf_counter()
-        stage2 = run_stage2(cfg, field_dataset, stage1, pool)
+        stage2 = run_stage2(cfg, field_dataset, stage1, evaluator)
         timings["stage2"] = _time.perf_counter() - t2
 
     t3 = _time.perf_counter()
@@ -635,6 +683,9 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
         final_moes=final_moes,
         total_simulations=opt_sims + 1,
         optimization_simulations=opt_sims,
+        cases_scored=(
+            stage1.n_evaluated + len(stage2.phase1_cases) + stage2.saga.n_evaluations
+        ),
         simulation_budget=budget,
         diagnostics={
             "final_run_collisions": final_log.collision_count,
@@ -658,6 +709,8 @@ def _to_plain(obj):
     """A config value as JSON-ready data, built field by field."""
     if isinstance(obj, ScenarioConfig):
         return scenario_to_dict(obj)
+    if isinstance(obj, MopVector):
+        return [_to_plain(entry) for entry in obj]
     if is_dataclass(obj):
         return {f.name: _to_plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, tuple):

@@ -288,7 +288,10 @@ def test_criterion_9_simulation_budget(recovery_study):
     saga = recovery_calibration_config().stage2.saga
     ceiling = 16 + 16 + saga.population_size * (saga.max_generations + 1)
     for master, cfg, report in recovery_study["results"]:
-        print(f"m{master}: {report.optimization_simulations} simulations (ceiling {ceiling})")
+        print(
+            f"m{master}: {report.optimization_simulations} simulations for "
+            f"{report.cases_scored} cases scored (budget {ceiling})"
+        )
         assert report.simulation_budget == ceiling
         assert report.optimization_simulations <= ceiling
         assert report.diagnostics["within_simulation_budget"]

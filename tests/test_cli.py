@@ -1,4 +1,5 @@
 import json
+import re
 
 from click.testing import CliRunner
 
@@ -120,6 +121,7 @@ def test_report_renders_run_directory(tmp_path):
     result = CliRunner().invoke(main, ["report", "--run", str(out)])
     assert result.exit_code == 0, result.output
     assert "stage 2 best accuracy" in result.output
+    assert re.search(r"\d+ simulations for \d+ cases scored \(budget \d+\)", result.output)
     assert (out / "report.txt").exists()
     assert (out / "saga_series.csv").exists()
 
@@ -166,4 +168,5 @@ def test_calibrate_command(tmp_path):
         result = CliRunner().invoke(main, ["calibrate", "--config", str(cfg_path)])
     assert result.exit_code == 0, result.output
     assert "stage 2 best accuracy" in result.output
+    assert re.search(r"\d+ simulations for \d+ cases scored \(budget \d+\)", result.output)
     assert (out / "report.json").exists()

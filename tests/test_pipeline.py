@@ -2,19 +2,25 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcalib import pipeline
-from avcalib.metrics import compute_traffic_mops, compute_vehicle_mops
+from avcalib.demo import recovery_scenario
+from avcalib.metrics import MopEntry, MopVector, compute_traffic_mops, compute_vehicle_mops
 from avcalib.fielddata import extract_events
 from avcalib.params import build_parameter_space
 from avcalib.pipeline import (
     CalibrationConfig,
     CandidateParam,
+    CaseEvaluator,
+    CaseOutcome,
     EvalContext,
     ExtractionConfig,
     PreprocessConfig,
@@ -240,7 +246,9 @@ def test_stage1_evaluates_at_most_the_design_and_recovers(micro_scenario):
     result = run_stage1(cfg, field)
     assert result.oa_runs == 4  # 2 levels, 1 factor -> L4 truncated to 1 column
     assert result.n_evaluated <= result.oa_runs
-    assert result.n_simulations == result.n_evaluated
+    # the truncated design repeats rows; each distinct case is simulated once
+    distinct = {tuple(sorted(c.values.items())) for c in result.cases}
+    assert result.n_simulations == len(distinct) < result.n_evaluated
     # truth sits mid-grid; the best case must be within one level step
     lo, hi = 700.0 * 0.8, 700.0 * 1.2
     level_step = hi - lo  # 2 levels
@@ -276,6 +284,130 @@ def test_stage2_freezes_stage1_inputs_and_selects_critical(micro_scenario):
     assert frozen_ids.isdisjoint(s2.critical_set)
     assert frozen_ids | set(s2.critical_set) == {c.id for c in cfg.stage2.candidates}
     assert set(s2.best_values) == set(s2.critical_set)
+
+
+# ---------------------------------------------------------------------------
+# case memo
+
+
+def _counting(monkeypatch, evaluate=evaluate_case):
+    """Route the evaluator's evaluate_case through a call log."""
+    calls = []
+
+    def counted(values, ctx):
+        calls.append(dict(values))
+        return evaluate(values, ctx)
+
+    monkeypatch.setattr(pipeline, "evaluate_case", counted)
+    return calls
+
+
+def test_evaluator_simulates_each_distinct_case_once(micro_scenario, monkeypatch):
+    _, ctx = _field_and_ctx(micro_scenario, stage=1)
+    batch = [{"E1": 600.0}, {"E1": 650.0}, {"E1": 600.0}, {"E1": 650.0}, {"E1": 600.0}]
+    direct = {v: evaluate_case({"E1": v}, ctx) for v in (600.0, 650.0)}
+    calls = _counting(monkeypatch)
+    outcomes = CaseEvaluator().evaluate_all(batch, ctx)
+    assert calls == [{"E1": 600.0}, {"E1": 650.0}]
+    assert [o.accuracy for o in outcomes] == [direct[v["E1"]].accuracy for v in batch]
+    assert [o.n_simulations for o in outcomes] == [1, 1, 0, 0, 0]
+    assert outcomes[2] == replace(outcomes[0], n_simulations=0)
+
+
+def _stub_ctx(scenario, **overrides):
+    return EvalContext(scenario=scenario, stage=2, field_mops=MopVector([MopEntry("x", 1.0)]),
+                       master_seed=0, **overrides)
+
+
+def test_evaluator_remembers_across_batches_of_one_run(micro_scenario, monkeypatch):
+    calls = _counting(monkeypatch, lambda values, ctx: CaseOutcome(0.5, None, True, 1, 0))
+    evaluator = CaseEvaluator()
+    ctx = _stub_ctx(micro_scenario)
+    evaluator.evaluate_all([{"E1": 600.0}], ctx)
+    again = evaluator.evaluate_all([{"E1": 650.0}, {"E1": 600.0}], ctx)
+    assert calls == [{"E1": 600.0}, {"E1": 650.0}]
+    assert [o.n_simulations for o in again] == [1, 0]
+    # a new evaluator, as each calibrate call makes, starts empty
+    CaseEvaluator().evaluate_all([{"E1": 600.0}], ctx)
+    assert len(calls) == 3
+
+
+def test_evaluator_key_covers_every_input(micro_scenario, monkeypatch):
+    calls = _counting(monkeypatch, lambda values, ctx: CaseOutcome(0.5, None, True, 1, 0))
+    ctx = _stub_ctx(micro_scenario)
+    variants = {
+        "scenario": replace(ctx.scenario, subject_desired_speed=31.0),
+        "stage": 1,
+        "field_mops": MopVector([MopEntry("x", 1.5)]),
+        "master_seed": 1,
+        "replications": 2,
+        "extraction": replace(ctx.extraction, cf_max_gap=61.0),
+        "per_road": True,
+    }
+    assert set(variants) == {f.name for f in fields(EvalContext)}
+    evaluator = CaseEvaluator()
+    values = {"background.cf.T": 1.5}
+    evaluator.evaluate_all([values], ctx)
+    for name, changed in variants.items():
+        n = len(calls)
+        evaluator.evaluate_all([values], replace(ctx, **{name: changed}))
+        assert len(calls) == n + 1, f"changing {name} reused an outcome"
+    n = len(calls)
+    evaluator.evaluate_all([{"background.cf.T": 1.6}], ctx)
+    assert len(calls) == n + 1
+    # IDM has no cc0: the case builds the same scenario and hits
+    with pytest.warns(UserWarning, match="cc0"):
+        out = evaluator.evaluate_all([{**values, "background.cf.cc0": 2.0}], ctx)
+    assert len(calls) == n + 1 and out[0].n_simulations == 0
+
+
+def _stub_evaluate(values, ctx):
+    """Deterministic in the applied scenario, and fast."""
+    scenario = apply_parameters(ctx.scenario, values)
+    x = scenario.entrance_inputs["E1"] + scenario.behavior["background"].car_following.T
+    return CaseOutcome(
+        accuracy=1.0 / x, mops=None, feasible=True,
+        n_simulations=ctx.replications, collisions=int(x) % 3,
+    )
+
+
+_STUB_SCENARIO = recovery_scenario()
+_STUB_T = get_parameter(_STUB_SCENARIO, "background.cf.T")
+# E1, T (unset or its default build the same scenario), and a cc0 IDM ignores
+_STUB_CASES = st.builds(
+    lambda e1, t, cc0: {"E1": e1, **t, **cc0},
+    st.sampled_from([200.0, 240.0, 280.0]),
+    st.sampled_from([{}, {"background.cf.T": _STUB_T}, {"background.cf.T": 1.7}]),
+    st.sampled_from([{}, {"background.cf.cc0": 1.0}]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(st.lists(_STUB_CASES, max_size=6), max_size=4),
+    replications=st.integers(1, 2),
+)
+def test_evaluator_matches_direct_evaluation(batches, replications):
+    ctx = _stub_ctx(_STUB_SCENARIO, replications=replications)
+    calls = []
+
+    def counted(values, ctx):
+        calls.append(values)
+        return _stub_evaluate(values, ctx)
+
+    evaluator = CaseEvaluator()
+    seen = set()
+    with warnings.catch_warnings(), mock.patch.object(pipeline, "evaluate_case", counted):
+        warnings.simplefilter("ignore")
+        for batch in batches:
+            outcomes = evaluator.evaluate_all(batch, ctx)
+            assert len(outcomes) == len(batch)
+            for values, out in zip(batch, outcomes):
+                key = (values["E1"], values.get("background.cf.T", _STUB_T))
+                expected = _stub_evaluate(values, ctx)
+                assert out == replace(expected, n_simulations=0 if key in seen else replications)
+                seen.add(key)
+    assert len(calls) == len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +456,15 @@ def test_calibrate_produces_consistent_report(micro_report):
     cfg, report, field = micro_report
     assert report.optimization_simulations <= report.simulation_budget
     assert report.total_simulations == report.optimization_simulations + 1
+    # the truncated stage-1 design repeats cases, which are scored but not
+    # simulated again
+    assert report.cases_scored == (
+        report.stage1.n_evaluated + len(report.stage2.phase1_cases)
+        + report.stage2.saga.n_evaluations
+    )
+    assert report.optimization_simulations < report.cases_scored
+    written = json.loads((Path(cfg.output_dir) / "report.json").read_text())
+    assert written["cases_scored"] == report.cases_scored
     assert report.diagnostics["within_simulation_budget"]
     assert np.isfinite(report.stage2.best_accuracy)
     d = report.to_dict()
@@ -341,8 +482,14 @@ def test_total_simulations_counts_simulator_runs(micro_scenario, monkeypatch):
         return run_scenario(cfg, sink)
 
     monkeypatch.setattr(pipeline, "run_scenario", counted_run)
-    report = calibrate(micro_calibration(micro_scenario), field_dataset=field)
-    assert report.total_simulations == len(calls)
+    totals = []
+    # the second call simulates every case again: the memo is per calibration
+    for _ in range(2):
+        calls.clear()
+        report = calibrate(micro_calibration(micro_scenario), field_dataset=field)
+        assert report.total_simulations == len(calls)
+        totals.append(len(calls))
+    assert totals[0] == totals[1] > 1
 
 
 def test_reported_best_re_evaluates_to_reported_accuracy(micro_report):
