@@ -86,20 +86,25 @@ def parse_field_data(
         def iget(row, name, line):
             return int(round(fget(row, name, line)))
 
-        # each record's fields, and its surroundings, one per row until the
-        # timestamp changes; every record is built once, at the end
-        parsed: list[tuple[dict, list[SurroundingObs]]] = []
+        records: list[DetectionRecord] = []
+        # the fields of the record being read, and its surroundings, one per
+        # row; the record is built once, when the timestamp changes
+        head: dict | None = None
+        surroundings: list[SurroundingObs] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < len(header):
                 raise RowError(line_no, f"expected {len(header)} fields, got {len(row)}")
             t = fget(row, "Timestamp", line_no)
-            if not parsed or t != parsed[-1][0]["timestamp"]:
+            if head is None or t != head["timestamp"]:
+                if head is not None:
+                    records.append(DetectionRecord(**head, surroundings=tuple(surroundings)))
+                    surroundings = []
                 extras = tuple(
                     (name, row[col[name]]) for name in extra_cols
                 )
-                parsed.append((dict(
+                head = dict(
                     timestamp=t,
                     road_name=row[col["Road name"]].strip(),
                     speed_limit_kmh=fget(row, "Speed limit", line_no),
@@ -111,10 +116,10 @@ def parse_field_data(
                     lane_id=iget(row, "Lane ID", line_no),
                     lane_distance=fget(row, "Lane distance", line_no),
                     extras=extras,
-                ), []))
+                )
             vid = row[col["Vehicle ID"]].strip()
             if vid:
-                parsed[-1][1].append(SurroundingObs(
+                surroundings.append(SurroundingObs(
                     vehicle_id=vid,
                     lane_id=iget(row, "Surrounding vehicle's Lane ID", line_no),
                     rel_longitudinal=fget(row, "Relative longitudinal position", line_no),
@@ -122,11 +127,11 @@ def parse_field_data(
                     speed_kmh=fget(row, "Absolute velocity", line_no),
                     heading_deg=fget(row, "Vehicle heading", line_no),
                 ))
+        if head is not None:
+            records.append(DetectionRecord(**head, surroundings=tuple(surroundings)))
     finally:
         if owned:
             stream.close()
-
-    records = [DetectionRecord(**head, surroundings=tuple(obs)) for head, obs in parsed]
 
     dataset = FieldDataset(
         records=tuple(records),
