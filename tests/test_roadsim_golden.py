@@ -5,8 +5,14 @@ the engine or of the car-following models must reproduce it bit for bit.
 The non-IDM families run a shortened showcase corridor with that family as
 the background model; the subject keeps its IDM agent. ``showcase-fine-step``
 runs the showcase corridor at the paper's 0.1 s step (the others use 0.2 s).
+``lane-drop`` narrows the showcase corridor (seed 2) from three lanes to
+two after its second link, so vehicles follow leaders across the drop and
+the ones left in the third lane are moved into the second;
+``lane-drop-pushback`` narrows the seed-0 corridor at a higher inflow, where
+vehicles overlap and are pushed back
+(every other golden run is collision-free).
 
-The detection digests pin the virtual detector's output on three of those
+The detection digests pin the virtual detector's output on five of those
 runs: a sha256 over the ``repr`` of every detection record and of the
 dataset's meta, so a numpy scalar reaching a record fails them too.
 
@@ -55,13 +61,26 @@ GOLDEN = {
     "showcase-krauss": "fb46f4bd8d4cb311ea717f0a927b71728b4a62405aa1df146b733ab5e29ffa17",
     "showcase-w99": "7b9c16450ecb54841c77c70e4f1593a5941ab654dcd414386c6f8181e9796d2f",
     "showcase-fine-step": "b2f84d8a2802752ad7048a0eb7fe2476c91115935625e204b25da121830a9b07",
+    "lane-drop": "43e11ed94540b8f689d059dd3dcae59a7e7cfa548941d892b50b6721de81e324",
+    "lane-drop-pushback": "057909f8b0d55bfeaf884ff6d1dd319db64299350672d5156a38482916a5d1ac",
 }
+
+COLLIDING = {"lane-drop-pushback"}
 
 DETECTION_GOLDEN = {
     "recovery": "35d95a8ba45c30cdfbe409dc28f6c577e0a109432d67c262b7384a0ccdb2c1f0",
     "showcase": "2398a7cc83255721e1866ab2a88fb730fbe8a4c98d8e231625b236ffe3c17e80",
     "showcase-fine-step": "3bc749cc99703b7f922dc41082f8e7441901fea29fa50d8213d101a4900c8621",
+    "lane-drop": "6d2924875fbfe18fec6c31f9f22d6be3878b8ddb049ded97b04bb9b8fd118361",
+    "lane-drop-pushback": "29462c6e3de6ba9bae141f0fc4bc1b3d19cc9a414484d8ae6f2cebb0b9fb5d76",
 }
+
+
+def _lane_drop(sc, inputs):
+    lanes = {"L1": 3, "L2": 3, "L3": 2, "L4": 2}
+    links = tuple(replace(link, lane_count=lanes[link.id]) for link in sc.network.links)
+    return replace(sc, network=replace(sc.network, links=links), entrance_inputs=inputs,
+                   total_time=300.0)
 
 
 def _scenario(name):
@@ -70,6 +89,11 @@ def _scenario(name):
     sc = showcase_scenario(0)
     if name == "showcase":
         return sc
+    if name == "lane-drop":
+        sc = showcase_scenario(2)
+        return _lane_drop(sc, sc.entrance_inputs)
+    if name == "lane-drop-pushback":
+        return _lane_drop(sc, {"E1": 1800.0, "E2": 600.0, "E3": 400.0, "E4": 450.0})
     if name == "showcase-fine-step":
         return replace(sc, time_step=0.1, total_time=250.0)
     model = BACKGROUND_MODELS[name.split("-", 1)[1]]
@@ -132,10 +156,29 @@ def test_golden_run_is_feasible_and_keeps_lanes(name):
         assert np.all(f.lanes <= lane_counts[f.link_idx])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - COLLIDING))
 def test_golden_run_has_no_collisions(name):
     _sc, log, _dataset = _run(name)
     assert log.collisions == []
+
+
+@pytest.mark.parametrize("name", sorted(COLLIDING))
+def test_colliding_golden_run_pushes_vehicles_back(name):
+    _sc, log, _dataset = _run(name)
+    assert len(log.collisions) >= 5
+
+
+def test_lane_drop_golden_run_moves_vehicles_out_of_the_lost_lane():
+    # vehicles still in lane 3 when they leave L2 continue in lane 2 of L3
+    _sc, log, _dataset = _run("lane-drop")
+    last = {}
+    moved = 0
+    for f in log.frames:
+        for vid, link_idx, lane in zip(f.ids.tolist(), f.link_idx.tolist(), f.lanes.tolist()):
+            if last.get(vid) == (1, 3) and (link_idx, lane) == (2, 2):
+                moved += 1
+            last[vid] = (link_idx, lane)
+    assert moved > 0
 
 
 @pytest.mark.parametrize("name", ["recovery", "showcase-fine-step"])
