@@ -16,12 +16,12 @@ step in ``TrajectoryLog.frames``; the virtual detector (``detector.py``) is
 a sink that stores nothing but its detection records. An exception raised
 by the sink ends the run. The log's step counters do not depend on the sink.
 
-A vehicle due a lane-change evaluation first gets its current-lane
-acceleration ``a_current`` (previous and leader acceleration 0). No side can
-pay off when ``max(max_free_accel(v, v_des, dt), -v/dt) - a_current`` is at
-most the advantage threshold, since no leader in a target lane can demand
-more than that bound; the vehicle then stays without a neighbour-lane scan.
-The skip is exact: the full evaluation would also decide to stay.
+A vehicle due a lane-change evaluation compares its sides with the
+acceleration ``a`` just decided for it in its current lane. No side can pay
+off when ``max(max_free_accel(v, v_des, dt), -v/dt) - a`` is at most the
+advantage threshold, since no leader in a target lane can demand more than
+that bound; the vehicle then stays without a neighbour-lane scan. The skip
+is exact: the full evaluation would also decide to stay.
 
 The lane index (``Simulation._lanes``) holds each (link, lane)'s vehicles
 sorted by position, a vehicle mid-lane-change in its origin and target lane
@@ -55,7 +55,6 @@ from .models import (
     CHANGE_RIGHT,
     STAY,
     NeighborView,
-    car_following_acceleration,
     lane_change_decision,
 )
 from .network import ScenarioConfig
@@ -614,21 +613,18 @@ class Simulation:
             direction = STAY
             if v.lc_start is None and t >= v.next_lc_check and t - v.lc_done_at >= LC_COOLDOWN:
                 v.next_lc_check = t + LC_CHECK_INTERVAL
-                leader = None if gap is None else (gap, lead.speed)
-                direction = self._evaluate_lane_change(v, leader, v_des, pending_targets)
+                direction = self._evaluate_lane_change(v, a, v_des, pending_targets)
             append((v, a, direction))
         return decisions
 
-    def _evaluate_lane_change(self, v, current_leader, v_des, pending):
-        """Lane-change decision for `v`; STAY without scanning the
-        neighbour lanes when no side can pay off (see the module docstring)."""
+    def _evaluate_lane_change(self, v, a_current, v_des, pending):
+        """Lane-change decision for `v`, whose current-lane acceleration is
+        `a_current`; STAY without scanning the neighbour lanes when no side
+        can pay off (see the module docstring)."""
         dt = self.dt
         cf_model = self._cf_spec[v.kind]
         params = self._lc_spec[v.kind]
         speed = v.speed
-        a_current = car_following_acceleration(
-            cf_model, speed, current_leader, dt, desired_speed=v_des
-        )
         bound = cf_model.max_free_accel(speed, v_des, dt)
         floor = -speed / dt
         if floor > bound:
@@ -651,16 +647,18 @@ class Simulation:
                 lead, dist_f = self._leader_in_lane(v.link_idx, lane, arc, exclude=v)
                 fol, dist_r = self._follower_in_lane(v.link_idx, lane, arc, exclude=v)
                 leader = follower = None
+                leader_accel = 0.0
                 if lead is not None:
                     leader = (max(dist_f - (v.length + lead.length) / 2.0, 0.01), lead.speed)
+                    leader_accel = lead.accel
                 if fol is not None:
                     follower = (max(dist_r - (v.length + fol.length) / 2.0, 0.01), fol.speed)
-                sides[name] = NeighborView(leader=leader, follower=follower)
+                sides[name] = NeighborView(leader, follower, leader_accel)
         if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
             return STAY
         return lane_change_decision(
             speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
-            params, cf_model, dt=dt, desired_speed=v_des,
+            params, cf_model, dt=dt, desired_speed=v_des, prev_accel=v.accel,
         )
 
     def _apply(self, decisions):

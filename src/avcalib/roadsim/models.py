@@ -11,11 +11,12 @@ MODEL_CLASSES, that carries the whole model interface:
   ``car_following_acceleration`` adds the gap check and the clamp that
   keeps the speed non-negative after one step.
 * ``max_free_accel(v, v_des, dt)`` bounds ``accel`` from above over every
-  possible leader, with ``prev_accel = 0``: the free-road value for IDM,
-  Gipps and Krauss, that value or 0 for W99, whose interaction regimes
-  never accelerate then, and infinity for FVD, whose speed-difference term
-  has no bound. A lane change cannot pay off when this bound, clamped like
-  ``accel``, is no more than the threshold above the current-lane value.
+  possible leader and previous acceleration: the free-road value for IDM,
+  Gipps and Krauss; for W99 the larger of that value and, below the desired
+  speed, the following regime's ``cc7``; infinity for FVD, whose
+  speed-difference term has no bound. A lane change cannot pay off when
+  this bound, clamped like ``accel``, is no more than the threshold above
+  the current-lane value.
 * ``desired_speed`` is the model's own target speed in m/s; None (W99)
   means the link speed limit.
 * ``spawn_gap`` is the smallest clear gap, in m, the simulation keeps ahead
@@ -286,10 +287,13 @@ class W99Params:
         return min(0.0, v_des - v)
 
     def max_free_accel(self, v, v_des, dt):
-        # with prev_accel = 0 the emergency, approaching and following
-        # regimes never accelerate, and the free regime is capped by the
-        # leaderless value
-        return max(self.accel(v, None, 0.0, v_des, 0.0, 0.0, dt), 0.0)
+        # the emergency and approaching regimes never accelerate, the
+        # following regime gives at most cc7 below v_des (after a positive
+        # prev_accel) and 0 at or above it, and the free regime is capped by
+        # the leaderless value
+        if v < v_des:
+            return max(self._free_accel(v), self.cc7)
+        return 0.0
 
 
 CarFollowingParams = Union[IdmParams, GippsParams, FvdParams, KraussParams, W99Params]
@@ -312,13 +316,14 @@ def car_following_acceleration(
     dt: float = 0.1,
     desired_speed: Optional[float] = None,
     leader_accel: float = 0.0,
+    prev_accel: float = 0.0,
 ) -> float:
     """Acceleration demanded by `model` for a follower at `speed` m/s.
 
     leader is (bumper gap m, leader speed m/s) or None for free flow.
     desired_speed overrides the model's own target speed and is mandatory
-    for W99, which has none. The follower's previous acceleration is taken
-    as zero.
+    for W99, which has none. prev_accel is the follower's acceleration over
+    the last step.
 
     The returned value is finite and never brakes the vehicle below zero
     speed within one step of length dt.
@@ -334,7 +339,7 @@ def car_following_acceleration(
     v_des = desired_speed if desired_speed is not None else model.desired_speed
     if v_des is None:
         raise ValueError("this model carries no desired speed; pass desired_speed")
-    a = model.accel(v, gap, v_leader, v_des, 0.0, leader_accel, dt)
+    a = model.accel(v, gap, v_leader, v_des, prev_accel, leader_accel, dt)
 
     # never integrate into negative speed
     return max(a, -v / dt)
@@ -359,10 +364,12 @@ class LaneChangeParams:
 @dataclass(frozen=True)
 class NeighborView:
     """Gap and speed of the closest vehicles in one candidate lane; None
-    means no vehicle there (infinite gap)."""
+    means no vehicle there (infinite gap). leader_accel is the leader's
+    acceleration over the last step."""
 
     leader: Optional[tuple[float, float]] = None
     follower: Optional[tuple[float, float]] = None
+    leader_accel: float = 0.0
 
 
 STAY = "stay"
@@ -379,7 +386,7 @@ def _braking_needed(v_rear: float, v_front: float, clear_gap: float) -> float:
 
 
 def _side_evaluation(v, a_current, side: NeighborView, p: LaneChangeParams,
-                     cf_model, dt, desired_speed):
+                     cf_model, dt, desired_speed, prev_accel):
     front_min = p.min_headway_front * p.safe_dist_reduction
     rear_min = p.min_headway_rear * p.safe_dist_reduction
     if side.leader is not None:
@@ -397,7 +404,8 @@ def _side_evaluation(v, a_current, side: NeighborView, p: LaneChangeParams,
         if induced < p.max_decel_trailing:
             return False, 0.0
     a_target = car_following_acceleration(
-        cf_model, v, side.leader, dt, desired_speed=desired_speed
+        cf_model, v, side.leader, dt, desired_speed=desired_speed,
+        leader_accel=side.leader_accel, prev_accel=prev_accel,
     )
     advantage = a_target - a_current
     return advantage > p.advantage_threshold, advantage
@@ -412,13 +420,15 @@ def lane_change_decision(
     cf_model: CarFollowingParams,
     dt: float = 0.1,
     desired_speed: Optional[float] = None,
+    prev_accel: float = 0.0,
 ) -> str:
     """Gap-acceptance lane-change decision for a vehicle at `speed` m/s.
 
-    a_current is its acceleration in the current lane, as
-    car_following_acceleration gives it for the current leader (previous
-    and leader acceleration 0). left/right are None when that side has no
-    lane. A side is taken only if it is safe (headway margins hold and
+    a_current is its acceleration in the current lane, as the simulation
+    decided it this step. left/right are None when that side has no lane.
+    The acceleration behind a target-lane leader is the car-following value
+    with the vehicle's previous acceleration `prev_accel` and the leader's
+    ``leader_accel``, as in the current lane. A side is taken only if it is safe (headway margins hold and
     neither the target follower nor the vehicle itself would need to brake
     beyond the configured bounds) and offers an acceleration advantage
     above the threshold. With both sides eligible the larger advantage
@@ -427,11 +437,15 @@ def lane_change_decision(
     v = float(speed)
     candidates = []
     if right is not None:
-        ok, adv = _side_evaluation(v, a_current, right, params, cf_model, dt, desired_speed)
+        ok, adv = _side_evaluation(
+            v, a_current, right, params, cf_model, dt, desired_speed, prev_accel
+        )
         if ok:
             candidates.append((adv, 1, CHANGE_RIGHT))
     if left is not None:
-        ok, adv = _side_evaluation(v, a_current, left, params, cf_model, dt, desired_speed)
+        ok, adv = _side_evaluation(
+            v, a_current, left, params, cf_model, dt, desired_speed, prev_accel
+        )
         if ok:
             candidates.append((adv, 0, CHANGE_LEFT))
     if not candidates:

@@ -59,7 +59,7 @@ GOLDEN = {
     "showcase-gipps": "0a2d9efc1d2eff018be2f2f8afc4d4fd27731666b2600c8574e358e6c78be740",
     "showcase-fvd": "c1a1c399eba8356abcb1e63cc7d52942ad51935d5a9ea2ee0916ecc0f91c440a",
     "showcase-krauss": "fb46f4bd8d4cb311ea717f0a927b71728b4a62405aa1df146b733ab5e29ffa17",
-    "showcase-w99": "7b9c16450ecb54841c77c70e4f1593a5941ab654dcd414386c6f8181e9796d2f",
+    "showcase-w99": "442bf420ac7aa99e8dd280c944f6bb7a87fcf80af0450a16b658dc47f44a1597",
     "showcase-fine-step": "b2f84d8a2802752ad7048a0eb7fe2476c91115935625e204b25da121830a9b07",
     "lane-drop": "43e11ed94540b8f689d059dd3dcae59a7e7cfa548941d892b50b6721de81e324",
     "lane-drop-pushback": "057909f8b0d55bfeaf884ff6d1dd319db64299350672d5156a38482916a5d1ac",

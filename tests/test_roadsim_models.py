@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avcalib.roadsim import (
@@ -279,18 +279,28 @@ def test_insufficient_advantage_stays():
 
 @settings(max_examples=400, deadline=None)
 @given(
-    model=st.sampled_from(ALL_MODELS),
+    # a W99 driver whose following oscillation cc7 exceeds its free
+    # acceleration: its bound must cover the following regime
+    model=st.sampled_from(ALL_MODELS + [W99Params(cc7=4.0)]),
     v=st.floats(0.0, 45.0),
     gap=st.floats(0.01, 400.0),
     v_leader=st.floats(0.0, 45.0),
     leader_accel=st.floats(-10.0, 5.0),
+    prev_accel=st.floats(-10.0, 5.0),
     v_des=st.floats(0.5, 45.0),
     dt=st.floats(0.01, 1.0),
 )
-def test_max_free_accel_bounds_every_leader(model, v, gap, v_leader, leader_accel, v_des, dt):
+@example(  # W99's following regime after a positive prev_accel: +cc7
+    model=W99Params(cc7=4.0), v=10.0, gap=12.0, v_leader=10.0, leader_accel=0.0,
+    prev_accel=1.0, v_des=20.0, dt=0.1,
+)
+def test_max_free_accel_bounds_every_leader(
+    model, v, gap, v_leader, leader_accel, prev_accel, v_des, dt
+):
     bound = max(model.max_free_accel(v, v_des, dt), -v / dt)
     a = car_following_acceleration(
-        model, v, (gap, v_leader), dt, desired_speed=v_des, leader_accel=leader_accel
+        model, v, (gap, v_leader), dt, desired_speed=v_des, leader_accel=leader_accel,
+        prev_accel=prev_accel,
     )
     assert a <= bound
 
