@@ -664,7 +664,8 @@ class Simulation:
     def _apply(self, decisions):
         """Integrate every vehicle one step, advance its lane-change ramp and
         move it across link ends; a vehicle leaving the route's last link
-        despawns."""
+        despawns. At a lane drop a vehicle in a lost lane moves into the
+        last lane left, and a change toward a lost lane ends there."""
         dt = self.dt
         t = self.time
         t_next = t + dt
@@ -725,7 +726,13 @@ class Simulation:
                     break
                 v.pos -= lengths[v.link_idx]
                 v.link_idx += 1
-                v.lane = min(v.lane, route[v.link_idx].lane_count)
+                lanes_here = route[v.link_idx].lane_count
+                v.lane = min(v.lane, lanes_here)
+                if v.lc_start is not None and v.lc_to > lanes_here:
+                    # the target lane ends here: the change ends with it
+                    v.lc_start = None
+                    v.lc_done_at = t_next
+                    v.lat = v.lat_rate = 0.0
             if v.link_idx >= 0:
                 survivors.append(v)
         self.vehicles = survivors

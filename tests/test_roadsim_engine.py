@@ -16,7 +16,7 @@ from avcalib.roadsim import (
     Simulation,
     run_scenario,
 )
-from avcalib.roadsim.engine import KIND_SUBJECT
+from avcalib.roadsim.engine import KIND_SUBJECT, LC_DURATION
 
 from test_roadsim_models import idm_equilibrium_gap
 
@@ -350,3 +350,40 @@ def test_collisions_are_reported_in_lane_order_and_from_the_rear():
         (2, placed[2][0], placed[2][1]),
         (3, placed[3][0], placed[3][1]),
     ]
+
+
+@pytest.mark.parametrize("pos", [190.0, 170.0])
+def test_lane_change_toward_a_lost_lane_ends_at_the_drop(pos):
+    # a vehicle changing into lane 3 reaches a 3 -> 2 lane drop before
+    # (190 m) or after (170 m) the midpoint of its change: the change ends
+    # where lane 3 does, and no vehicle is ever in a lane its link lacks
+    net = RoadNetwork(
+        links=(
+            Link(id="A", length=200.0, lane_count=3, speed_limit=72.0, downstream="B"),
+            Link(id="B", length=1000.0, lane_count=2, speed_limit=72.0),
+        ),
+        entrances=(Entrance(id="E1", link="A"),),
+        subject_route=("A", "B"),
+    )
+    cfg = ScenarioConfig(
+        network=net,
+        entrance_inputs={"E1": 0.0},
+        behavior={"background": BehaviorSpec(IdmParams(), LaneChangeParams())},
+        total_time=6.0,
+        warmup_time=5.0,
+        time_step=0.1,
+        seed=0,
+    )
+    sim = Simulation(cfg)
+    changer = sim.add_vehicle(lane=2, pos=pos, speed=15.0)
+    changer.lc_start, changer.lc_from, changer.lc_to = 0.0, 2, 3
+    sim.run()
+    lane_counts = np.asarray(sim.log.route_lane_counts)
+    on_b = []
+    for f in sim.log.frames:
+        assert np.all(f.lanes <= lane_counts[f.link_idx])
+        row = np.nonzero(f.ids == changer.vid)[0][0]
+        if f.link_idx[row] == 1:
+            on_b.append((f.time, f.lanes[row], f.lat[row]))
+    assert 0.0 < on_b[0][0] < LC_DURATION
+    assert all(lane == 2 and lat == 0.0 for _t, lane, lat in on_b)
