@@ -6,6 +6,11 @@ its own state plus every surrounding vehicle inside the detection window.
 Values are stored in the units the CSV schema uses (speeds in km/h);
 converted m/s views are exposed as properties so parsing and re-exporting a
 file is lossless.
+
+``SurroundingObs`` and ``DetectionRecord`` are slotted, not frozen: the
+virtual detector builds one per vehicle and step, and a frozen dataclass
+costs several times as much to build. Nothing mutates or hashes them; they
+compare by value.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ DETECTION_COLUMNS = (
 SURROUNDING_COLUMNS = DETECTION_COLUMNS[10:]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SurroundingObs:
     """One surrounding vehicle as seen from the subject.
 
@@ -62,7 +67,7 @@ class SurroundingObs:
         return self.speed_kmh * KMH_TO_MS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DetectionRecord:
     timestamp: float
     road_name: str

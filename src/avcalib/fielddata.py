@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .detection import (
@@ -321,15 +321,7 @@ def preprocess(
         if subj_speed[idx] == rec.speed_kmh and new_surr == rec.surroundings:
             records.append(rec)
         else:
-            records.append(
-                DetectionRecord(
-                    **{
-                        **rec.__dict__,
-                        "speed_kmh": subj_speed[idx],
-                        "surroundings": new_surr,
-                    }
-                )
-            )
+            records.append(replace(rec, speed_kmh=subj_speed[idx], surroundings=new_surr))
     out = FieldDataset(records=tuple(records), meta=dataset.meta)
     return out.with_meta(preprocessed=True, n_interpolated=n_fixed)
 

@@ -6,20 +6,26 @@ detection record per step from them, storing nothing else. A background
 vehicle is visible when its position along the route arc falls inside the
 detection window around the subject; positions are reported front-positive /
 left-positive and speeds in km/h, matching the field-data schema bit for
-bit. Every value is a plain Python float or int.
+bit. Every value is a plain Python float or int: the engine's state already
+is (its golden tests check that), so the values go into the records as they
+are.
 
-The first live step without the subject raises ``MissingSubjectError``,
-which ends the run. ``virtual_detector_sample`` turns the records of a
+The detector reads the subject from ``sim.subject``; the first live step
+without one raises ``MissingSubjectError``, which ends the run. ``virtual_detector_sample`` turns the records of a
 finished run into a validated ``FieldDataset``.
 """
 
 from __future__ import annotations
 
 from ..detection import DatasetMeta, DetectionRecord, FieldDataset, SurroundingObs
-from .engine import KIND_SUBJECT, LANE_WIDTH, MissingSubjectError, heading_deg
+import operator
+
+from .engine import LANE_WIDTH, MissingSubjectError, heading_deg
 from .network import ScenarioConfig
 
 MS_TO_KMH = 3.6
+
+_vid_of_hit = operator.itemgetter(0)
 
 
 def _lane_distance(lat: float) -> float:
@@ -46,8 +52,7 @@ class VirtualDetector:
         cfg = self.config
         if t < cfg.warmup_time:
             return
-        vehicles = sim.vehicles
-        subject = next((v for v in vehicles if v.kind == KIND_SUBJECT), None)
+        subject = sim.subject
         if subject is None:
             raise MissingSubjectError(
                 f"no subject vehicle in frame at t={t}; "
@@ -56,46 +61,46 @@ class VirtualDetector:
             )
         rear, front = cfg.detection_range
         offsets = self.offsets
-        s_link = int(subject.link_idx)
-        s_arc = offsets[s_link] + float(subject.pos)
-        s_lane = int(subject.lane)
-        s_lat = float(subject.lat)
-        s_speed = float(subject.speed)
+        s_link = subject.link_idx
+        s_arc = offsets[s_link] + subject.pos
+        s_lane = subject.lane
+        s_lat = subject.lat
+        s_speed = subject.speed
 
         visible = []
-        for v in vehicles:
-            if v.kind == KIND_SUBJECT:
+        for v in sim.vehicles:
+            if v is subject:
                 continue
             rel = offsets[v.link_idx] + v.pos - s_arc
             if rear <= rel <= front:
-                visible.append((int(v.vid), rel, v))
-        visible.sort(key=lambda hit: hit[0])
-        obs = tuple(
+                visible.append((v.vid, rel, v))
+        visible.sort(key=_vid_of_hit)
+        obs = tuple([
             SurroundingObs(
-                vehicle_id=str(vid),
-                lane_id=int(v.lane),
-                rel_longitudinal=float(rel),
-                rel_lateral=(int(v.lane) - s_lane) * LANE_WIDTH + (float(v.lat) - s_lat),
-                speed_kmh=float(v.speed) * MS_TO_KMH,
-                heading_deg=float(heading_deg(v)),
+                str(vid),
+                v.lane,
+                rel,
+                (v.lane - s_lane) * LANE_WIDTH + (v.lat - s_lat),
+                v.speed * MS_TO_KMH,
+                heading_deg(v) if v.lat_rate else 0.0,  # 0 when not moving sideways
             )
             for vid, rel, v in visible
-        )
+        ])
 
         link = self.links[s_link]
         self.records.append(
             DetectionRecord(
-                timestamp=float(t),
-                road_name=link.id,
-                speed_limit_kmh=link.speed_limit,
-                speed_kmh=s_speed * MS_TO_KMH,
-                yaw_rate=float(subject.lat_rate) / max(s_speed, 0.1),
-                longitude=float(s_arc),
-                latitude=0.0,
-                acceleration=float(subject.accel),
-                lane_id=s_lane,
-                lane_distance=_lane_distance(s_lat),
-                surroundings=obs,
+                float(t),
+                link.id,
+                link.speed_limit,
+                s_speed * MS_TO_KMH,
+                subject.lat_rate / max(s_speed, 0.1),
+                s_arc,
+                0.0,
+                subject.accel,
+                s_lane,
+                _lane_distance(s_lat),
+                obs,
             )
         )
 

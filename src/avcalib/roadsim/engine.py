@@ -3,18 +3,21 @@
 Vehicles live on the subject-route link chain. Each step runs synchronously
 from a pre-step snapshot, in this order: insert the subject (at the end of
 warm-up) and queued arrivals; count the step on the log and hand the
-simulation to the run's sink; take car-following and lane-change decisions
-for every vehicle against the snapshot; integrate once (explicit Euler,
-speed clamped at zero) and move each vehicle across link ends; build the
-lane index; push back overlapping vehicles. Lane changes flip the lane index
-at the midpoint of a fixed-duration lateral ramp so the lateral offset stays
+simulation to the run's sink; find every vehicle's leader in one pass over
+the lane index, then take car-following and lane-change decisions for every
+vehicle against the snapshot; integrate once (explicit Euler, speed clamped
+at zero), move each vehicle across link ends and file it in the new lane
+index; push back overlapping vehicles. Lane changes flip the lane index at
+the midpoint of a fixed-duration lateral ramp so the lateral offset stays
 continuous for the detection output.
 
 A sink is a callable that takes the Simulation once per step and reads the
 live vehicle state. ``record_frame``, the default, stores a ``Frame`` per
 step in ``TrajectoryLog.frames``; the virtual detector (``detector.py``) is
-a sink that stores nothing but its detection records. An exception raised
-by the sink ends the run. The log's step counters do not depend on the sink.
+a sink that stores nothing but its detection records and reads the subject
+from ``Simulation.subject`` (set at its insertion, None once it despawns).
+An exception raised by the sink ends the run. The log's counters do not
+depend on the sink.
 
 A vehicle due a lane-change evaluation compares its sides with the
 acceleration ``a`` just decided for it in its current lane. No side can pay
@@ -24,10 +27,20 @@ that bound; the vehicle then stays without a neighbour-lane scan. The skip
 is exact: the full evaluation would also decide to stay.
 
 The lane index (``Simulation._lanes``) holds each (link, lane)'s vehicles
-sorted by position, a vehicle mid-lane-change in its origin and target lane
-too. It is built once per step, after the link moves, and again only after
-a collision pushback; it serves collision resolution and the next step's
-insertions, which add to it in place, and decisions.
+sorted by position, ties in filing order, a vehicle mid-lane-change in its
+origin and target lane too. One routine, ``_file``, puts a vehicle in it:
+``_apply`` files each vehicle as it settles after its move, the insertions
+add to it in place, and only a collision pushback files every vehicle
+again. It serves collision resolution, the insertions and the next step's
+decisions.
+
+The leader pass walks the index once per step. A vehicle's leader
+(``lead``, at centre distance ``lead_d``) is the next member of its group;
+the last member of a group looks downstream along its lane's chain of
+(link, lane) groups, worked out once per (link, lane): the lane id, capped
+at each link's lane count, for up to ``LOOKAHEAD_LINKS`` links (see
+``_leader_in_lane``). A vehicle in two lanes keeps the nearer leader, the
+group met first on a tie.
 
 Everything is driven by one seeded generator per entrance plus the scenario
 seed, so an identical ScenarioConfig reproduces the run bit for bit.
@@ -40,11 +53,11 @@ result but make every operation of the step loop several times slower.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import math
 import operator
+from bisect import bisect_left, insort_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,10 +101,16 @@ class MissingSubjectError(RuntimeError):
 
 
 class Vehicle:
+    """One vehicle's state. ``lead``/``lead_d`` are set by the step's leader
+    pass; ``cf``, ``v_des``, ``free_bound`` and ``lc_threshold`` are its
+    model's ``accel``, ``desired_speed``, ``max_free_accel`` and lane-change
+    advantage threshold, set when the simulation adds it."""
+
     __slots__ = (
         "vid", "kind", "link_idx", "lane", "pos", "lat", "speed", "accel",
         "length", "factor", "lc_start", "lc_from", "lc_to",
         "lc_switched", "lc_done_at", "next_lc_check", "lat_rate", "fixed",
+        "lead", "lead_d", "cf", "v_des", "free_bound", "lc_threshold",
     )
 
     def __init__(self, vid, kind, link_idx, lane, pos, speed, length, factor, fixed=False):
@@ -113,6 +132,8 @@ class Vehicle:
         self.next_lc_check = 0.0
         self.lat_rate = 0.0
         self.fixed = fixed
+        self.lead = None
+        self.lead_d = math.inf
 
 
 @dataclass(frozen=True)
@@ -174,7 +195,9 @@ class TrajectoryLog:
 
     The counters count every step the engine handed to its sink: ``steps``
     and ``vehicle_steps`` (vehicles present, summed over steps), and the
-    same for the live steps after warm-up."""
+    same for the live steps after warm-up; ``lc_evaluations``, the
+    lane-change evaluations due, and ``lc_scans``, those the exact skip
+    did not settle, which scan the neighbour lanes."""
 
     time_step: float
     warmup_time: float
@@ -193,6 +216,8 @@ class TrajectoryLog:
     vehicle_steps: int = 0
     live_steps: int = 0
     live_vehicle_steps: int = 0
+    lc_evaluations: int = 0
+    lc_scans: int = 0
 
     @property
     def collision_count(self) -> int:
@@ -303,9 +328,12 @@ class Simulation:
         subj = config.subject_behavior()
         self._cf_spec = {KIND_BACKGROUND: bg.car_following, KIND_SUBJECT: subj.car_following}
         self._lc_spec = {KIND_BACKGROUND: bg.lane_change, KIND_SUBJECT: subj.lane_change}
-        self._cf_call = {k: m.accel for k, m in self._cf_spec.items()}
-        self._model_vdes = {k: m.desired_speed for k, m in self._cf_spec.items()}
+        self._behavior = {
+            k: (m.accel, m.desired_speed, m.max_free_accel, self._lc_spec[k].advantage_threshold)
+            for k, m in self._cf_spec.items()
+        }
         self._spawn_gap = bg.car_following.spawn_gap
+        self._ahead, self._behind = self._lane_chains()
 
         self.dt = config.time_step
         self.n_steps = int(round(config.total_time / config.time_step))
@@ -313,7 +341,8 @@ class Simulation:
         self.time = 0.0
         self.step_index = 0
         self.vehicles: list[Vehicle] = []
-        self._lanes: dict[tuple[int, int], list[Vehicle]] = {}  # see _lane_map
+        self.subject: Vehicle | None = None
+        self._lanes: dict[tuple[int, int], list[Vehicle]] = {}  # see _file
         self.next_vid = 1
 
         self._rngs = {
@@ -364,54 +393,92 @@ class Simulation:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _lane_map(self):
-        """Vehicles per (link, lane), position-sorted, ties in list order. A
-        vehicle mid-lane-change occupies its origin and target lane too, so
-        gap checks respect it on either side."""
-        groups: dict[tuple[int, int], list[Vehicle]] = {}
-        for v in self.vehicles:
-            lanes = (v.lane,) if v.lc_start is None else {v.lane, v.lc_from, v.lc_to}
-            for lane in lanes:
-                groups.setdefault((v.link_idx, lane), []).append(v)
-        for g in groups.values():
-            g.sort(key=_pos)
-        return groups
+    def _lane_chains(self):
+        """For each (link, lane), with lanes up to the route's widest link:
+        the (link, lane, offset) groups that ``_leader_in_lane`` walks
+        downstream and ``_follower_in_lane`` walks upstream."""
+        route = self.route
+        n = len(route)
+        widest = max(l.lane_count for l in route)
+        ahead, behind = {}, {}
+        for link_idx in range(n):
+            for lane in range(1, widest + 1):
+                chain = []
+                lanes_here = lane
+                for j in range(link_idx, min(link_idx + LOOKAHEAD_LINKS + 1, n)):
+                    lanes_here = min(lanes_here, route[j].lane_count)
+                    chain.append((j, lanes_here, self.offsets[j]))
+                ahead[link_idx, lane] = tuple(chain)
+                # upstream links in this chain keep lane ids
+                chain = [(link_idx, lane, self.offsets[link_idx])]
+                for j in range(link_idx - 1, max(link_idx - LOOKAHEAD_LINKS - 1, -1), -1):
+                    if lane > route[j].lane_count:
+                        break
+                    chain.append((j, lane, self.offsets[j]))
+                behind[link_idx, lane] = tuple(chain)
+        return ahead, behind
+
+    def _file(self, v: Vehicle) -> None:
+        """Put `v` in the lane index after any members at equal pos, and
+        clear its leader for the next leader pass. A vehicle mid-lane-change
+        occupies its origin and target lane too, so gap checks respect it on
+        either side."""
+        v.lead = None
+        v.lead_d = math.inf
+        lanes = self._lanes
+        for lane in (v.lane,) if v.lc_start is None else {v.lane, v.lc_from, v.lc_to}:
+            group = lanes.get((v.link_idx, lane))
+            if group is None:
+                lanes[v.link_idx, lane] = [v]
+            else:
+                insort_right(group, v, key=_pos)
 
     def _add(self, veh: Vehicle) -> None:
-        """Append a new vehicle, and put it in the lane index after any
-        members at equal pos, where a fresh _lane_map would place it."""
+        """Append a new vehicle with its model's behaviour and file it."""
+        veh.cf, veh.v_des, veh.free_bound, veh.lc_threshold = self._behavior[veh.kind]
         self.vehicles.append(veh)
-        group = self._lanes.setdefault((veh.link_idx, veh.lane), [])
-        bisect.insort_right(group, veh, key=_pos)
+        self._file(veh)
 
     def _leader_in_lane(self, link_idx, lane, arc, exclude=None):
         """Closest vehicle at or ahead of arc position `arc` in the given
-        lane, following the chain downstream; a vehicle exactly abreast is a
-        leader at distance 0. Returns (vehicle, center_distance)."""
-        lanes_here = lane
-        for j in range(link_idx, min(link_idx + LOOKAHEAD_LINKS + 1, len(self.route))):
-            lanes_here = min(lanes_here, self.route[j].lane_count)
-            for cand in self._lanes.get((j, lanes_here), ()):  # sorted by pos
-                if cand is exclude:
-                    continue
-                c_arc = self.offsets[j] + cand.pos
-                if c_arc >= arc:
-                    return cand, c_arc - arc
+        lane, following the chain downstream (the lane id capped at each
+        link's lane count); a vehicle exactly abreast is a leader at
+        distance 0. Returns (vehicle, center_distance)."""
+        return self._first_ahead(self._ahead[link_idx, lane], arc, exclude)
+
+    def _first_ahead(self, chain, arc, exclude):
+        """The first vehicle but `exclude` at or ahead of `arc` in the groups
+        of `chain`, and its distance; (None, inf) if there is none."""
+        lanes = self._lanes
+        for j, lane_here, offset in chain:
+            group = lanes.get((j, lane_here))
+            if not group:
+                continue
+            i = 0
+            if offset + group[0].pos < arc:
+                # offset + pos never decreases with pos, so bisect is exact
+                i = bisect_left(group, arc, 1, key=lambda c: offset + c.pos)
+            if i < len(group) and group[i] is exclude:
+                i += 1
+            if i < len(group):
+                cand = group[i]
+                return cand, offset + cand.pos - arc
         return None, math.inf
 
     def _follower_in_lane(self, link_idx, lane, arc, exclude=None):
-        lanes_here = lane
-        for j in range(link_idx, max(link_idx - LOOKAHEAD_LINKS - 1, -1), -1):
-            if j < link_idx:
-                lanes_here = lane  # upstream links in this chain keep lane ids
-                if lane > self.route[j].lane_count:
-                    break
-            for cand in reversed(self._lanes.get((j, lanes_here), ())):
-                if cand is exclude:
-                    continue
-                c_arc = self.offsets[j] + cand.pos
-                if c_arc < arc:
-                    return cand, arc - c_arc
+        """Closest vehicle behind arc position `arc` in the given lane, up
+        the chain of upstream links that have the lane. Returns (vehicle,
+        center_distance)."""
+        lanes = self._lanes
+        for j, lane_here, offset in self._behind[link_idx, lane]:
+            group = lanes.get((j, lane_here))
+            if group:
+                i = bisect_left(group, arc, key=lambda c: offset + c.pos) - 1
+                if i >= 0 and group[i] is exclude:
+                    i -= 1
+                if i >= 0:
+                    cand = group[i]
+                    return cand, arc - (offset + cand.pos)
         return None, math.inf
 
     # -- spawning -----------------------------------------------------------
@@ -526,31 +593,13 @@ class Simulation:
         )
         veh.next_lc_check = self.time
         self._add(veh)
+        self.subject = veh
         self.log.spawns.append(
             SpawnEvent(time=self.time, vehicle_id=SUBJECT_VID, entrance="",
                        link=link.id, lane=lane)
         )
 
     # -- per-step dynamics --------------------------------------------------
-
-    def _leader_table(self):
-        """Per-vehicle nearest leader over every lane the vehicle occupies,
-        built in one pass over the lane index."""
-        best: dict[Vehicle, tuple] = {}
-        for (li, lane), group in self._lanes.items():
-            n = len(group)
-            for i, v in enumerate(group):
-                if i + 1 < n:
-                    cand = group[i + 1]
-                    d = cand.pos - v.pos
-                else:
-                    cand, d = self._leader_in_lane(li, lane, self.offsets[li] + v.pos, exclude=v)
-                if cand is None:
-                    continue
-                cur = best.get(v)
-                if cur is None or d < cur[1]:
-                    best[v] = (cand, d)
-        return best
 
     def add_vehicle(self, link_idx=0, lane=1, pos=10.0, speed=0.0, kind=KIND_BACKGROUND,
                     fixed=False, factor=1.0):
@@ -569,22 +618,46 @@ class Simulation:
         )
         if kind == KIND_BACKGROUND:
             self.next_vid += 1
+        else:
+            self.subject = veh
         self._add(veh)
         return veh
+
+    def _find_leaders(self):
+        """The leader pass: set every vehicle's ``lead`` and ``lead_d`` from
+        the lane index (see the module docstring)."""
+        offsets = self.offsets
+        ahead = self._ahead
+        first_ahead = self._first_ahead
+        for key, group in self._lanes.items():
+            rear = group[0]
+            for front in group[1:]:
+                d = front.pos - rear.pos
+                if d < rear.lead_d:
+                    rear.lead = front
+                    rear.lead_d = d
+                rear = front
+            # the last member: no other member of its group is at or ahead
+            # of it unless its arc ties with the one before it, so its
+            # chain starts at the next link
+            link_idx, lane = key
+            offset = offsets[link_idx]
+            arc = offset + rear.pos
+            chain = ahead[key]
+            if chain[0][1] == lane and (len(group) < 2 or offset + group[-2].pos < arc):
+                chain = chain[1:]
+            front, d = first_ahead(chain, arc, rear)
+            if d < rear.lead_d:
+                rear.lead = front
+                rear.lead_d = d
 
     def _decide(self):
         dt = self.dt
         t = self.time
-        offsets = self.offsets
         limits = self._limits
-        cf_call = self._cf_call
-        model_vdes = self._model_vdes
-        pending_targets = [
-            (v.link_idx, v.lc_to, offsets[v.link_idx] + v.pos)
-            for v in self.vehicles
-            if v.lc_start is not None and not v.lc_switched
-        ]
-        leader_of = self._leader_table().get
+        log = self.log
+        self._find_leaders()
+        pending_targets = None  # built at the step's first side scan
         decisions = []
         append = decisions.append
         for v in self.vehicles:
@@ -592,20 +665,18 @@ class Simulation:
                 append((v, 0.0, STAY))
                 continue
             speed = v.speed
-            v_des = model_vdes[v.kind]
+            v_des = v.v_des
             if v_des is None:
                 v_des = limits[v.link_idx]
             v_des = v_des * v.factor
-            hit = leader_of(v)
-            if hit is None:
-                gap = None
-                a = cf_call[v.kind](speed, None, 0.0, v_des, v.accel, 0.0, dt)
+            lead = v.lead
+            if lead is None:
+                a = v.cf(speed, None, 0.0, v_des, v.accel, 0.0, dt)
             else:
-                lead, dist = hit
-                gap = dist - (v.length + lead.length) / 2.0
+                gap = v.lead_d - (v.length + lead.length) / 2.0
                 if 0.05 > gap:
                     gap = 0.05
-                a = cf_call[v.kind](speed, gap, lead.speed, v_des, v.accel, lead.accel, dt)
+                a = v.cf(speed, gap, lead.speed, v_des, v.accel, lead.accel, dt)
             floor = -speed / dt
             if floor > a:
                 a = floor
@@ -613,25 +684,30 @@ class Simulation:
             direction = STAY
             if v.lc_start is None and t >= v.next_lc_check and t - v.lc_done_at >= LC_COOLDOWN:
                 v.next_lc_check = t + LC_CHECK_INTERVAL
-                direction = self._evaluate_lane_change(v, a, v_des, pending_targets)
+                log.lc_evaluations += 1
+                # the exact skip (see the module docstring)
+                bound = v.free_bound(speed, v_des, dt)
+                if floor > bound:
+                    bound = floor
+                if bound - a > v.lc_threshold:
+                    log.lc_scans += 1
+                    if pending_targets is None:
+                        offsets = self.offsets
+                        pending_targets = [
+                            (w.link_idx, w.lc_to, offsets[w.link_idx] + w.pos)
+                            for w in self.vehicles
+                            if w.lc_start is not None and not w.lc_switched
+                        ]
+                    direction = self._evaluate_lane_change(v, a, v_des, pending_targets)
             append((v, a, direction))
         return decisions
 
     def _evaluate_lane_change(self, v, a_current, v_des, pending):
         """Lane-change decision for `v`, whose current-lane acceleration is
-        `a_current`; STAY without scanning the neighbour lanes when no side
-        can pay off (see the module docstring)."""
+        `a_current`, from a scan of the neighbour lanes."""
         dt = self.dt
         cf_model = self._cf_spec[v.kind]
         params = self._lc_spec[v.kind]
-        speed = v.speed
-        bound = cf_model.max_free_accel(speed, v_des, dt)
-        floor = -speed / dt
-        if floor > bound:
-            bound = floor
-        if bound - a_current <= params.advantage_threshold:
-            return STAY
-
         arc = self.offsets[v.link_idx] + v.pos
         link = self.route[v.link_idx]
         sides = {}
@@ -657,15 +733,16 @@ class Simulation:
         if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
             return STAY
         return lane_change_decision(
-            speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
+            v.speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
             params, cf_model, dt=dt, desired_speed=v_des, prev_accel=v.accel,
         )
 
     def _apply(self, decisions):
-        """Integrate every vehicle one step, advance its lane-change ramp and
-        move it across link ends; a vehicle leaving the route's last link
-        despawns. At a lane drop a vehicle in a lost lane moves into the
-        last lane left, and a change toward a lost lane ends there."""
+        """Integrate every vehicle one step, advance its lane-change ramp,
+        move it across link ends and file it in a new lane index; a vehicle
+        leaving the route's last link despawns. At a lane drop a vehicle in
+        a lost lane moves into the last lane left, and a change toward a
+        lost lane ends there."""
         dt = self.dt
         t = self.time
         t_next = t + dt
@@ -676,6 +753,8 @@ class Simulation:
         last_link = len(route) - 1
         log = self.log
         survivors = []
+        self._lanes = {}
+        file = self._file
         for v, a, direction in decisions:
             if direction != STAY and v.lc_start is None:
                 target = v.lane + 1 if direction == CHANGE_LEFT else v.lane - 1
@@ -723,6 +802,8 @@ class Simulation:
                 if v.link_idx >= last_link:
                     log.despawns.append(DespawnEvent(time=t_next, vehicle_id=v.vid))
                     v.link_idx = -1
+                    if v is self.subject:
+                        self.subject = None
                     break
                 v.pos -= lengths[v.link_idx]
                 v.link_idx += 1
@@ -735,11 +816,12 @@ class Simulation:
                     v.lat = v.lat_rate = 0.0
             if v.link_idx >= 0:
                 survivors.append(v)
+                file(v)
         self.vehicles = survivors
 
     def _resolve_collisions(self):
         """Push back the rear vehicle of every overlapping pair in a physical
-        lane; the lane index is rebuilt if any vehicle moved.
+        lane; every vehicle is filed again if any moved.
 
         Each vehicle is in exactly one physical lane and a pushback moves
         only the rear of its pair, so every overlap can be found first, in
@@ -775,7 +857,9 @@ class Simulation:
                 if not rear.fixed:  # a fixed vehicle keeps its speed
                     rear.speed = 0.0
                     rear.accel = 0.0
-            self._lanes = self._lane_map()
+            self._lanes = {}
+            for v in self.vehicles:
+                self._file(v)
         self._collision_pairs = overlapping
 
     def step(self, sink=None):
@@ -793,7 +877,6 @@ class Simulation:
             log.live_vehicle_steps += n
         (record_frame if sink is None else sink)(self)
         self._apply(self._decide())
-        self._lanes = self._lane_map()
         self._resolve_collisions()
 
         if self.vehicles and all(v.speed < GRIDLOCK_SPEED for v in self.vehicles):

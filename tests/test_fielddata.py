@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -402,7 +403,7 @@ def test_extraction_independent_of_surrounding_order(seed):
         surrs = list(r.surroundings)
         rng.shuffle(surrs)
         shuffled_records.append(
-            type(r)(**{**r.__dict__, "surroundings": tuple(surrs)})
+            replace(r, surroundings=tuple(surrs))
         )
     shuffled = dataset(shuffled_records, interval=0.5)
     a, b = extract_events(ds), extract_events(shuffled)

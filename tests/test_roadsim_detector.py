@@ -66,7 +66,8 @@ def detect(config, rows_per_frame, times=None):
             v = Vehicle(vid, kind, link_idx, lane, pos, speed, length=4.5, factor=1.0)
             v.lat = lat
             vehicles.append(v)
-        detector(SimpleNamespace(time=t, vehicles=vehicles, log=None))
+        subject = next((v for v in vehicles if v.kind == KIND_SUBJECT), None)
+        detector(SimpleNamespace(time=t, vehicles=vehicles, subject=subject, log=None))
     return virtual_detector_sample(detector)
 
 

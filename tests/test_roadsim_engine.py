@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from avcalib.demo import showcase_scenario
@@ -16,7 +19,8 @@ from avcalib.roadsim import (
     Simulation,
     run_scenario,
 )
-from avcalib.roadsim.engine import KIND_SUBJECT, LC_DURATION
+from avcalib.roadsim.engine import KIND_SUBJECT, LC_DURATION, LOOKAHEAD_LINKS
+from avcalib.roadsim.models import MODEL_CLASSES
 
 from test_roadsim_models import idm_equilibrium_gap
 
@@ -283,23 +287,25 @@ def test_multi_link_transitions_and_despawn():
 
 
 def test_lane_index_built_once_per_step(monkeypatch):
-    # one build per step, plus one after a step whose collision pushback
-    # moved a vehicle; insertions add to the index instead of rebuilding it
-    builds = []
-    build = Simulation._lane_map
+    # each step files every vehicle that settles once, each insertion adds
+    # its vehicle, and only a step whose collision pushback moved a vehicle
+    # files them all again
+    filed = []
+    file = Simulation._file
 
-    def counted(self, *args, **kwargs):
-        builds.append(self.step_index)
-        return build(self, *args, **kwargs)
+    def counted(self, v):
+        filed.append(self.step_index)
+        return file(self, v)
 
-    monkeypatch.setattr(Simulation, "_lane_map", counted)
+    monkeypatch.setattr(Simulation, "_file", counted)
     sim = Simulation(replace(showcase_scenario(0), warmup_time=40.0, total_time=100.0))
-    pushback_steps = 0
     while sim.step_index < sim.n_steps:
+        step = sim.step_index
+        spawns = len(sim.log.spawns)
         sim.step()
-        pushback_steps += bool(sim._collision_pairs)
+        settled = len(sim.vehicles) * (1 + bool(sim._collision_pairs))
+        assert filed.count(step) == len(sim.log.spawns) - spawns + settled
     assert len(sim.log.spawns) > 20 and sim.log.lane_changes
-    assert len(builds) <= sim.n_steps + pushback_steps
 
 
 def test_vehicle_abreast_in_target_lane_blocks_the_change():
@@ -387,3 +393,94 @@ def test_lane_change_toward_a_lost_lane_ends_at_the_drop(pos):
             on_b.append((f.time, f.lanes[row], f.lat[row]))
     assert 0.0 < on_b[0][0] < LC_DURATION
     assert all(lane == 2 and lat == 0.0 for _t, lane, lat in on_b)
+
+
+def brute_force_leaders(sim):
+    """Every vehicle's (leader, centre distance), worked out from scratch by
+    the rule ``_leader_in_lane`` documents. Each (link, lane) lists its
+    vehicles by position, ties in vehicle order, a vehicle mid-change in its
+    origin and target lane too. A vehicle's leader in one of its lanes is the
+    next vehicle there; the last one takes the first vehicle at or ahead of
+    it along the lane downstream, the lane id capped at each link's lane
+    count, for up to LOOKAHEAD_LINKS more links. Over its lanes it keeps the
+    nearer leader, the lane first listed on a tie."""
+    groups = {}
+    for v in sim.vehicles:
+        for lane in (v.lane,) if v.lc_start is None else {v.lane, v.lc_from, v.lc_to}:
+            groups.setdefault((v.link_idx, lane), []).append(v)
+    for group in groups.values():
+        group.sort(key=lambda v: v.pos)
+    counts = [link.lane_count for link in sim.route]
+
+    def ahead(link_idx, lane, arc, exclude):
+        for j in range(link_idx, min(link_idx + LOOKAHEAD_LINKS + 1, len(counts))):
+            lane = min(lane, counts[j])
+            for c in groups.get((j, lane), ()):
+                if c is not exclude and sim.offsets[j] + c.pos >= arc:
+                    return c, sim.offsets[j] + c.pos - arc
+        return None, math.inf
+
+    best = {}
+    for (link_idx, lane), group in groups.items():
+        for i, v in enumerate(group):
+            if i + 1 < len(group):
+                lead, d = group[i + 1], group[i + 1].pos - v.pos
+            else:
+                lead, d = ahead(link_idx, lane, sim.offsets[link_idx] + v.pos, v)
+            if lead is not None and (v not in best or d < best[v][1]):
+                best[v] = (lead, d)
+    return best
+
+
+class LeaderCheckedSimulation(Simulation):
+    """Checks each step's leader pass against brute_force_leaders, and every
+    vehicle's lane against its link's lane count."""
+
+    checked = 0
+
+    def _find_leaders(self):
+        super()._find_leaders()
+        expected = brute_force_leaders(self)
+        for v in self.vehicles:
+            assert 1 <= v.lane <= self.route[v.link_idx].lane_count
+            lead, d = expected.get(v, (None, math.inf))
+            assert v.lead is lead and v.lead_d == d, (self.time, v.vid)
+            self.checked += 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lanes=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    inflows=st.tuples(st.floats(300.0, 2400.0), st.floats(0.0, 900.0)),
+    model=st.sampled_from(sorted(MODEL_CLASSES)),
+    dt=st.sampled_from([0.1, 0.2]),
+)
+@example(  # a vehicle reaches the 3 -> 2 drop while changing into lane 3
+    seed=720, lanes=[3, 2, 1, 3, 2], inflows=(1630.0, 891.0), model="idm", dt=0.1,
+)
+def test_leader_pass_matches_brute_force(seed, lanes, inflows, model, dt):
+    # short links, so that vehicles cross many lane drops and lane gains
+    names = ("A", "B", "C", "D", "E")
+    net = RoadNetwork(
+        links=tuple(
+            Link(id=n, length=150.0, lane_count=k, speed_limit=72.0,
+                 downstream=names[i + 1] if i + 1 < len(names) else None)
+            for i, (n, k) in enumerate(zip(names, lanes))
+        ),
+        entrances=(Entrance(id="E1", link="A"), Entrance(id="E2", link="B", entry_speed=40.0)),
+        subject_route=names,
+    )
+    cfg = ScenarioConfig(
+        network=net,
+        entrance_inputs={"E1": inflows[0], "E2": inflows[1]},
+        behavior={"background": BehaviorSpec(MODEL_CLASSES[model](), LaneChangeParams())},
+        total_time=60.0,
+        warmup_time=20.0,
+        time_step=dt,
+        speed_variation=0.2,
+        seed=seed,
+    )
+    sim = LeaderCheckedSimulation(cfg)
+    sim.run(lambda sim: None)
+    assert sim.checked > 0
