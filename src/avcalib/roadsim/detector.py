@@ -11,15 +11,16 @@ is (its golden tests check that), so the values go into the records as they
 are.
 
 The detector reads the subject from ``sim.subject``; the first live step
-without one raises ``MissingSubjectError``, which ends the run. ``virtual_detector_sample`` turns the records of a
-finished run into a validated ``FieldDataset``.
+without one raises ``MissingSubjectError``, which ends the run.
+``virtual_detector_sample`` turns the records of a finished run into a
+validated ``FieldDataset``.
 """
 
 from __future__ import annotations
 
-from ..detection import DatasetMeta, DetectionRecord, FieldDataset, SurroundingObs
 import operator
 
+from ..detection import DatasetMeta, DetectionRecord, FieldDataset, SurroundingObs
 from .engine import LANE_WIDTH, MissingSubjectError, heading_deg
 from .network import ScenarioConfig
 

@@ -9,8 +9,8 @@ runs the showcase corridor at the paper's 0.1 s step (the others use 0.2 s).
 two after its second link, so vehicles follow leaders across the drop and
 the ones left in the third lane are moved into the second;
 ``lane-drop-pushback`` narrows the seed-0 corridor at a higher inflow, where
-vehicles overlap and are pushed back
-(every other golden run is collision-free).
+vehicles overlap and are pushed back (every other golden run is
+collision-free).
 
 The detection digests pin the virtual detector's output on five of those
 runs: a sha256 over the ``repr`` of every detection record and of the
