@@ -40,6 +40,7 @@ from .roadsim import (
     RoadNetwork,
     ScenarioConfig,
 )
+from .roadsim.network import KMH
 from .saga import SagaConfig
 
 # entrance inflows the calibration starts from, pcu/h; rates shrink with
@@ -100,13 +101,14 @@ def recovery_scenario(seed: int = 0) -> ScenarioConfig:
         "background": BehaviorSpec(
             car_following=IdmParams(v0=19.4), lane_change=lane_change
         ),
-        "subject": BehaviorSpec(car_following=IdmParams(), lane_change=lane_change),
+        "subject": BehaviorSpec(
+            car_following=IdmParams(v0=40.0 * KMH), lane_change=lane_change
+        ),
     }
     return ScenarioConfig(
         network=network,
         entrance_inputs=dict(RECOVERY_INITIAL_INPUTS),
         behavior=behavior,
-        subject_desired_speed=40.0,
         total_time=440.0,
         warmup_time=100.0,
         time_step=0.2,
@@ -210,13 +212,14 @@ def showcase_scenario(seed: int = 0) -> ScenarioConfig:
     network = RoadNetwork(links=links, entrances=entrances, subject_route=tuple(names))
     behavior = {
         "background": BehaviorSpec(car_following=IdmParams(), lane_change=LaneChangeParams()),
-        "subject": BehaviorSpec(car_following=IdmParams(), lane_change=LaneChangeParams()),
+        "subject": BehaviorSpec(
+            car_following=IdmParams(v0=50.0 * KMH), lane_change=LaneChangeParams()
+        ),
     }
     return ScenarioConfig(
         network=network,
         entrance_inputs={"E1": 240.0, "E2": 270.0, "E3": 320.0, "E4": 450.0},
         behavior=behavior,
-        subject_desired_speed=50.0,
         total_time=400.0,
         warmup_time=100.0,
         time_step=0.2,

@@ -10,7 +10,7 @@ same matrix.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,17 +207,6 @@ class RangeAnalysisResult:
     ranking: tuple[str, ...]
     critical_set: tuple[str, ...]
     best_levels: dict[str, int]
-    k_critical: int = field(default=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "parameter_ids": list(self.parameter_ids),
-            "level_means": {f"{pid}:{lvl}": v for (pid, lvl), v in self.level_means.items()},
-            "ranges": dict(self.ranges),
-            "ranking": list(self.ranking),
-            "critical_set": list(self.critical_set),
-            "best_levels": dict(self.best_levels),
-        }
 
 
 def range_analysis(
@@ -266,5 +255,4 @@ def range_analysis(
         ranking=ranking,
         critical_set=ranking[:k_critical],
         best_levels=best_levels,
-        k_critical=k_critical,
     )

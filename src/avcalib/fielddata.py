@@ -470,16 +470,12 @@ def _lane_change_details(dataset: FieldDataset, debounce_s: float):
     return detailed
 
 
-def detect_lane_changes(dataset: FieldDataset, debounce_s: float = 1.0):
+def _lane_change_events(dataset: FieldDataset, details):
     """Lane-change events for the subject and every surrounding vehicle.
 
     The gap between the target-lane leader and follower is measured at
     initiation (the last sample in the origin lane).
     """
-    return _lane_change_events(dataset, _lane_change_details(dataset, debounce_s))
-
-
-def _lane_change_events(dataset: FieldDataset, details):
     events = []
     for actor, idx_init, idx_entry, frm, to in details:
         rec_init = dataset.records[idx_init]
@@ -496,19 +492,9 @@ def _lane_change_events(dataset: FieldDataset, details):
     return events
 
 
-def detect_cut_ins(
-    dataset: FieldDataset,
-    front_max: float = 50.0,
-    dedup_window_s: float = 10.0,
-    debounce_s: float = 1.0,
-):
+def _cut_in_events(dataset: FieldDataset, details, front_max, dedup_window_s):
     """Surrounding vehicles entering the subject's lane ahead of it, at most
     one event per intruder per dedup window."""
-    details = _lane_change_details(dataset, debounce_s)
-    return _cut_in_events(dataset, details, front_max, dedup_window_s)
-
-
-def _cut_in_events(dataset: FieldDataset, details, front_max, dedup_window_s):
     events = []
     last_event: dict[str, float] = {}
     for actor, _idx_init, idx_entry, _frm, to in details:

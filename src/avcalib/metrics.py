@@ -332,6 +332,15 @@ def _pooled_traffic_speed(dataset: FieldDataset) -> float | None:
     return sum(speeds) / len(speeds)
 
 
+def _traffic_mops(dataset: FieldDataset, lane_count: int | None) -> MopVector | None:
+    """compute_traffic_mops, or None for a dataset it cannot score: an empty
+    one, or a detection window of no length."""
+    try:
+        return compute_traffic_mops(dataset, lane_count)
+    except ValueError:
+        return None
+
+
 def evaluate_moes(
     field_dataset: FieldDataset,
     field_events: EventSet,
@@ -346,65 +355,44 @@ def evaluate_moes(
     background lane-change distances, and the fuzzy cut-in error. Traffic
     level: sampled traffic speed, window density, an estimated volume
     (density times mean observed speed) and the subject-speed dynamics
-    error. Any measure whose field denominator is zero is reported in
-    `errors` and the rest of the report is still produced.
+    error. All but the subject headway and the sampled traffic speed
+    compare the stage MoPs (compute_vehicle_mops, compute_traffic_mops).
+    Any measure whose field denominator is zero is reported in `errors`
+    and the rest of the report is still produced.
     """
     errors: dict = {}
+    f_veh, s_veh = compute_vehicle_mops(field_events), compute_vehicle_mops(sim_events)
+    f_traffic = _traffic_mops(field_dataset, lane_count)
+    s_traffic = _traffic_mops(sim_dataset, lane_count)
+
+    def vehicle(name, moe):
+        return _relative_error(f_veh.value(name), s_veh.value(name), moe, errors)
+
+    def traffic(mops, name):
+        return None if mops is None else mops.value(name)
 
     f_t_sub, _ = _subject_headway(field_events)
     s_t_sub, _ = _subject_headway(sim_events)
     e_t_sub = _relative_error(f_t_sub, s_t_sub, "e_t_sub", errors)
+    e_t_bg = vehicle(AVG_CF_HEADWAY_BG, "e_t_bg")
+    e_d_sub = vehicle(AVG_LC_DISTANCE_SUBJECT, "e_d_sub")
+    e_d_bg = vehicle(AVG_LC_DISTANCE_BG, "e_d_bg")
+    e_cutin = cutin_error(f_veh.value(CUTIN_COUNT), s_veh.value(CUTIN_COUNT), cutin_params)
 
-    f_t_bg, _ = _bg_headway(field_events)
-    s_t_bg, _ = _bg_headway(sim_events)
-    e_t_bg = _relative_error(f_t_bg, s_t_bg, "e_t_bg", errors)
-
-    def subject_lc_mean(ev):
-        vals = [d for v in _lc_distances(ev, subject=True).values() for d in v]
-        return sum(vals) / len(vals) if vals else None
-
-    e_d_sub = _relative_error(
-        subject_lc_mean(field_events), subject_lc_mean(sim_events), "e_d_sub", errors
-    )
-    e_d_bg = _relative_error(
-        _per_vehicle_then_pooled(_lc_distances(field_events, subject=False)),
-        _per_vehicle_then_pooled(_lc_distances(sim_events, subject=False)),
-        "e_d_bg",
-        errors,
-    )
-    e_cutin = cutin_error(
-        len(field_events.cut_ins), len(sim_events.cut_ins), cutin_params
-    )
-
-    e_v = _relative_error(
-        _pooled_traffic_speed(field_dataset), _pooled_traffic_speed(sim_dataset),
-        "e_v", errors,
-    )
-
-    def density_of(ds):
-        try:
-            return compute_traffic_mops(ds, lane_count).value(AVG_DENSITY)
-        except ValueError:
-            return None
-
-    f_rho, s_rho = density_of(field_dataset), density_of(sim_dataset)
+    f_speed = _pooled_traffic_speed(field_dataset)
+    s_speed = _pooled_traffic_speed(sim_dataset)
+    e_v = _relative_error(f_speed, s_speed, "e_v", errors)
+    f_rho, s_rho = traffic(f_traffic, AVG_DENSITY), traffic(s_traffic, AVG_DENSITY)
     e_rho = _relative_error(f_rho, s_rho, "e_rho", errors)
 
     # volume is estimated from the moving observer as density * mean speed;
     # there is no fixed detector in this kind of data
-    f_speed = _pooled_traffic_speed(field_dataset)
-    s_speed = _pooled_traffic_speed(sim_dataset)
     f_vol = None if (f_rho is None or f_speed is None) else f_rho * f_speed * 3.6
     s_vol = None if (s_rho is None or s_speed is None) else s_rho * s_speed * 3.6
     e_vol = _relative_error(f_vol, s_vol, "e_vol", errors)
-
-    def subject_speed(ds):
-        if not ds.records:
-            return None
-        return sum(r.speed_ms for r in ds.records) / len(ds.records)
-
     e_dynamics = _relative_error(
-        subject_speed(field_dataset), subject_speed(sim_dataset), "e_dynamics", errors
+        traffic(f_traffic, AVG_SUBJECT_SPEED), traffic(s_traffic, AVG_SUBJECT_SPEED),
+        "e_dynamics", errors,
     )
 
     return MoeReport(

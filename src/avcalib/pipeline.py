@@ -545,8 +545,10 @@ def run_stage2(
         {pid: phase1_best[pid] for pid in critical},
         {pid: space.spec(pid).initial for pid in critical},
     ]
-    saga_cfg = replace(cfg.stage2.saga, seed=_derive_saga_seed(cfg.master_seed))
-    saga_result = run_saga(evaluate, space_ii, saga_cfg, seed_individuals=seed_individuals)
+    saga_result = run_saga(
+        evaluate, space_ii, cfg.stage2.saga, _derive_saga_seed(cfg.master_seed),
+        seed_individuals=seed_individuals,
+    )
     return Stage2Result(
         space=space,
         oa_runs=oa.runs,

@@ -577,8 +577,8 @@ class Simulation:
         if best is None:
             best = (length / 2.0, 1, 0.0)  # packed link: insert and let CF sort it out
         pos, lane, ahead_speed = best
-        v0 = self.cfg.subject_desired_speed / 3.6
-        speed = min(v0, link.speed_limit_ms)
+        v_des = self._cf_spec[KIND_SUBJECT].desired_speed  # None: the link limit
+        speed = link.speed_limit_ms if v_des is None else min(v_des, link.speed_limit_ms)
         if ahead_speed is not None:
             speed = min(speed, max(ahead_speed, 0.0))
         veh = Vehicle(

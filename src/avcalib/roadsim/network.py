@@ -10,7 +10,7 @@ routes the calibration targets without a full graph model.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -98,12 +98,15 @@ class BehaviorSpec:
     lane_change: LaneChangeParams
 
 
+# the subject of a scenario without a 'subject' behavior entry
+DEFAULT_SUBJECT = BehaviorSpec(IdmParams(v0=60.0 * KMH), LaneChangeParams())
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     network: RoadNetwork
     entrance_inputs: dict = field(default_factory=dict)   # entrance id -> pcu/h
     behavior: dict = field(default_factory=dict)          # class -> BehaviorSpec
-    subject_desired_speed: float = 60.0                   # km/h
     total_time: float = 1750.0
     warmup_time: float = 600.0
     time_step: float = 0.1
@@ -133,17 +136,8 @@ class ScenarioConfig:
             raise ValueError("behavior must define the 'background' class")
 
     def subject_behavior(self) -> BehaviorSpec:
-        """The subject drives an IDM agent at the configured desired speed;
-        an explicit 'subject' behavior entry overrides everything but that
-        desired speed."""
-        spec = self.behavior.get("subject")
-        v0 = self.subject_desired_speed * KMH
-        if spec is None:
-            return BehaviorSpec(car_following=IdmParams(v0=v0), lane_change=LaneChangeParams())
-        cf = spec.car_following
-        if isinstance(cf, IdmParams):
-            cf = replace(cf, v0=v0)
-        return BehaviorSpec(car_following=cf, lane_change=spec.lane_change)
+        """The 'subject' behavior entry, else an IDM subject at 60 km/h."""
+        return self.behavior.get("subject", DEFAULT_SUBJECT)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ class SagaConfig:
     pm_min: float = 0.05
     pm_max: float = 0.25
     accuracy_threshold: float = 0.8
-    seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2 != 0:
@@ -149,9 +148,11 @@ def run_saga(
     evaluate,
     space: ParameterSpace,
     config: SagaConfig,
+    seed: int,
     seed_individuals=None,
 ) -> SagaResult:
-    """Run the adaptive GA and return the best combination ever evaluated.
+    """Run the adaptive GA and return the best combination ever evaluated;
+    seed fixes every random draw.
 
     evaluate maps one generation, a list of parameter combinations, to
     their accuracies in input order; it must be deterministic for a given
@@ -160,7 +161,7 @@ def run_saga(
     conversion (in the pipeline, evaluate_case is the one place that turns
     a case's errors into -inf); an exception it raises ends the run.
     """
-    rng = np.random.default_rng([int(config.seed), 0x5A6A])
+    rng = np.random.default_rng([int(seed), 0x5A6A])
     population: list[dict] = []
     for ind in seed_individuals or []:
         space.validate_combination(ind)

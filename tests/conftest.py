@@ -12,6 +12,7 @@ from avcalib.roadsim import (
     RoadNetwork,
     ScenarioConfig,
 )
+from avcalib.roadsim.network import KMH
 
 MS = 3.6  # m/s -> km/h
 
@@ -64,13 +65,12 @@ def micro_scenario():
     )
     behavior = {
         "background": BehaviorSpec(IdmParams(v0=15.0), LaneChangeParams()),
-        "subject": BehaviorSpec(IdmParams(), LaneChangeParams()),
+        "subject": BehaviorSpec(IdmParams(v0=30.0 * KMH), LaneChangeParams()),
     }
     return ScenarioConfig(
         network=net,
         entrance_inputs={"E1": 700.0},
         behavior=behavior,
-        subject_desired_speed=30.0,
         total_time=90.0,
         warmup_time=20.0,
         time_step=0.5,

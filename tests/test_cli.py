@@ -5,9 +5,10 @@ from click.testing import CliRunner
 
 from avcalib.cli import main
 from avcalib.demo import recovery_scenario
-from avcalib.pipeline import generate_field_data
+from avcalib.pipeline import apply_parameters, generate_field_data
 from avcalib.fielddata import export_detection_csv
 from avcalib.roadsim import save_scenario
+from avcalib.roadsim.network import KMH
 
 
 def small_scenario():
@@ -34,10 +35,8 @@ def test_simulate_writes_logs(tmp_path):
 
 def test_simulate_stops_where_the_subject_leaves(tmp_path, micro_scenario):
     # at 60 km/h the subject clears the 900 m link before the horizon
-    from dataclasses import replace
-
     path = tmp_path / "scenario.json"
-    save_scenario(replace(micro_scenario, subject_desired_speed=60.0), path)
+    save_scenario(apply_parameters(micro_scenario, {"subject.cf.v0": 60.0 * KMH}), path)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["simulate", "--scenario", str(path), "--out", str(out)])
     assert result.exit_code == 1
@@ -104,9 +103,8 @@ def test_report_renders_run_directory(tmp_path):
         entrance_inputs={"E1": 700.0},
         behavior={
             "background": BehaviorSpec(IdmParams(v0=15.0), LaneChangeParams()),
-            "subject": BehaviorSpec(IdmParams(), LaneChangeParams()),
+            "subject": BehaviorSpec(IdmParams(v0=30.0 * KMH), LaneChangeParams()),
         },
-        subject_desired_speed=30.0,
         total_time=90.0,
         warmup_time=20.0,
         time_step=0.5,
@@ -145,9 +143,8 @@ def test_calibrate_command(tmp_path):
         entrance_inputs={"E1": 700.0},
         behavior={
             "background": BehaviorSpec(IdmParams(v0=15.0), LaneChangeParams()),
-            "subject": BehaviorSpec(IdmParams(), LaneChangeParams()),
+            "subject": BehaviorSpec(IdmParams(v0=30.0 * KMH), LaneChangeParams()),
         },
-        subject_desired_speed=30.0,
         total_time=90.0,
         warmup_time=20.0,
         time_step=0.5,

@@ -9,8 +9,6 @@ from avcalib.fielddata import (
     RowError,
     SchemaError,
     detect_car_following,
-    detect_cut_ins,
-    detect_lane_changes,
     export_detection_csv,
     extract_events,
     parse_field_data,
@@ -158,12 +156,12 @@ def _trace_with_subject_change(debounced=True):
 
 def test_constant_lane_yields_no_events():
     ds = dataset([rec(t * 0.1, lane=2) for t in range(40)])
-    assert detect_lane_changes(ds) == []
+    assert extract_events(ds).lane_changes == ()
 
 
 def test_subject_lane_change_with_target_gap():
     ds = _trace_with_subject_change()
-    evs = detect_lane_changes(ds, debounce_s=1.0)
+    evs = extract_events(ds, debounce_s=1.0).lane_changes
     assert len(evs) == 1
     ev = evs[0]
     assert ev.actor == SUBJECT
@@ -175,13 +173,13 @@ def test_subject_lane_change_with_target_gap():
 
 def test_oscillation_within_debounce_yields_no_events():
     ds = _trace_with_subject_change(debounced=False)  # 2 -> 3 -> 2 within 0.4 s
-    assert detect_lane_changes(ds, debounce_s=1.0) == []
+    assert extract_events(ds, debounce_s=1.0).lane_changes == ()
 
 
 def test_partially_observed_gap_flagged():
     records = [rec(t * 0.1, lane=2 if t < 30 else 3, surroundings=[surr(1, 3, 40.0)])
                for t in range(60)]
-    evs = detect_lane_changes(dataset(records))
+    evs = extract_events(dataset(records)).lane_changes
     assert len(evs) == 1
     assert evs[0].lc_distance is None
 
@@ -192,7 +190,7 @@ def test_surrounding_lane_change_detected_with_lateral_motion():
         lane = 1 if t < 30 else 2
         lat = -3.5 if t < 30 else 0.0
         records.append(rec(t * 0.1, lane=2, surroundings=[surr(7, lane, 25.0, lat)]))
-    evs = detect_lane_changes(dataset(records))
+    evs = extract_events(dataset(records)).lane_changes
     assert len(evs) == 1
     assert evs[0].actor == "7"
     assert (evs[0].from_lane, evs[0].to_lane) == (1, 2)
@@ -207,7 +205,7 @@ def test_lateral_motion_contradiction_defers_confirmation():
         lane = 1 if t < 30 else 2
         lat = 0.0 if t < 30 else -3.5
         records.append(rec(t * 0.1, lane=2, surroundings=[surr(7, lane, 25.0, lat)]))
-    evs = detect_lane_changes(dataset(records))
+    evs = extract_events(dataset(records)).lane_changes
     assert len(evs) == 1
     assert evs[0].end_time > 3.0 + 0.5  # not at the contradicted instant
 
@@ -218,7 +216,7 @@ def test_lateral_motion_contradiction_defers_confirmation():
 
 def test_no_shared_lane_no_cutins():
     ds = dataset([rec(t * 0.1, lane=1, surroundings=[surr(1, 2, 30.0)]) for t in range(50)])
-    assert detect_cut_ins(ds) == []
+    assert extract_events(ds).cut_ins == ()
 
 
 def _cutin_trace(entry_rel=20.0):
@@ -231,7 +229,7 @@ def _cutin_trace(entry_rel=20.0):
 
 
 def test_cutin_ahead_of_subject_detected():
-    evs = detect_cut_ins(_cutin_trace(20.0))
+    evs = extract_events(_cutin_trace(20.0)).cut_ins
     assert len(evs) == 1
     assert evs[0].intruder == "5"
     assert evs[0].entry_gap == pytest.approx(20.0)
@@ -239,12 +237,12 @@ def test_cutin_ahead_of_subject_detected():
 
 
 def test_entry_behind_subject_is_not_a_cutin():
-    assert detect_cut_ins(_cutin_trace(-20.0)) == []
+    assert extract_events(_cutin_trace(-20.0)).cut_ins == ()
 
 
 def test_entry_beyond_forward_window_is_not_a_cutin():
-    assert detect_cut_ins(_cutin_trace(80.0), front_max=50.0) == []
-    assert len(detect_cut_ins(_cutin_trace(80.0), front_max=100.0)) == 1
+    assert extract_events(_cutin_trace(80.0), cutin_front_max=50.0).cut_ins == ()
+    assert len(extract_events(_cutin_trace(80.0), cutin_front_max=100.0).cut_ins) == 1
 
 
 def test_cutin_deduplicated_per_intruder_within_window():
@@ -254,20 +252,18 @@ def test_cutin_deduplicated_per_intruder_within_window():
         lane = 2 if phase == 0 else 1
         lat = 3.5 if phase == 0 else 0.0
         records.append(rec(t * 0.1, lane=1, surroundings=[surr(5, lane, 20.0, lat)]))
-    evs = detect_cut_ins(dataset(records), dedup_window_s=10.0)
+    evs = extract_events(dataset(records), cutin_dedup_s=10.0).cut_ins
     assert len(evs) == 1
-    evs = detect_cut_ins(dataset(records), dedup_window_s=5.0)
+    evs = extract_events(dataset(records), cutin_dedup_s=5.0).cut_ins
     assert len(evs) == 2
 
 
 def test_every_cutin_coincides_with_a_lane_change():
-    ds = _cutin_trace(20.0)
-    cutins = detect_cut_ins(ds)
-    changes = detect_lane_changes(ds)
-    for c in cutins:
+    events = extract_events(_cutin_trace(20.0))
+    for c in events.cut_ins:
         assert any(
             e.actor == c.intruder and e.end_time == c.time and e.to_lane == 1
-            for e in changes
+            for e in events.lane_changes
         )
 
 

@@ -39,7 +39,15 @@ from avcalib.pipeline import (
     run_stage2,
     usable_field_mops,
 )
-from avcalib.roadsim import IdmParams, Simulation, engine, run_scenario
+from avcalib.roadsim import (
+    IdmParams,
+    Simulation,
+    VirtualDetector,
+    engine,
+    run_scenario,
+    virtual_detector_sample,
+)
+from avcalib.roadsim.network import KMH
 from avcalib.saga import SagaConfig
 
 
@@ -168,6 +176,56 @@ def test_evaluate_case_deterministic(micro_scenario):
     assert a.n_simulations == 1
 
 
+def _detected(scenario, sink=None):
+    """The detection dataset of one run of scenario; sink, if given, sees
+    every step before the detector does."""
+    detector = VirtualDetector(scenario)
+
+    def both(sim):
+        sink(sim)
+        detector(sim)
+
+    run_scenario(scenario, detector if sink is None else both)
+    return virtual_detector_sample(detector)
+
+
+def test_replications_average_runs_on_derived_seeds(micro_scenario):
+    _, ctx = _field_and_ctx(micro_scenario, stage=1, master=4)
+    out = evaluate_case({"E1": 600.0}, replace(ctx, replications=2))
+    assert out.n_simulations == 2
+    scenario = apply_parameters(micro_scenario, {"E1": 600.0})
+    runs = [
+        compute_traffic_mops(_detected(replace(scenario, seed=derive_scenario_seed(4, rep))))
+        for rep in (0, 1)
+    ]
+    assert runs[0].to_dict() != runs[1].to_dict()
+    assert out.mops.to_dict() == MopVector.mean_of(runs).to_dict()
+
+
+def test_subject_drives_at_its_own_desired_speed():
+    # the subject's model v0 is its one desired speed: the subject enters
+    # at it, and a lower one slows the subject down
+    scenario = replace(recovery_scenario(), total_time=160.0, warmup_time=100.0)
+
+    def run(s):
+        entry = []
+
+        def note_entry(sim):
+            if sim.subject is not None and not entry:
+                entry.append(sim.subject.speed)
+
+        records = _detected(s, note_entry).records
+        return entry[0], records, sum(r.speed_kmh for r in records) / len(records)
+
+    speed, records, mean_kmh = run(scenario)
+    assert speed == get_parameter(scenario, "subject.cf.v0") == 40.0 * KMH
+    slow = apply_parameters(scenario, {"subject.cf.v0": 8.0})
+    slow_speed, slow_records, slow_mean_kmh = run(slow)
+    assert slow_speed == 8.0
+    assert slow_records != records
+    assert slow_mean_kmh < mean_kmh - 5.0
+
+
 def test_self_calibration_is_exact(micro_scenario):
     # field data generated under the same seed policy: the true parameters
     # reproduce it bit for bit, so accuracy is exactly 1
@@ -190,7 +248,7 @@ def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog, monk
     # at 60 km/h the subject clears the 900 m link before the 70 s live
     # horizon ends, so the detector has no subject to sample
     _, ctx = _field_and_ctx(micro_scenario, stage=1)
-    ctx = replace(ctx, scenario=replace(micro_scenario, subject_desired_speed=60.0))
+    ctx = replace(ctx, scenario=apply_parameters(micro_scenario, {"subject.cf.v0": 60.0 * KMH}))
     runs = []
 
     def spied_run(cfg, sink=None):
@@ -336,7 +394,7 @@ def test_evaluator_key_covers_every_input(micro_scenario, monkeypatch):
     calls = _counting(monkeypatch, lambda values, ctx: CaseOutcome(0.5, None, True, 1, 0))
     ctx = _stub_ctx(micro_scenario)
     variants = {
-        "scenario": replace(ctx.scenario, subject_desired_speed=31.0),
+        "scenario": apply_parameters(ctx.scenario, {"subject.cf.v0": 31.0 * KMH}),
         "stage": 1,
         "field_mops": MopVector([MopEntry("x", 1.5)]),
         "master_seed": 1,
@@ -430,13 +488,12 @@ def micro_report(tmp_path_factory):
     )
     behavior = {
         "background": BehaviorSpec(IdmParams(v0=15.0), LaneChangeParams()),
-        "subject": BehaviorSpec(IdmParams(), LaneChangeParams()),
+        "subject": BehaviorSpec(IdmParams(v0=30.0 * KMH), LaneChangeParams()),
     }
     scenario = ScenarioConfig(
         network=net,
         entrance_inputs={"E1": 700.0},
         behavior=behavior,
-        subject_desired_speed=30.0,
         total_time=90.0,
         warmup_time=20.0,
         time_step=0.5,
@@ -549,11 +606,13 @@ def test_shipped_configs_match_their_builders():
 def test_malformed_config_rejected_at_load(tmp_path):
     shipped = json.loads((CONFIGS / "recovery_calibration.json").read_text())
     path = tmp_path / "bad.json"
-    for stage1, error in (
-        (dict(shipped["stage1"], batch_size=1), "Stage1Config has no field.*batch_size"),
-        (4, "Stage1Config must be given as an object"),
+    saga_with_seed = dict(shipped["stage2"]["saga"], seed=0)
+    for block, value, error in (
+        ("stage1", dict(shipped["stage1"], batch_size=1), "Stage1Config has no field.*batch_size"),
+        ("stage1", 4, "Stage1Config must be given as an object"),
+        ("stage2", dict(shipped["stage2"], saga=saga_with_seed), "SagaConfig has no field.*'seed'"),
     ):
-        path.write_text(json.dumps(dict(shipped, stage1=stage1)))
+        path.write_text(json.dumps(dict(shipped, **{block: value})))
         with pytest.raises(ValueError, match=error):
             load_calibration_config(path)
 

@@ -20,6 +20,7 @@ from avcalib.roadsim import (
     run_scenario,
 )
 from avcalib.roadsim.engine import KIND_SUBJECT, LC_DURATION, LOOKAHEAD_LINKS
+from avcalib.roadsim.network import KMH
 from avcalib.roadsim.models import MODEL_CLASSES
 
 from test_roadsim_models import idm_equilibrium_gap
@@ -46,13 +47,12 @@ def corridor(
     )
     behavior = {
         "background": BehaviorSpec(idm or IdmParams(), LaneChangeParams()),
-        "subject": BehaviorSpec(IdmParams(), LaneChangeParams()),
+        "subject": BehaviorSpec(IdmParams(v0=subject_speed * KMH), LaneChangeParams()),
     }
     return ScenarioConfig(
         network=net,
         entrance_inputs={"E1": float(inputs)},
         behavior=behavior,
-        subject_desired_speed=subject_speed,
         total_time=total,
         warmup_time=warmup,
         time_step=dt,
@@ -273,7 +273,6 @@ def test_multi_link_transitions_and_despawn():
         network=net,
         entrance_inputs={"E1": 600.0},
         behavior={"background": BehaviorSpec(IdmParams(), LaneChangeParams())},
-        subject_desired_speed=60.0,
         total_time=60.0,
         warmup_time=30.0,
         time_step=0.2,

@@ -20,6 +20,7 @@ DROP = object()
         (("behavior", "background", "car_following"), "v_0", 20.0),
         (("behavior", "subject", "lane_change"), "politeness", 0.1),
         ((), "subject_route", DROP),
+        ((), "subject_desired_speed", 50.0),
     ],
 )
 def test_scenario_key_errors_are_rejected_at_load(path, key, value):

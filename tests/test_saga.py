@@ -193,9 +193,9 @@ def test_run_saga_converges_on_synthetic_objective():
     space = space3()
     hits = 0
     for seed in range(10):
-        cfg = SagaConfig(population_size=20, max_generations=15, accuracy_threshold=0.95, seed=seed)
+        cfg = SagaConfig(population_size=20, max_generations=15, accuracy_threshold=0.95)
         result = run_saga(
-            _tracking_objective(target), space, cfg,
+            _tracking_objective(target), space, cfg, seed,
             seed_individuals=[initial_values(space)],
         )
         if result.best_accuracy >= 0.95:
@@ -204,18 +204,18 @@ def test_run_saga_converges_on_synthetic_objective():
 
 
 def test_run_saga_stops_when_threshold_met_immediately():
-    cfg = SagaConfig(population_size=4, max_generations=10, accuracy_threshold=0.0, seed=1)
-    result = run_saga(per_individual(lambda c: 0.5), space3(), cfg)
+    cfg = SagaConfig(population_size=4, max_generations=10, accuracy_threshold=0.0)
+    result = run_saga(per_individual(lambda c: 0.5), space3(), cfg, 1)
     assert len(result.history) == 1
     assert result.best_accuracy == 0.5
     assert result.n_evaluations == 4
 
 
 def test_run_saga_is_deterministic():
-    cfg = SagaConfig(population_size=8, max_generations=5, accuracy_threshold=2.0, seed=33)
+    cfg = SagaConfig(population_size=8, max_generations=5, accuracy_threshold=2.0)
     target = {"a": 1.1, "b": 2.1, "c": 2.9}
-    r1 = run_saga(_tracking_objective(target), space3(), cfg)
-    r2 = run_saga(_tracking_objective(target), space3(), cfg)
+    r1 = run_saga(_tracking_objective(target), space3(), cfg, 33)
+    r2 = run_saga(_tracking_objective(target), space3(), cfg, 33)
     assert r1.best == r2.best
     assert r1.best_accuracy == r2.best_accuracy
     assert len(r1.history) == len(r2.history)
@@ -225,9 +225,9 @@ def test_run_saga_is_deterministic():
 
 
 def test_best_so_far_is_non_decreasing_and_bounds_hold():
-    cfg = SagaConfig(population_size=10, max_generations=8, accuracy_threshold=2.0, seed=4)
+    cfg = SagaConfig(population_size=10, max_generations=8, accuracy_threshold=2.0)
     space = space3()
-    result = run_saga(_tracking_objective({"a": 1.0, "b": 2.0, "c": 3.0}), space, cfg)
+    result = run_saga(_tracking_objective({"a": 1.0, "b": 2.0, "c": 3.0}), space, cfg, 4)
     prev = float("-inf")
     for rec in result.history:
         assert rec.best_accuracy_so_far >= prev
@@ -241,18 +241,18 @@ def test_best_so_far_is_non_decreasing_and_bounds_hold():
 def test_seed_individuals_enter_first_generation():
     space = space3()
     seeds = [initial_values(space), {"a": 0.81, "b": 1.62, "c": 2.43}]
-    cfg = SagaConfig(population_size=6, max_generations=1, accuracy_threshold=2.0, seed=0)
-    result = run_saga(per_individual(lambda c: c["a"]), space, cfg, seed_individuals=seeds)
+    cfg = SagaConfig(population_size=6, max_generations=1, accuracy_threshold=2.0)
+    result = run_saga(per_individual(lambda c: c["a"]), space, cfg, 0, seed_individuals=seeds)
     first = result.history[0].population
     assert first[0] == seeds[0]
     assert first[1] == seeds[1]
 
 
 def test_seed_individual_outside_bounds_rejected():
-    cfg = SagaConfig(population_size=4, max_generations=1, seed=0)
+    cfg = SagaConfig(population_size=4, max_generations=1)
     with pytest.raises(ValueError):
         run_saga(
-            per_individual(lambda c: 1.0), space3(), cfg,
+            per_individual(lambda c: 1.0), space3(), cfg, 0,
             seed_individuals=[{"a": 9.0, "b": 2.0, "c": 3.0}],
         )
 
@@ -262,9 +262,9 @@ def test_selection_only_degeneracy_with_operators_off():
     # every generation must be a resampling of its predecessor
     cfg = SagaConfig(
         population_size=8, max_generations=4, pc_min=1e-15, pc_max=2e-15,
-        pm_min=1e-15, pm_max=2e-15, accuracy_threshold=2.0, seed=12,
+        pm_min=1e-15, pm_max=2e-15, accuracy_threshold=2.0,
     )
-    result = run_saga(_tracking_objective({"a": 1.0, "b": 2.0, "c": 3.0}), space3(), cfg)
+    result = run_saga(_tracking_objective({"a": 1.0, "b": 2.0, "c": 3.0}), space3(), cfg, 12)
     for prev, cur in zip(result.history[:-1], result.history[1:]):
         prev_keys = {tuple(sorted(p.items())) for p in prev.population}
         for ind in cur.population:
@@ -282,8 +282,8 @@ def test_failed_objective_scores_minus_inf_and_run_continues():
             scores.append(float("-inf") if calls["n"] % 5 == 0 else comb["a"])
         return scores
 
-    cfg = SagaConfig(population_size=6, max_generations=3, accuracy_threshold=2.0, seed=8)
-    result = run_saga(flaky, space3(), cfg)
+    cfg = SagaConfig(population_size=6, max_generations=3, accuracy_threshold=2.0)
+    result = run_saga(flaky, space3(), cfg, 8)
     assert np.isfinite(result.best_accuracy)
     assert any(a == float("-inf") for rec in result.history for a in rec.accuracies)
 
