@@ -12,7 +12,9 @@ draws (common random numbers) and a re-run reproduces the report exactly.
 Because a case's outcome depends only on its inputs, each distinct case is
 simulated once per calibration: a repeat, within a batch or from an earlier
 one, gets the stored outcome. Every simulation count in a report therefore
-counts simulations actually run, not cases scored.
+counts simulations actually run, not cases scored. The distinct new cases of
+a batch are simulated together (``roadsim.run_batch``), one batch per
+worker.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .metrics import (
     evaluate_moes,
 )
 from .params import ParameterSpace, ParameterSpec, build_parameter_space
-from .roadsim import MissingSubjectError, VirtualDetector, run_scenario, virtual_detector_sample
+from .roadsim import VirtualDetector, run_batch, run_scenario, virtual_detector_sample
 from .roadsim.network import BehaviorSpec, ScenarioConfig, scenario_from_dict, scenario_to_dict
 from .saga import SagaConfig, SagaResult, run_saga
 
@@ -240,61 +242,83 @@ class CaseOutcome:
 def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
     """Configure, simulate (one run per replication, fixed derived seeds)
     through the virtual detector, extract the stage MoPs, and score against
-    the field MoPs. A run stores no frames. It stops at a gridlock or at
-    the first live step without the subject, whichever comes first, and the
-    case then scores -inf with that diagnostic."""
-    scenario = apply_parameters(ctx.scenario, values)
-    vectors = []
-    collisions = 0
-    n_sims = 0
-    for rep in range(ctx.replications):
-        cfg = replace(scenario, seed=derive_scenario_seed(ctx.master_seed, rep))
-        detector = VirtualDetector(cfg)
-        n_sims += 1
-        try:
-            sim_log = run_scenario(cfg, detector)
-        except MissingSubjectError as exc:
-            log.warning("case %s scored -inf: %s", values, exc)
-            return CaseOutcome(
-                accuracy=float("-inf"),
-                mops=None,
-                feasible=False,
-                n_simulations=n_sims,
-                collisions=collisions + exc.log.collision_count,
-                diagnostic=f"MissingSubjectError: {exc}",
-            )
-        collisions += sim_log.collision_count
-        if not sim_log.feasible:
-            return CaseOutcome(
-                accuracy=float("-inf"),
-                mops=None,
-                feasible=False,
-                n_simulations=n_sims,
-                collisions=collisions,
-                diagnostic=f"gridlock at t={sim_log.gridlock_at}",
-            )
-        dataset = virtual_detector_sample(detector)
-        if ctx.stage == 1:
-            vectors.append(compute_traffic_mops(dataset, per_road=ctx.per_road))
-        else:
-            events = extract_events(dataset, **ctx.extraction.kwargs())
-            vectors.append(compute_vehicle_mops(events))
-    mean = MopVector.mean_of(vectors)
-    try:
-        acc = accuracy(ctx.field_mops, mean)
-    except ValueError as exc:
-        return CaseOutcome(
-            accuracy=float("-inf"),
-            mops=mean,
-            feasible=True,
-            n_simulations=n_sims,
-            collisions=collisions,
-            diagnostic=str(exc),
+    the field MoPs: ``evaluate_batch`` for one case."""
+    return evaluate_batch([values], ctx)[0]
+
+
+def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
+    """The outcome of every case of `values_list`, in order. Each
+    replication simulates the cases still scoring as one batch. A run stores
+    no frames; it stops at a gridlock or at the first live step without the
+    subject, and its case then scores -inf with that diagnostic. An
+    exception raised while a case's run is sampled and scored also scores
+    that case -inf, with ``"<ExceptionType>: <message>"``; its batch-mates
+    are unaffected."""
+    scenarios = [apply_parameters(ctx.scenario, values) for values in values_list]
+    outcomes: list[CaseOutcome | None] = [None] * len(scenarios)
+    vectors = [[] for _ in scenarios]
+    collisions = [0] * len(scenarios)
+
+    def fail(i, n_sims, diagnostic, feasible=False):
+        log.warning("case %s scored -inf: %s", values_list[i], diagnostic)
+        outcomes[i] = CaseOutcome(
+            accuracy=float("-inf"), mops=None, feasible=feasible,
+            n_simulations=n_sims, collisions=collisions[i], diagnostic=diagnostic,
         )
-    return CaseOutcome(
-        accuracy=acc, mops=mean, feasible=True,
-        n_simulations=n_sims, collisions=collisions,
-    )
+
+    for rep in range(ctx.replications):
+        live = [i for i, out in enumerate(outcomes) if out is None]
+        if not live:
+            break
+        seed = derive_scenario_seed(ctx.master_seed, rep)
+        configs = [replace(scenarios[i], seed=seed) for i in live]
+        detectors = [VirtualDetector(cfg) for cfg in configs]
+        for i, detector, sim_log in zip(live, detectors, run_batch(configs, detectors)):
+            collisions[i] += sim_log.collision_count
+            if sim_log.stopped_by is not None:
+                fail(i, rep + 1, _describe(sim_log.stopped_by))
+            elif not sim_log.feasible:
+                fail(i, rep + 1, f"gridlock at t={sim_log.gridlock_at}")
+            else:
+                try:
+                    dataset = virtual_detector_sample(detector)
+                    if ctx.stage == 1:
+                        mops = compute_traffic_mops(dataset, per_road=ctx.per_road)
+                    else:
+                        mops = compute_vehicle_mops(
+                            extract_events(dataset, **ctx.extraction.kwargs())
+                        )
+                except Exception as exc:
+                    fail(i, rep + 1, _describe(exc), feasible=True)
+                else:
+                    vectors[i].append(mops)
+    for i, out in enumerate(outcomes):
+        if out is not None:
+            continue
+        try:
+            mean = MopVector.mean_of(vectors[i])
+        except Exception as exc:
+            fail(i, ctx.replications, _describe(exc), feasible=True)
+            continue
+        try:
+            acc = accuracy(ctx.field_mops, mean)
+        except ValueError as exc:  # no MoP to compare: the accuracy is undefined
+            outcomes[i] = CaseOutcome(
+                accuracy=float("-inf"), mops=mean, feasible=True,
+                n_simulations=ctx.replications, collisions=collisions[i], diagnostic=str(exc),
+            )
+        except Exception as exc:
+            fail(i, ctx.replications, _describe(exc), feasible=True)
+        else:
+            outcomes[i] = CaseOutcome(
+                accuracy=acc, mops=mean, feasible=True,
+                n_simulations=ctx.replications, collisions=collisions[i],
+            )
+    return outcomes
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _case_key(values: dict, ctx: EvalContext) -> str:
@@ -308,25 +332,36 @@ def _case_key(values: dict, ctx: EvalContext) -> str:
 
 class CaseEvaluator:
     """Evaluates the cases of one calibration, in this process without a
-    pool, else on the calibration's worker pool. Every case of every stage
-    goes through evaluate_all, which simulates each distinct case once; a
-    stage called without an evaluator makes its own."""
+    pool, else on the calibration's pool of `workers` processes. Every case
+    of every stage goes through evaluate_all, which simulates each distinct
+    case once; a stage called without an evaluator makes its own."""
 
-    def __init__(self, pool=None):
+    def __init__(self, pool=None, workers: int = 1):
         self._pool = pool
+        self._workers = workers if pool is not None else 1
         self._memo: dict[str, CaseOutcome] = {}
 
     def evaluate_all(self, values_list, ctx: EvalContext) -> list[CaseOutcome]:
         """One outcome per case, in input order. Only cases not seen before
-        in this calibration are simulated, once each, in first-seen order;
-        a repeat gets the stored outcome with n_simulations = 0."""
+        in this calibration are simulated, once each: in one batch without
+        a pool, else each worker gets its contiguous share of them as one
+        batch. A repeat gets the stored outcome with n_simulations = 0."""
         keys = [_case_key(values, ctx) for values in values_list]
         new = {}
         for key, values in zip(keys, values_list):
             if key not in self._memo:
                 new.setdefault(key, values)
-        mapper = map if self._pool is None else self._pool.map
-        fresh = dict(zip(new, mapper(evaluate_case, new.values(), repeat(ctx))))
+        cases = list(new.values())
+        if self._pool is None:
+            outs = evaluate_batch(cases, ctx) if cases else []
+        else:
+            size, extra = divmod(len(cases), self._workers)
+            ends = [k * size + min(k, extra) for k in range(self._workers + 1)]
+            chunks = [cases[a:b] for a, b in zip(ends, ends[1:]) if b > a]
+            outs = [
+                out for part in self._pool.map(evaluate_batch, chunks, repeat(ctx)) for out in part
+            ]
+        fresh = dict(zip(new, outs))
         self._memo.update(fresh)
         log.info(
             "stage %d batch: %d cases, %d distinct, %d simulated",
@@ -356,6 +391,11 @@ def usable_field_mops(mops: MopVector) -> MopVector:
 
 # ---------------------------------------------------------------------------
 # stages
+
+# stage-1 cases per worker and batch: a batch of 8 corridor cases costs about
+# as much per step as three runs of one (tools/step_cost.py), while the early
+# stop wastes at most the rest of its batch
+STAGE1_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -398,10 +438,10 @@ def run_stage1(
     """Evaluate the inflow design in design order, stopping at the first case
     that reaches the accuracy threshold.
 
-    Cases go out in batches of cfg.workers. Records and simulation counts
-    stop at the stopping case, so the result is the same for any worker
-    count; up to workers - 1 batch-mates after it are still simulated but
-    not recorded.
+    Cases go out in batches of STAGE1_BATCH per worker, each worker's share
+    simulated together. Records and simulation counts stop at the stopping
+    case, so the result is the same for any worker count; the batch-mates
+    after it are still simulated but not recorded.
     """
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
@@ -421,7 +461,7 @@ def run_stage1(
         extraction=cfg.extraction,
         per_road=cfg.stage1.per_road_density,
     )
-    batch = max(1, cfg.workers)
+    batch = STAGE1_BATCH * max(1, cfg.workers)
     if evaluator is None:
         evaluator = CaseEvaluator()
 
@@ -469,6 +509,7 @@ class Stage2Result:
     n_simulations_phase1: int
     n_simulations_phase2: int
     field_mops: MopVector
+    field_events: object  # the field data's extracted events
 
 
 def _candidate_space(cfg: CalibrationConfig) -> ParameterSpace:
@@ -564,6 +605,7 @@ def run_stage2(
         n_simulations_phase1=n_sims_p1,
         n_simulations_phase2=sum(phase2_sims),
         field_mops=field_mops,
+        field_events=field_events,
     )
 
 
@@ -647,7 +689,7 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
 
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         t1 = _time.perf_counter()
-        evaluator = CaseEvaluator(pool)
+        evaluator = CaseEvaluator(pool, cfg.workers)
         stage1 = run_stage1(cfg, field_dataset, evaluator)
         timings["stage1"] = _time.perf_counter() - t1
 
@@ -665,9 +707,8 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     final_log = run_scenario(final_scenario, detector)
     sim_dataset = virtual_detector_sample(detector)
     sim_events = extract_events(sim_dataset, **cfg.extraction.kwargs())
-    field_events = extract_events(field_dataset, **cfg.extraction.kwargs())
     final_moes = evaluate_moes(
-        field_dataset, field_events, sim_dataset, sim_events, cfg.cutin_error
+        field_dataset, stage2.field_events, sim_dataset, sim_events, cfg.cutin_error
     )
     timings["final_evaluation"] = _time.perf_counter() - t3
 

@@ -197,13 +197,13 @@ def test_criterion_7_simulator_oracles():
 
     # five-vehicle platoon converges to the leader speed by 300 s
     cfg = corridor(total=300.0, warmup=1.0, dt=0.1, length=8000.0)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     sim.add_vehicle(pos=600.0, speed=15.0, fixed=True)
     for k in range(5):
         sim.add_vehicle(pos=500.0 - 60.0 * k, speed=0.0)
     while sim.step_index < sim.n_steps:
         sim.step()
-    final = sim.log.frames[-1]
+    final = sim.logs[0].frames[-1]
     platoon = final.kinds != 1
     assert platoon.sum() == 6
     assert np.all(np.abs(final.speed[platoon] - 15.0) <= 0.05)

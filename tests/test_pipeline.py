@@ -44,6 +44,7 @@ from avcalib.roadsim import (
     Simulation,
     VirtualDetector,
     engine,
+    run_batch,
     run_scenario,
     virtual_detector_sample,
 )
@@ -210,9 +211,9 @@ def test_subject_drives_at_its_own_desired_speed():
     def run(s):
         entry = []
 
-        def note_entry(sim):
-            if sim.subject is not None and not entry:
-                entry.append(sim.subject.speed)
+        def note_entry(case):
+            if case.subject is not None and not entry:
+                entry.append(float(case.speed[case.subject]))
 
         records = _detected(s, note_entry).records
         return entry[0], records, sum(r.speed_kmh for r in records) / len(records)
@@ -251,14 +252,14 @@ def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog, monk
     ctx = replace(ctx, scenario=apply_parameters(micro_scenario, {"subject.cf.v0": 60.0 * KMH}))
     runs = []
 
-    def spied_run(cfg, sink=None):
-        sim = Simulation(cfg)
+    def spied_run(configs, sinks=None):
+        sim = Simulation(configs)
         try:
-            return sim.run(sink)
+            return sim.run(sinks)
         finally:
-            runs.append((cfg, sim.log))
+            runs.extend(zip(configs, sim.logs))
 
-    monkeypatch.setattr(pipeline, "run_scenario", spied_run)
+    monkeypatch.setattr(pipeline, "run_batch", spied_run)
     with caplog.at_level(logging.WARNING, logger="avcalib.pipeline"):
         out = evaluate_case({}, ctx)
     assert out.accuracy == -math.inf
@@ -277,6 +278,55 @@ def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog, monk
     assert f" at t={first_missing};" in out.diagnostic
     assert stopped.steps == k + 1 < full.steps
     assert stopped.frames == []
+
+
+def test_a_failing_case_scores_minus_inf_and_spares_its_batch_mates(
+    micro_scenario, monkeypatch, caplog
+):
+    # extract_events raises for the middle case of a three-case batch: that
+    # case scores -inf with the exception as its diagnostic, the other two
+    # score exactly as they do alone
+    _, ctx = _field_and_ctx(micro_scenario, stage=2)
+    cases = [{"background.cf.T": t} for t in (1.1, 1.3, 1.5)]
+    alone = [evaluate_case(values, ctx) for values in cases]
+    calls = []
+    extract = pipeline.extract_events
+
+    def failing_second(dataset, **kwargs):
+        calls.append(dataset)
+        if len(calls) == 2:
+            raise RuntimeError("no events here")
+        return extract(dataset, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_events", failing_second)
+    with caplog.at_level(logging.WARNING, logger="avcalib.pipeline"):
+        outcomes = pipeline.evaluate_batch(cases, ctx)
+    assert len(calls) == 3
+    for i in (0, 2):
+        assert replace(outcomes[i], mops=None) == replace(alone[i], mops=None)
+        assert outcomes[i].mops.to_dict() == alone[i].mops.to_dict()
+    failed = outcomes[1]
+    assert failed.accuracy == -math.inf and failed.mops is None
+    assert failed.diagnostic == "RuntimeError: no events here"
+    assert failed.n_simulations == 1 and failed.collisions == alone[1].collisions
+    assert "scored -inf: RuntimeError: no events here" in caplog.text
+
+
+def test_field_events_are_extracted_once_per_calibration(micro_scenario, monkeypatch):
+    field = generate_field_data(
+        apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0
+    )
+    seen = []
+    extract = pipeline.extract_events
+
+    def noted(dataset, **kwargs):
+        seen.append(dataset is field)
+        return extract(dataset, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_events", noted)
+    report = calibrate(micro_calibration(micro_scenario), field_dataset=field)
+    assert seen.count(True) == 1
+    assert report.stage2.field_events is not None
 
 
 def test_calibration_path_builds_no_frame(micro_scenario, monkeypatch):
@@ -348,15 +398,19 @@ def test_stage2_freezes_stage1_inputs_and_selects_critical(micro_scenario):
 # case memo
 
 
-def _counting(monkeypatch, evaluate=evaluate_case):
-    """Route the evaluator's evaluate_case through a call log."""
+def _counting(monkeypatch, evaluate=None):
+    """Route the evaluator's batches through a call log, one entry per
+    case, each case evaluated on its own (by default as a batch of one)."""
     calls = []
+    if evaluate is None:
+        batch = pipeline.evaluate_batch
+        evaluate = lambda values, ctx: batch([values], ctx)[0]  # noqa: E731
 
-    def counted(values, ctx):
-        calls.append(dict(values))
-        return evaluate(values, ctx)
+    def counted(values_list, ctx):
+        calls.extend(dict(values) for values in values_list)
+        return [evaluate(values, ctx) for values in values_list]
 
-    monkeypatch.setattr(pipeline, "evaluate_case", counted)
+    monkeypatch.setattr(pipeline, "evaluate_batch", counted)
     return calls
 
 
@@ -453,9 +507,12 @@ def test_evaluator_matches_direct_evaluation(batches, replications):
         calls.append(values)
         return _stub_evaluate(values, ctx)
 
+    def counted_batch(values_list, ctx):
+        return [counted(values, ctx) for values in values_list]
+
     evaluator = CaseEvaluator()
     seen = set()
-    with warnings.catch_warnings(), mock.patch.object(pipeline, "evaluate_case", counted):
+    with warnings.catch_warnings(), mock.patch.object(pipeline, "evaluate_batch", counted_batch):
         warnings.simplefilter("ignore")
         for batch in batches:
             outcomes = evaluator.evaluate_all(batch, ctx)
@@ -538,7 +595,12 @@ def test_total_simulations_counts_simulator_runs(micro_scenario, monkeypatch):
         calls.append(cfg)
         return run_scenario(cfg, sink)
 
+    def counted_batch(configs, sinks=None):
+        calls.extend(configs)
+        return run_batch(configs, sinks)
+
     monkeypatch.setattr(pipeline, "run_scenario", counted_run)
+    monkeypatch.setattr(pipeline, "run_batch", counted_batch)
     totals = []
     # the second call simulates every case again: the memo is per calibration
     for _ in range(2):

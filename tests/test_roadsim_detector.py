@@ -1,5 +1,4 @@
 import io
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from avcalib.fielddata import parse_field_data, export_detection_csv
 from avcalib.roadsim import (
     BehaviorSpec,
+    CaseView,
     Entrance,
     IdmParams,
     LaneChangeParams,
@@ -14,6 +14,7 @@ from avcalib.roadsim import (
     MissingSubjectError,
     RoadNetwork,
     ScenarioConfig,
+    Simulation,
     VirtualDetector,
     virtual_detector_sample,
 )
@@ -21,7 +22,6 @@ from avcalib.roadsim.engine import (
     KIND_BACKGROUND,
     KIND_SUBJECT,
     LANE_WIDTH,
-    Vehicle,
 )
 
 
@@ -55,19 +55,19 @@ def default_times(config, rows_per_frame):
 
 def detect(config, rows_per_frame, times=None):
     """Hand a detector one step per entry of rows_per_frame, each a list of
-    vehicles placed as (vid, kind, link_idx, lane, pos, lat, speed), and
-    return its dataset."""
+    vehicles placed as (vid, kind, link_idx, lane, pos, lat, speed) in a
+    simulation of their own, and return its dataset."""
     detector = VirtualDetector(config)
     if times is None:
         times = default_times(config, rows_per_frame)
     for t, rows in zip(times, rows_per_frame):
-        vehicles = []
+        sim = Simulation([config])
         for vid, kind, link_idx, lane, pos, lat, speed in rows:
-            v = Vehicle(vid, kind, link_idx, lane, pos, speed, length=4.5, factor=1.0)
-            v.lat = lat
-            vehicles.append(v)
-        subject = next((v for v in vehicles if v.kind == KIND_SUBJECT), None)
-        detector(SimpleNamespace(time=t, vehicles=vehicles, subject=subject, log=None))
+            sim.add_vehicle(link_idx=link_idx, lane=lane, pos=pos, speed=speed, kind=kind)
+            sim.vid[-1] = vid  # the newest vehicle is the last row
+            sim.lat[-1] = lat
+        sim.time = t
+        detector(CaseView(sim, 0))
     return virtual_detector_sample(detector)
 
 

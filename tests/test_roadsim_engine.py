@@ -17,8 +17,12 @@ from avcalib.roadsim import (
     RoadNetwork,
     ScenarioConfig,
     Simulation,
+    VirtualDetector,
+    record_frame,
+    run_batch,
     run_scenario,
 )
+from avcalib.roadsim import engine
 from avcalib.roadsim.engine import KIND_SUBJECT, LC_DURATION, LOOKAHEAD_LINKS
 from avcalib.roadsim.network import KMH
 from avcalib.roadsim.models import MODEL_CLASSES
@@ -62,24 +66,24 @@ def corridor(
 
 
 def test_empty_world_stays_empty():
-    sim = Simulation(corridor(total=5.0, warmup=4.0))
+    sim = Simulation([corridor(total=5.0, warmup=4.0)])
     sim.step()
     # no inputs, before subject insertion
-    assert sim.vehicles == [] or all(v.kind == KIND_SUBJECT for v in sim.vehicles)
-    assert len(sim.log.frames[0]) == 0
+    assert all(kind == KIND_SUBJECT for kind in sim.kind.tolist())
+    assert len(sim.logs[0].frames[0]) == 0
 
 
 def test_single_vehicle_at_desired_speed_advances_exactly():
     cfg = corridor(total=10.0, warmup=1.0, dt=0.1)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     p = IdmParams()  # the corridor's background model
     veh = sim.add_vehicle(pos=100.0, speed=p.v0)
     for _ in range(20):
         sim.step()
-    frames = sim.log.frames
+    frames = sim.logs[0].frames
 
     def row(frame):
-        return int(np.nonzero(frame.ids == veh.vid)[0][0])
+        return int(np.nonzero(frame.ids == veh)[0][0])
 
     for a, b in zip(frames[:-1], frames[1:]):
         assert b.pos[row(b)] - a.pos[row(a)] == pytest.approx(p.v0 * 0.1, abs=1e-12)
@@ -88,26 +92,27 @@ def test_single_vehicle_at_desired_speed_advances_exactly():
 
 def test_two_vehicle_platoon_converges_to_oracle_gap():
     cfg = corridor(total=300.0, warmup=1.0, dt=0.1)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     p = IdmParams()  # the corridor's background model
     leader = sim.add_vehicle(pos=300.0, speed=15.0, fixed=True)
     follower = sim.add_vehicle(pos=200.0, speed=10.0)
-    while sim.step_index < sim.n_steps and leader.pos < cfg.network.links[0].length - 200:
+    while (sim.step_index < sim.n_steps
+           and sim.vehicle(leader)["pos"] < cfg.network.links[0].length - 200):
         sim.step()
-    assert abs(follower.speed - 15.0) <= 0.01
-    gap = leader.pos - follower.pos - cfg.vehicle_length
+    assert abs(sim.vehicle(follower)["speed"] - 15.0) <= 0.01
+    gap = sim.vehicle(leader)["pos"] - sim.vehicle(follower)["pos"] - cfg.vehicle_length
     assert gap == pytest.approx(idm_equilibrium_gap(p, 15.0), abs=0.05)
 
 
 def test_five_vehicle_platoon_speed_convergence():
     cfg = corridor(total=300.0, warmup=1.0, dt=0.1, length=8000.0)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     sim.add_vehicle(pos=600.0, speed=15.0, fixed=True)
     for k in range(5):
         sim.add_vehicle(pos=500.0 - 60.0 * k, speed=0.0)
     while sim.step_index < sim.n_steps:
         sim.step()
-    final = sim.log.frames[-1]
+    final = sim.logs[0].frames[-1]
     platoon = final.kinds != KIND_SUBJECT
     assert platoon.sum() == 6
     assert np.all(np.abs(final.speed[platoon] - 15.0) <= 0.05)
@@ -164,13 +169,14 @@ def test_interarrival_times_are_exponential():
 
 def test_spawn_suppressed_when_entry_is_blocked():
     cfg = corridor(inputs=1800.0, total=30.0, warmup=5.0, dt=0.2, length=400.0)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     blocker = sim.add_vehicle(pos=4.0, speed=0.0, fixed=True)
     for _ in range(sim.n_steps):
         sim.step()
-    spawned = [s for s in sim.log.spawns if s.vehicle_id != 0 and s.vehicle_id != blocker.vid]
+    log = sim.logs[0]
+    spawned = [s for s in log.spawns if s.vehicle_id != 0 and s.vehicle_id != blocker]
     assert spawned == []
-    assert len(sim.log.arrival_times["E1"]) > 5  # arrivals queued, not dropped
+    assert len(log.arrival_times["E1"]) > 5  # arrivals queued, not dropped
 
 
 def test_doubling_inputs_does_not_decrease_density():
@@ -198,9 +204,9 @@ def test_no_collisions_at_moderate_demand():
 def test_gridlock_reported_as_infeasible_partial_log():
     cfg = corridor(inputs=1200.0, total=700.0, warmup=20.0, dt=0.5, length=300.0,
                    entry_speed=30.0, subject_speed=30.0)
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     sim.add_vehicle(pos=280.0, speed=0.0, fixed=True)  # plug the exit
-    log = sim.run()
+    (log,) = sim.run()
     assert not log.feasible
     assert log.gridlock_at is not None
     assert log.frames[-1].time < cfg.total_time - cfg.time_step
@@ -286,54 +292,67 @@ def test_multi_link_transitions_and_despawn():
 
 
 def test_lane_index_built_once_per_step(monkeypatch):
-    # each step files every vehicle that settles once, each insertion adds
-    # its vehicle, and only a step whose collision pushback moved a vehicle
-    # files them all again
-    filed = []
-    file = Simulation._file
+    # each step sorts the lane index at most once, after the move, and not
+    # at all when no vehicle changed lanes or link, entered or left, and
+    # every lane kept its order; the insertions merge into it without a
+    # sort, and only a step whose collision pushback moved a vehicle sorts
+    # again. After every step the index is the one a fresh sort gives.
+    sorts = []
+    lexsort = np.lexsort
 
-    def counted(self, v):
-        filed.append(v)
-        return file(self, v)
+    def counted(keys):
+        sorts.append(len(keys[0]))
+        return lexsort(keys)
 
-    monkeypatch.setattr(Simulation, "_file", counted)
-    sim = Simulation(replace(showcase_scenario(0), warmup_time=40.0, total_time=100.0))
+    monkeypatch.setattr(engine.np, "lexsort", counted)
+    sim = Simulation([replace(showcase_scenario(0), warmup_time=40.0, total_time=100.0)])
+    log = sim.logs[0]
+    kept = 0
     while sim.step_index < sim.n_steps:
-        filed.clear()
-        spawns = len(sim.log.spawns)
+        sorts.clear()
         sim.step()
-        settled = len(sim.vehicles) * (1 + bool(sim._collision_pairs))
-        assert len(filed) == len(sim.log.spawns) - spawns + settled
-    assert len(sim.log.spawns) > 20 and sim.log.lane_changes
+        assert len(sorts) <= 1 + bool(sim._cases[0].collision_pairs), sim.time
+        kept += not sorts
+        # every vehicle in its lane, one changing lanes in its other lane too
+        two = (sim.lc_start == sim.lc_start).nonzero()[0]
+        keys = sim.gbase + sim.lane
+        keys = np.concatenate((keys, sim.lc_from[two] + sim.lc_to[two] - keys[two] + 2 * sim.gbase[two]))
+        rows = np.concatenate((np.arange(len(sim.pos)), two))
+        fresh = lexsort((rows, sim.pos[rows], keys))
+        assert sim._order.tolist() == rows[fresh].tolist()
+        assert sim._keys.tolist() == keys[fresh].tolist()
+    assert kept > 0
+    assert len(log.spawns) > 20 and log.lane_changes
 
 
 def test_vehicle_abreast_in_target_lane_blocks_the_change():
     # a slow leader ahead makes the left lane attractive, but a vehicle sits
     # exactly abreast there: the change must wait until it is clear
-    sim = Simulation(corridor(lanes=2, total=10.0, warmup=9.0, dt=0.1))
+    sim = Simulation([corridor(lanes=2, total=10.0, warmup=9.0, dt=0.1)])
     sim.add_vehicle(lane=1, pos=144.5, speed=15.0, fixed=True)
     changer = sim.add_vehicle(lane=1, pos=100.0, speed=15.0)
     abreast = sim.add_vehicle(lane=2, pos=100.0, speed=15.0, fixed=True)
-    sim.run()
-    starts = [lc for lc in sim.log.lane_changes if lc.vehicle_id == changer.vid]
+    (log,) = sim.run()
+    starts = [lc for lc in log.lane_changes if lc.vehicle_id == changer]
     assert starts and starts[0].time > 0.0
-    assert sim.log.collisions == []
-    assert abs(changer.pos - abreast.pos) > changer.length
+    assert log.collisions == []
+    changer, abreast = sim.vehicle(changer), sim.vehicle(abreast)
+    assert abs(changer["pos"] - abreast["pos"]) > changer["length"]
 
 
 def test_fixed_vehicle_keeps_its_speed_through_a_pushback():
     # a fixed vehicle runs into a slower free one: the pushback moves it
     # back, but it keeps its speed, as add_vehicle promises
-    sim = Simulation(corridor(lanes=1, total=10.0, warmup=9.0, dt=0.1))
+    sim = Simulation([corridor(lanes=1, total=10.0, warmup=9.0, dt=0.1)])
     fixed = sim.add_vehicle(pos=100.0, speed=15.0, fixed=True)
     sim.add_vehicle(pos=102.0, speed=0.0)
-    sim.run()
+    (log,) = sim.run()
     # it never brakes, so it runs into the free vehicle more than once
-    assert sim.log.collisions
-    assert all(c.follower_id == fixed.vid for c in sim.log.collisions)
-    assert fixed.speed == 15.0
+    assert log.collisions
+    assert all(c.follower_id == fixed for c in log.collisions)
+    assert sim.vehicle(fixed)["speed"] == 15.0
     assert all(
-        f.speed[f.ids == fixed.vid][0] == 15.0 for f in sim.log.frames if fixed.vid in f.ids
+        f.speed[f.ids == fixed][0] == 15.0 for f in log.frames if fixed in f.ids
     )
 
 
@@ -341,14 +360,14 @@ def test_collisions_are_reported_in_lane_order_and_from_the_rear():
     # overlapping vehicles added lane 3 first, so the lane index does not
     # hold its lanes in order; events still come lane by lane and, within a
     # lane, pair by pair from the rear
-    sim = Simulation(corridor(lanes=3, total=10.0, warmup=9.0, dt=0.1))
+    sim = Simulation([corridor(lanes=3, total=10.0, warmup=9.0, dt=0.1)])
     placed = {}
     for lane, positions in ((3, (200.0, 203.0)), (1, (100.0, 103.0, 106.0)), (2, (50.0, 52.0))):
         placed[lane] = [
-            sim.add_vehicle(lane=lane, pos=pos, speed=10.0, fixed=True).vid for pos in positions
+            sim.add_vehicle(lane=lane, pos=pos, speed=10.0, fixed=True) for pos in positions
         ]
     sim.step()
-    events = [(c.lane, c.follower_id, c.leader_id) for c in sim.log.collisions]
+    events = [(c.lane, c.follower_id, c.leader_id) for c in sim.logs[0].collisions]
     assert events == [
         (1, placed[1][0], placed[1][1]),
         (1, placed[1][1], placed[1][2]),
@@ -379,15 +398,15 @@ def test_lane_change_toward_a_lost_lane_ends_at_the_drop(pos):
         time_step=0.1,
         seed=0,
     )
-    sim = Simulation(cfg)
+    sim = Simulation([cfg])
     changer = sim.add_vehicle(lane=2, pos=pos, speed=15.0)
-    changer.lc_start, changer.lc_from, changer.lc_to = 0.0, 2, 3
-    sim.run()
-    lane_counts = np.asarray(sim.log.route_lane_counts)
+    sim._start_lane_change(sim.row(changer), 3)  # from lane 2 at t = 0
+    (log,) = sim.run()
+    lane_counts = np.asarray(log.route_lane_counts)
     on_b = []
-    for f in sim.log.frames:
+    for f in log.frames:
         assert np.all(f.lanes <= lane_counts[f.link_idx])
-        row = np.nonzero(f.ids == changer.vid)[0][0]
+        row = np.nonzero(f.ids == changer)[0][0]
         if f.link_idx[row] == 1:
             on_b.append((f.time, f.lanes[row], f.lat[row]))
     assert 0.0 < on_b[0][0] < LC_DURATION
@@ -395,39 +414,44 @@ def test_lane_change_toward_a_lost_lane_ends_at_the_drop(pos):
 
 
 def brute_force_leaders(sim):
-    """Every vehicle's (leader, centre distance), worked out from scratch by
-    the rule ``_leader_in_lane`` documents. Each (link, lane) lists its
-    vehicles by position, ties in vehicle order, a vehicle mid-change in its
+    """Every row's (leader row, centre distance), worked out from scratch by
+    the rule the engine documents. Each (link, lane) lists its vehicles by
+    position, ties in row (insertion) order, a vehicle mid-change in its
     origin and target lane too. A vehicle's leader in one of its lanes is the
     next vehicle there; the last one takes the first vehicle at or ahead of
     it along the lane downstream, the lane id capped at each link's lane
     count, for up to LOOKAHEAD_LINKS more links. Over its lanes it keeps the
-    nearer leader, the lane first listed on a tie."""
+    nearer leader, on a tie the one of the group that its earliest-inserted
+    member (lower lane first) put in the list first."""
     groups = {}
-    for v in sim.vehicles:
-        for lane in (v.lane,) if v.lc_start is None else {v.lane, v.lc_from, v.lc_to}:
-            groups.setdefault((v.link_idx, lane), []).append(v)
+    pos = sim.pos.tolist()
+    for r, (link, lane, start, origin, target) in enumerate(zip(
+        sim.link.tolist(), sim.lane.tolist(), sim.lc_start.tolist(),
+        sim.lc_from.tolist(), sim.lc_to.tolist(),
+    )):
+        for lane in (lane,) if start != start else sorted({lane, origin, target}):
+            groups.setdefault((link, lane), []).append(r)
     for group in groups.values():
-        group.sort(key=lambda v: v.pos)
+        group.sort(key=lambda r: pos[r])
     counts = [link.lane_count for link in sim.route]
 
     def ahead(link_idx, lane, arc, exclude):
         for j in range(link_idx, min(link_idx + LOOKAHEAD_LINKS + 1, len(counts))):
             lane = min(lane, counts[j])
             for c in groups.get((j, lane), ()):
-                if c is not exclude and sim.offsets[j] + c.pos >= arc:
-                    return c, sim.offsets[j] + c.pos - arc
-        return None, math.inf
+                if c != exclude and sim.offsets[j] + pos[c] >= arc:
+                    return c, sim.offsets[j] + pos[c] - arc
+        return -1, math.inf
 
     best = {}
     for (link_idx, lane), group in groups.items():
-        for i, v in enumerate(group):
+        for i, r in enumerate(group):
             if i + 1 < len(group):
-                lead, d = group[i + 1], group[i + 1].pos - v.pos
+                lead, d = group[i + 1], pos[group[i + 1]] - pos[r]
             else:
-                lead, d = ahead(link_idx, lane, sim.offsets[link_idx] + v.pos, v)
-            if lead is not None and (v not in best or d < best[v][1]):
-                best[v] = (lead, d)
+                lead, d = ahead(link_idx, lane, sim.offsets[link_idx] + pos[r], r)
+            if lead >= 0 and (r not in best or d < best[r][1]):
+                best[r] = (lead, d)
     return best
 
 
@@ -437,14 +461,40 @@ class LeaderCheckedSimulation(Simulation):
 
     checked = 0
 
-    def _find_leaders(self):
-        super()._find_leaders()
+    def _leader_pass(self):
+        lead, lead_d = super()._leader_pass()
         expected = brute_force_leaders(self)
-        for v in self.vehicles:
-            assert 1 <= v.lane <= self.route[v.link_idx].lane_count
-            lead, d = expected.get(v, (None, math.inf))
-            assert v.lead is lead and v.lead_d == d, (self.time, v.vid)
+        counts = [link.lane_count for link in self.route]
+        for r, (link, lane) in enumerate(zip(self.link.tolist(), self.lane.tolist())):
+            assert 1 <= lane <= counts[link]
+            exp_lead, exp_d = expected.get(r, (-1, math.inf))
+            assert lead[r] == exp_lead and lead_d[r] == exp_d, (self.time, int(self.vid[r]))
             self.checked += 1
+        return lead, lead_d
+
+
+def leader_corridor(seed, lanes, inflows, model, dt):
+    """Short links, so that vehicles cross many lane drops and lane gains."""
+    names = ("A", "B", "C", "D", "E")
+    net = RoadNetwork(
+        links=tuple(
+            Link(id=n, length=150.0, lane_count=k, speed_limit=72.0,
+                 downstream=names[i + 1] if i + 1 < len(names) else None)
+            for i, (n, k) in enumerate(zip(names, lanes))
+        ),
+        entrances=(Entrance(id="E1", link="A"), Entrance(id="E2", link="B", entry_speed=40.0)),
+        subject_route=names,
+    )
+    return ScenarioConfig(
+        network=net,
+        entrance_inputs={"E1": inflows[0], "E2": inflows[1]},
+        behavior={"background": BehaviorSpec(MODEL_CLASSES[model](), LaneChangeParams())},
+        total_time=60.0,
+        warmup_time=20.0,
+        time_step=dt,
+        speed_variation=0.2,
+        seed=seed,
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -459,27 +509,89 @@ class LeaderCheckedSimulation(Simulation):
     seed=720, lanes=[3, 2, 1, 3, 2], inflows=(1630.0, 891.0), model="idm", dt=0.1,
 )
 def test_leader_pass_matches_brute_force(seed, lanes, inflows, model, dt):
-    # short links, so that vehicles cross many lane drops and lane gains
-    names = ("A", "B", "C", "D", "E")
-    net = RoadNetwork(
-        links=tuple(
-            Link(id=n, length=150.0, lane_count=k, speed_limit=72.0,
-                 downstream=names[i + 1] if i + 1 < len(names) else None)
-            for i, (n, k) in enumerate(zip(names, lanes))
-        ),
-        entrances=(Entrance(id="E1", link="A"), Entrance(id="E2", link="B", entry_speed=40.0)),
-        subject_route=names,
-    )
-    cfg = ScenarioConfig(
-        network=net,
-        entrance_inputs={"E1": inflows[0], "E2": inflows[1]},
-        behavior={"background": BehaviorSpec(MODEL_CLASSES[model](), LaneChangeParams())},
-        total_time=60.0,
-        warmup_time=20.0,
-        time_step=dt,
-        speed_variation=0.2,
-        seed=seed,
-    )
-    sim = LeaderCheckedSimulation(cfg)
-    sim.run(lambda sim: None)
+    sim = LeaderCheckedSimulation([leader_corridor(seed, lanes, inflows, model, dt)])
+    sim.run([lambda case: None])
     assert sim.checked > 0
+
+
+def _crawling(cfg):
+    """Everyone's desired speed below the gridlock speed: the corridor
+    gridlocks once its vehicles have stood for GRIDLOCK_TIME."""
+    crawl = IdmParams(a_max=0.05, v0=0.05)
+    background = cfg.behavior["background"]
+    return replace(cfg, behavior={
+        "background": BehaviorSpec(crawl, background.lane_change),
+        "subject": BehaviorSpec(crawl, background.lane_change),
+    })
+
+
+def _recorded(configs, batch):
+    """Per config: its log and detection records, simulated as one batch or
+    one by one."""
+    detectors = [VirtualDetector(cfg) for cfg in configs]
+
+    def sink(detector):
+        def both(case):
+            record_frame(case)
+            detector(case)
+        return both
+
+    sinks = [sink(d) for d in detectors]
+    if batch:
+        logs = run_batch(configs, sinks)
+    else:
+        logs = [run_batch([cfg], [s])[0] for cfg, s in zip(configs, sinks)]
+    return [
+        (log.to_csv(), log.lane_changes, log.collisions, log.spawns, log.despawns,
+         {eid: t.tobytes() for eid, t in log.arrival_times.items()},
+         (log.steps, log.vehicle_steps, log.live_steps, log.live_vehicle_steps,
+          log.lc_evaluations, log.lc_scans, log.feasible, log.gridlock_at),
+         repr(log.stopped_by), [repr(r) for r in d.records])
+        for log, d in zip(logs, detectors)
+    ]
+
+
+_CASES = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),                                  # seed
+        st.tuples(st.floats(300.0, 2400.0), st.floats(0.0, 900.0)),  # inflows
+        st.sampled_from(sorted(MODEL_CLASSES)),                     # background family
+        st.floats(20.0, 110.0),                                     # subject km/h
+        st.booleans(),                                              # crawling
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(lanes=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       dt=st.sampled_from([0.2, 0.5]), total=st.just(60.0), cases=_CASES)
+@example(  # one case loses its subject early, one gridlocks
+    lanes=[2, 2, 1, 2, 2], dt=0.5, total=340.0,
+    cases=[(1, (900.0, 300.0), "idm", 5.0, False), (2, (600.0, 0.0), "gipps", 110.0, False),
+           (3, (900.0, 300.0), "idm", 40.0, True)],
+)
+def test_batch_cases_match_their_single_runs(lanes, dt, total, cases):
+    configs = []
+    for seed, inflows, model, subject_kmh, crawling in cases:
+        cfg = leader_corridor(seed, lanes, inflows, model, dt)
+        behavior = dict(cfg.behavior)
+        behavior["subject"] = BehaviorSpec(IdmParams(v0=subject_kmh * KMH), LaneChangeParams())
+        cfg = replace(cfg, behavior=behavior, total_time=total)
+        configs.append(_crawling(cfg) if crawling else cfg)
+    alone = _recorded(configs, batch=False)
+    assert _recorded(configs, batch=True) == alone
+    if total > 300.0:  # the example: two batch-mates stop early, as they do alone
+        feasible = [stats[6] for *_rest, stats, _stopped_by, _records in alone]
+        stopped_by = [stopped_by for *_rest, stopped_by, _records in alone]
+        assert feasible == [True, True, False]
+        assert stopped_by[0] == stopped_by[2] == "None"
+        assert stopped_by[1].startswith("MissingSubjectError")
+
+
+def test_batch_rejects_cases_of_different_runs():
+    cfg = corridor()
+    for other in (replace(cfg, time_step=0.2), replace(cfg, warmup_time=5.0),
+                  replace(cfg, total_time=90.0), corridor(lanes=2)):
+        with pytest.raises(ValueError, match="share"):
+            run_batch([cfg, other])

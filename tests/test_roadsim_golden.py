@@ -16,16 +16,16 @@ The detection digests pin the virtual detector's output on five of those
 runs: a sha256 over the ``repr`` of every detection record and of the
 dataset's meta, so a numpy scalar reaching a record fails them too.
 
-The engine keeps vehicle state and route geometry in plain Python floats; a
-numpy scalar there would keep every digest but slow the step loop several
-times, so a counting sink checks the type of the state at every step.
+The engine keeps its state in arrays and hands the detector and the
+recorded frames their values through ``tolist`` and fixed dtypes: a test
+checks that every record and frame value has exactly its type, so a numpy
+scalar reaching a record fails it.
 """
 
-import collections
 import functools
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -222,22 +222,33 @@ def test_heading_and_yaw_point_the_way_of_each_lane_change(name):
     assert checked > 0
 
 
+FRAME_DTYPES = {
+    "ids": np.int32, "kinds": np.int8, "link_idx": np.int16, "lanes": np.int16,
+    "pos": np.float64, "lat": np.float64, "speed": np.float64, "accel": np.float64,
+    "heading": np.float64, "length": np.float64,
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_vehicle_state_and_route_offsets_are_plain_floats(name):
-    sc = _scenario(name)
-    sim = Simulation(sc)
-    assert [type(x) for x in sim.offsets] == [float] * len(sim.offsets)
-    assert list(sim.offsets) == list(VirtualDetector(sc).offsets)
-    seen = collections.Counter()
-
-    def count_state_types(sim):
-        for v in sim.vehicles:
-            for attr in ("pos", "speed", "accel", "lat", "lat_rate"):
-                seen[attr, type(getattr(v, attr))] += 1
-
-    sim.run(count_state_types)
+    # every frame and detection-record value has exactly the type it had
+    # when the state was Python objects: plain floats and ints, arrays of
+    # fixed dtypes, never a numpy scalar
+    sc, log, dataset = _run(name)
+    offsets = Simulation([sc]).offsets
+    assert [type(x) for x in offsets] == [float] * len(offsets)
+    assert {type(f.time) for f in log.frames} == {float}
+    for field, dtype in FRAME_DTYPES.items():
+        assert {getattr(f, field).dtype for f in log.frames} == {np.dtype(dtype)}, field
+    record_types = [float, str, float, float, float, float, float, float, int, float, tuple, tuple]
+    obs_types = [str, int, float, float, float, float]
+    seen = 0
+    for record in dataset.records:
+        assert [type(getattr(record, f.name)) for f in fields(record)] == record_types
+        for obs in record.surroundings:
+            assert [type(getattr(obs, f.name)) for f in fields(obs)] == obs_types
+            seen += 1
     assert seen
-    assert {key: n for key, n in seen.items() if key[1] is not float} == {}
 
 
 def test_side_scan_skip_changes_no_trajectory(monkeypatch):

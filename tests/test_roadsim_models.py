@@ -304,3 +304,36 @@ def test_max_free_accel_bounds_every_leader(
     )
     assert a <= bound
 
+
+
+_POSITIVE = st.floats(0.05, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.0, 45.0),                          # v
+            st.one_of(st.none(), st.floats(0.05, 300.0)),  # gap, None: free road
+            st.floats(0.0, 45.0),                          # v_leader
+            st.floats(1.0, 45.0),                          # v_des
+            st.builds(
+                IdmParams, a_max=_POSITIVE, b=_POSITIVE, T=st.floats(0.2, 3.0),
+                s0=_POSITIVE, delta=st.floats(1.0, 8.0), v0=st.floats(1.0, 45.0),
+            ),
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+@example(rows=[(18.477, 7.114, 12.484, 19.4, IdmParams(T=1.44, s0=2.4, v0=19.4))])
+def test_idm_rows_equal_the_scalar_accel_bit_for_bit(rows):
+    # the array form the engine uses against IdmParams.accel, element by
+    # element, including the squaring where x * x differs from pow(x, 2)
+    v, gap, v_leader, v_des, models = zip(*rows)
+    terms = tuple(np.asarray(column) for column in zip(*(m._terms for m in models)))
+    got = IdmParams.accel_rows(
+        terms, np.asarray(v), np.asarray([math.inf if g is None else g for g in gap]),
+        np.asarray(v_leader), np.asarray(v_des),
+    )
+    expected = [m.accel(*args, 0.0, 0.0, 0.1) for m, *args in zip(models, v, gap, v_leader, v_des)]
+    assert got.tobytes() == np.asarray(expected).tobytes()
