@@ -313,9 +313,6 @@ class CaseView:
         self.__dict__[name] = column
         return column
 
-    def __len__(self) -> int:
-        return len(self.floats)
-
     @property
     def subject(self) -> int | None:
         """The subject's index in the case's arrays, None before its
@@ -570,7 +567,6 @@ class Simulation:
         self._ints = self._int_store[:self._n]
         columns = dict(zip(FLOAT_FIELDS, self._floats.T))
         columns.update(zip(INT_FIELDS, self._ints.T))
-        self._columns = columns
         self.__dict__.update(columns)
         self._idm_terms = tuple(columns[name] for name in IDM_TERMS)
 
