@@ -392,11 +392,6 @@ def usable_field_mops(mops: MopVector) -> MopVector:
 # ---------------------------------------------------------------------------
 # stages
 
-# stage-1 cases per worker and batch: a batch of 8 corridor cases costs about
-# as much per step as three runs of one (tools/step_cost.py), while the early
-# stop wastes at most the rest of its batch
-STAGE1_BATCH = 8
-
 
 @dataclass(frozen=True)
 class CaseRecord:
@@ -438,10 +433,13 @@ def run_stage1(
     """Evaluate the inflow design in design order, stopping at the first case
     that reaches the accuracy threshold.
 
-    Cases go out in batches of STAGE1_BATCH per worker, each worker's share
-    simulated together. Records and simulation counts stop at the stopping
-    case, so the result is the same for any worker count; the batch-mates
-    after it are still simulated but not recorded.
+    Cases go out in batches that double in size, from one case per worker:
+    each worker simulates its share of a batch together, which costs less
+    per case the larger the share, while a stop wastes at most the rest of
+    its batch, no more than the cases before the batch plus workers - 1.
+    Records and simulation counts stop at the stopping case, so the result
+    is the same for any worker count; the batch-mates after it are still
+    simulated but not recorded.
     """
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
@@ -461,14 +459,16 @@ def run_stage1(
         extraction=cfg.extraction,
         per_road=cfg.stage1.per_road_density,
     )
-    batch = STAGE1_BATCH * max(1, cfg.workers)
     if evaluator is None:
         evaluator = CaseEvaluator()
 
     def outcomes():
-        for start in range(0, len(cases), batch):
-            chunk = cases[start : start + batch]
+        start, size = 0, max(1, cfg.workers)
+        while start < len(cases):
+            chunk = cases[start : start + size]
             yield from zip(chunk, evaluator.evaluate_all([c.values for c in chunk], ctx))
+            start += size
+            size *= 2
 
     records: list[CaseRecord] = []
     best_values: dict | None = None

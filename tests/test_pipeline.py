@@ -372,6 +372,36 @@ def test_stage1_early_stop_after_first_acceptable_case(micro_scenario):
     assert result.n_evaluated == 1
 
 
+def test_stage1_batches_double_from_one_case_per_worker(micro_scenario, monkeypatch):
+    # a stop at the first case sends out that case alone; the whole design
+    # goes out in batches of 1, 2, 4, ... cases
+    field = generate_field_data(micro_scenario, 0)
+    sizes = []
+    evaluate_all = CaseEvaluator.evaluate_all
+
+    def spied(self, values_list, ctx):
+        sizes.append(len(values_list))
+        return evaluate_all(self, values_list, ctx)
+
+    monkeypatch.setattr(CaseEvaluator, "evaluate_all", spied)
+    for threshold in (-10.0, 2.0):  # 2.0: no case can stop stage 1
+        cfg = micro_calibration(
+            micro_scenario,
+            stage1=Stage1Config(levels=3, delta=0.2, accuracy_threshold=threshold),
+        )
+        sizes.clear()
+        result = run_stage1(cfg, field)
+        if threshold < 0:
+            assert sizes == [1]
+        else:
+            assert result.oa_runs > 3
+            expected, left = [], result.oa_runs
+            while left > 0:
+                expected.append(min(2 ** len(expected), left))
+                left -= expected[-1]
+            assert sizes == expected
+
+
 def test_stage2_freezes_stage1_inputs_and_selects_critical(micro_scenario):
     field = generate_field_data(
         apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0

@@ -595,3 +595,13 @@ def test_batch_rejects_cases_of_different_runs():
                   replace(cfg, total_time=90.0), corridor(lanes=2)):
         with pytest.raises(ValueError, match="share"):
             run_batch([cfg, other])
+
+
+def test_a_sink_fault_propagates_out_of_the_batch():
+    # only MissingSubjectError drops a case out of its batch; a fault in a
+    # sink is not a property of the case and must surface with its traceback
+    def broken(case):
+        raise TypeError("broken sink")
+
+    with pytest.raises(TypeError, match="broken sink"):
+        run_batch([corridor(), corridor()], [lambda case: None, broken])
