@@ -259,8 +259,9 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
     vectors = [[] for _ in scenarios]
     collisions = [0] * len(scenarios)
 
-    def fail(i, n_sims, diagnostic, feasible=False):
-        log.warning("case %s scored -inf: %s", values_list[i], diagnostic)
+    def fail(i, n_sims, diagnostic, feasible=False, exc=None):
+        # a scoring fault keeps its traceback in the log
+        log.warning("case %s scored -inf: %s", values_list[i], diagnostic, exc_info=exc)
         outcomes[i] = CaseOutcome(
             accuracy=float("-inf"), mops=None, feasible=feasible,
             n_simulations=n_sims, collisions=collisions[i], diagnostic=diagnostic,
@@ -289,7 +290,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
                             extract_events(dataset, **ctx.extraction.kwargs())
                         )
                 except Exception as exc:
-                    fail(i, rep + 1, _describe(exc), feasible=True)
+                    fail(i, rep + 1, _describe(exc), feasible=True, exc=exc)
                 else:
                     vectors[i].append(mops)
     for i, out in enumerate(outcomes):
@@ -298,7 +299,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
         try:
             mean = MopVector.mean_of(vectors[i])
         except Exception as exc:
-            fail(i, ctx.replications, _describe(exc), feasible=True)
+            fail(i, ctx.replications, _describe(exc), feasible=True, exc=exc)
             continue
         try:
             acc = accuracy(ctx.field_mops, mean)
@@ -308,7 +309,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
                 n_simulations=ctx.replications, collisions=collisions[i], diagnostic=str(exc),
             )
         except Exception as exc:
-            fail(i, ctx.replications, _describe(exc), feasible=True)
+            fail(i, ctx.replications, _describe(exc), feasible=True, exc=exc)
         else:
             outcomes[i] = CaseOutcome(
                 accuracy=acc, mops=mean, feasible=True,

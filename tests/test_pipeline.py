@@ -310,6 +310,7 @@ def test_a_failing_case_scores_minus_inf_and_spares_its_batch_mates(
     assert failed.diagnostic == "RuntimeError: no events here"
     assert failed.n_simulations == 1 and failed.collisions == alone[1].collisions
     assert "scored -inf: RuntimeError: no events here" in caplog.text
+    assert "failing_second" in caplog.text  # the warning carries the traceback
 
 
 def test_field_events_are_extracted_once_per_calibration(micro_scenario, monkeypatch):
