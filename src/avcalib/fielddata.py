@@ -1,29 +1,43 @@
 """Parsing and event extraction for detection data.
 
 Works identically on real field data and on simulator output, since both
-arrive in the same CSV schema. Extraction rules the source material leaves
-open are configurable with conservative defaults: car-following episodes
-require a same-lane leader within 120 m for at least 5 s, lane changes must
-persist 1 s to debounce sensor flicker, and cut-ins only count within 50 m
-ahead of the subject.
+arrive in the same CSV schema and the same columns (``detection.py``).
+Extraction rules the source material leaves open are configurable with
+conservative defaults: car-following episodes require a same-lane leader
+within 120 m for at least 5 s, lane changes must persist 1 s to debounce
+sensor flicker, and cut-ins only count within 50 m ahead of the subject.
+
+Every pass works on the dataset's columns. The car-following pass finds each
+vehicle's leader from one sort of all records' vehicles and cuts episodes
+from one sort of the pairs; the lane-change scan runs only on the runs of
+samples whose lane id changes. Arithmetic is per element, in the operation
+order of one record at a time, and every mean is a left-to-right Python
+``sum``, so the events do not depend on the layout.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from .detection import (
+    KMH_TO_MS,
+    OBS_FLOATS,
+    RECORD_FLOATS,
     SUBJECT,
     SURROUNDING_COLUMNS,
     DETECTION_COLUMNS,
     DatasetMeta,
-    DetectionRecord,
     FieldDataset,
-    SurroundingObs,
     infer_interval,
+    intern_ids,
 )
 
 
@@ -86,58 +100,60 @@ def parse_field_data(
         def iget(row, name, line):
             return int(round(fget(row, name, line)))
 
-        records: list[DetectionRecord] = []
-        # the fields of the record being read, and its surroundings, one per
-        # row; the record is built once, when the timestamp changes
-        head: dict | None = None
-        surroundings: list[SurroundingObs] = []
+        def numbers(row, names, lane, line):
+            """The columns `names` of a row as floats, the one at `lane` an
+            int; a bad cell raises as if the row were read cell by cell."""
+            try:
+                values = [float(row[col[name]]) for name in names]
+            except ValueError:
+                values = [(iget if k == lane else fget)(row, name, line)
+                          for k, name in enumerate(names)]
+            values[lane] = int(round(values[lane]))
+            return values
+
+        # a record starts where the timestamp changes; the numbers of each
+        # record and observation go, in column order, into flat float arrays
+        times, roads, extras, counts, vids = [], [], [], [], []
+        heads, obs = array("d"), array("d")
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < len(header):
                 raise RowError(line_no, f"expected {len(header)} fields, got {len(row)}")
             t = fget(row, "Timestamp", line_no)
-            if head is None or t != head["timestamp"]:
-                if head is not None:
-                    records.append(DetectionRecord(**head, surroundings=tuple(surroundings)))
-                    surroundings = []
-                extras = tuple(
-                    (name, row[col[name]]) for name in extra_cols
-                )
-                head = dict(
-                    timestamp=t,
-                    road_name=row[col["Road name"]].strip(),
-                    speed_limit_kmh=fget(row, "Speed limit", line_no),
-                    speed_kmh=fget(row, "Speed", line_no),
-                    yaw_rate=fget(row, "Yaw rate", line_no),
-                    longitude=fget(row, "Longitude", line_no),
-                    latitude=fget(row, "Latitude", line_no),
-                    acceleration=fget(row, "Acceleration", line_no),
-                    lane_id=iget(row, "Lane ID", line_no),
-                    lane_distance=fget(row, "Lane distance", line_no),
-                    extras=extras,
-                )
+            if not times or t != times[-1]:
+                times.append(t)
+                extras.append(tuple((name, row[col[name]]) for name in extra_cols))
+                roads.append(row[col["Road name"]].strip())
+                heads.extend(numbers(row, DETECTION_COLUMNS[2:10], 6, line_no))
+                counts.append(0)
             vid = row[col["Vehicle ID"]].strip()
             if vid:
-                surroundings.append(SurroundingObs(
-                    vehicle_id=vid,
-                    lane_id=iget(row, "Surrounding vehicle's Lane ID", line_no),
-                    rel_longitudinal=fget(row, "Relative longitudinal position", line_no),
-                    rel_lateral=fget(row, "Relative lateral position", line_no),
-                    speed_kmh=fget(row, "Absolute velocity", line_no),
-                    heading_deg=fget(row, "Vehicle heading", line_no),
-                ))
-        if head is not None:
-            records.append(DetectionRecord(**head, surroundings=tuple(surroundings)))
+                vids.append(vid)
+                obs.extend(numbers(row, SURROUNDING_COLUMNS[1:], 0, line_no))
+                counts[-1] += 1
     finally:
         if owned:
             stream.close()
 
+    *floats, lanes, distances = np.array(heads).reshape(-1, 8).T.copy()
+    obs_lanes, *obs_floats = np.array(obs).reshape(-1, 5).T.copy()
+    codes, names = intern_ids(vids)
     dataset = FieldDataset(
-        records=tuple(records),
+        timestamp=np.array(times, dtype=float),
+        road_name=tuple(roads),
+        **dict(zip(RECORD_FLOATS, floats)),
+        lane_id=lanes.astype(np.int64),
+        lane_distance=distances,
+        extras=tuple(extras),
+        obs_offsets=np.cumsum([0] + counts),
+        obs_vehicle=codes,
+        vehicle_ids=names,
+        obs_lane=obs_lanes.astype(np.int64),
+        **{"obs_" + f: v for f, v in zip(OBS_FLOATS, obs_floats)},
         meta=DatasetMeta(
             source=source_kind,
-            interval=infer_interval([r.timestamp for r in records]),
+            interval=infer_interval(times),
             route=route,
             detection_range=detection_range,
         ),
@@ -146,105 +162,80 @@ def parse_field_data(
     return dataset
 
 
+def _reprs(column):
+    return map(repr, column.tolist())
+
+
 def export_detection_csv(dataset: FieldDataset, target=None) -> str | None:
     """Write a FieldDataset back out in the canonical CSV schema.
 
     With target=None the CSV text is returned; otherwise it is written to
-    the given path or stream.
+    the given path or stream, row by row.
     """
-    buf = io.StringIO()
+    if isinstance(target, (str, Path)):
+        with open(target, "w") as stream:
+            return export_detection_csv(dataset, stream)
+    ds = dataset
+    buf = io.StringIO() if target is None else target
     extra_cols: list[str] = []
-    for rec in dataset.records:
-        for name, _ in rec.extras:
+    for extras in ds.extras:
+        for name, _ in extras:
             if name not in extra_cols:
                 extra_cols.append(name)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(DETECTION_COLUMNS) + extra_cols)
-
-    def num(x):
-        return repr(float(x))
-
-    for rec in dataset.records:
-        base = [
-            num(rec.timestamp),
-            rec.road_name,
-            num(rec.speed_limit_kmh),
-            num(rec.speed_kmh),
-            num(rec.yaw_rate),
-            num(rec.longitude),
-            num(rec.latitude),
-            num(rec.acceleration),
-            str(rec.lane_id),
-            num(rec.lane_distance),
-        ]
-        extras = dict(rec.extras)
-        tail = [extras.get(name, "") for name in extra_cols]
-        if not rec.surroundings:
-            writer.writerow(base + [""] * len(SURROUNDING_COLUMNS) + tail)
-        else:
-            for obs in rec.surroundings:
-                writer.writerow(
-                    base
-                    + [
-                        obs.vehicle_id,
-                        str(obs.lane_id),
-                        num(obs.rel_longitudinal),
-                        num(obs.rel_lateral),
-                        num(obs.speed_kmh),
-                        num(obs.heading_deg),
-                    ]
-                    + tail
-                )
-    text = buf.getvalue()
-    if target is None:
-        return text
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
-    return None
+    none = [("",) * len(SURROUNDING_COLUMNS)]
+    cuts = ds.obs_offsets.tolist()
+    # a block at a time: never the whole file's cells at once
+    for lo in range(0, len(ds), 256):
+        hi = min(lo + 256, len(ds))
+        part, o_part = slice(lo, hi), slice(cuts[lo], cuts[hi])
+        bases = zip(
+            _reprs(ds.timestamp[part]), ds.road_name[part],
+            *(_reprs(getattr(ds, f)[part]) for f in RECORD_FLOATS),
+            map(str, ds.lane_id[part].tolist()), _reprs(ds.lane_distance[part]),
+        )
+        obs = zip(
+            map(ds.vehicle_ids.__getitem__, ds.obs_vehicle[o_part].tolist()),
+            map(str, ds.obs_lane[o_part].tolist()),
+            *(_reprs(getattr(ds, "obs_" + f)[o_part]) for f in OBS_FLOATS),
+        )
+        for i, base, extras in zip(range(lo, hi), bases, ds.extras[part]):
+            extras = dict(extras)
+            tail = [extras.get(name, "") for name in extra_cols]
+            count = cuts[i + 1] - cuts[i]
+            rows = islice(obs, count) if count else none
+            writer.writerows([*base, *o, *tail] for o in rows)
+    return buf.getvalue() if target is None else None
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 
 
-def _presence_segments(records):
-    """Each surrounding vehicle's runs of consecutive records, vehicles in id
-    order: (vehicle id, [(record index, index in its surroundings), ...])."""
-    per_vehicle: dict[str, list[tuple[int, int]]] = {}
-    for idx, rec in enumerate(records):
-        for oi, obs in enumerate(rec.surroundings):
-            per_vehicle.setdefault(obs.vehicle_id, []).append((idx, oi))
-    for vid in sorted(per_vehicle):
-        entries = per_vehicle[vid]
-        start = 0
-        for k in range(1, len(entries) + 1):
-            if k == len(entries) or entries[k][0] != entries[k - 1][0] + 1:
-                yield vid, entries[start:k]
-                start = k
+def _presence_segments(dataset: FieldDataset):
+    """The observations in vehicle-id then record order, and the bounds in
+    that order of each vehicle's runs of consecutive records."""
+    order = np.argsort(dataset.obs_vehicle, kind="stable")
+    codes, rec = dataset.obs_vehicle[order], dataset.obs_record[order]
+    starts = np.flatnonzero((codes[1:] != codes[:-1]) | (rec[1:] != rec[:-1] + 1)) + 1
+    return order, [0, *starts.tolist(), len(order)] if len(order) else [0]
 
 
 def _despike(values, max_jump):
     """Mark samples that jump more than max_jump per step from the last
     accepted sample and linearly interpolate them between good anchors."""
-    n = len(values)
-    out = list(values)
-    good = [0]
-    bad = []
-    for i in range(1, n):
-        allowed = max_jump * (i - good[-1])
-        if abs(values[i] - values[good[-1]]) > allowed:
+    out, good, bad = list(values), [0], []
+    for i in range(1, len(values)):
+        if abs(values[i] - values[good[-1]]) > max_jump * (i - good[-1]):
             bad.append(i)
         else:
             good.append(i)
-    if not bad:
-        return out, 0
     for i in bad:
-        left = max(g for g in good if g < i)
-        rights = [g for g in good if g > i]
-        if rights:
-            right = min(rights)
+        k = bisect_left(good, i)  # good[k - 1] < i < good[k]
+        left = good[k - 1]
+        if k < len(good):
+            right = good[k]
             frac = (i - left) / (right - left)
             out[i] = values[left] + frac * (values[right] - values[left])
         else:
@@ -253,16 +244,12 @@ def _despike(values, max_jump):
 
 
 def _smooth(values, n_side):
-    if n_side <= 0 or len(values) < 2:
-        return list(values)
-    out = []
+    """Centered moving means, each a left-to-right sum."""
     n = len(values)
-    for i in range(n):
-        lo = max(0, i - n_side)
-        hi = min(n, i + n_side + 1)
-        window = values[lo:hi]
-        out.append(sum(window) / len(window))
-    return out
+    if n_side <= 0 or n < 2:
+        return list(values)
+    windows = (values[max(0, i - n_side):i + n_side + 1] for i in range(n))
+    return [sum(w) / len(w) for w in windows]
 
 
 def preprocess(
@@ -282,48 +269,34 @@ def preprocess(
     n_side = int(round(smoothing_window_s / (2.0 * interval)))
     jump_kmh = max_speed_jump * 3.6
 
-    n = len(dataset.records)
-    subj_speed = [r.speed_kmh for r in dataset.records]
-    n_fixed = 0
-    subj_speed, k = _despike(subj_speed, jump_kmh)
-    n_fixed += k
-    subj_speed = _smooth(subj_speed, n_side)
+    speed, n_fixed = _despike(dataset.speed_kmh.tolist(), jump_kmh)
+    speed = np.array(_smooth(speed, n_side), dtype=float)
 
     # per-vehicle surrounding series, smoothed within contiguous presence
-    obs_fix: dict[tuple[int, int], SurroundingObs] = {}
-    for _vid, seg_entries in _presence_segments(dataset.records):
-        seg_obs = [dataset.records[i].surroundings[oi] for i, oi in seg_entries]
-        speeds, k = _despike([o.speed_kmh for o in seg_obs], jump_kmh)
+    old = (dataset.obs_speed_kmh, dataset.obs_rel_longitudinal, dataset.obs_rel_lateral)
+    new = [column.copy() for column in old]
+    order, bounds = _presence_segments(dataset)
+    for lo, hi in zip(bounds, bounds[1:]):
+        seg = order[lo:hi]
+        speeds, k = _despike(old[0][seg].tolist(), jump_kmh)
         n_fixed += k
-        speeds = _smooth(speeds, n_side)
-        rlon = _smooth([o.rel_longitudinal for o in seg_obs], n_side)
-        rlat = _smooth([o.rel_lateral for o in seg_obs], n_side)
-        for j, obs in enumerate(seg_obs):
-            if (
-                speeds[j] != obs.speed_kmh
-                or rlon[j] != obs.rel_longitudinal
-                or rlat[j] != obs.rel_lateral
-            ):
-                obs_fix[seg_entries[j]] = SurroundingObs(
-                    vehicle_id=obs.vehicle_id,
-                    lane_id=obs.lane_id,
-                    rel_longitudinal=rlon[j],
-                    rel_lateral=rlat[j],
-                    speed_kmh=speeds[j],
-                    heading_deg=obs.heading_deg,
-                )
+        new[0][seg] = _smooth(speeds, n_side)
+        new[1][seg] = _smooth(old[1][seg].tolist(), n_side)
+        new[2][seg] = _smooth(old[2][seg].tolist(), n_side)
 
-    records = []
-    for idx, rec in enumerate(dataset.records):
-        new_surr = tuple(
-            obs_fix.get((idx, oi), obs) for oi, obs in enumerate(rec.surroundings)
-        )
-        if subj_speed[idx] == rec.speed_kmh and new_surr == rec.surroundings:
-            records.append(rec)
-        else:
-            records.append(replace(rec, speed_kmh=subj_speed[idx], surroundings=new_surr))
-    out = FieldDataset(records=tuple(records), meta=dataset.meta)
-    return out.with_meta(preprocessed=True, n_interpolated=n_fixed)
+    # an observation takes its new values when one of them compares unequal,
+    # and a record its new speed when that or one of its observations does
+    changed = (new[0] != old[0]) | (new[1] != old[1]) | (new[2] != old[2])
+    touched = speed != dataset.speed_kmh
+    touched[dataset.obs_record[changed]] = True
+    return replace(
+        dataset,
+        speed_kmh=np.where(touched, speed, dataset.speed_kmh),
+        obs_speed_kmh=np.where(changed, new[0], old[0]),
+        obs_rel_longitudinal=np.where(changed, new[1], old[1]),
+        obs_rel_lateral=np.where(changed, new[2], old[2]),
+        meta=replace(dataset.meta, preprocessed=True, n_interpolated=n_fixed),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -371,143 +344,109 @@ class EventSet:
 # event extraction
 
 
-def _actor_position(rec: DetectionRecord, actor: str) -> float | None:
-    if actor == SUBJECT:
-        return 0.0
-    for obs in rec.surroundings:
-        if obs.vehicle_id == actor:
-            return obs.rel_longitudinal
-    return None
-
-
-def _target_lane_gap(rec: DetectionRecord, actor: str, target_lane: int):
+def _target_lane_gap(ds: FieldDataset, r: int, o: int | None, target_lane: int):
     """Gap between the target-lane leader and follower around the actor's
-    longitudinal position; None when either neighbor is unobserved."""
-    p = _actor_position(rec, actor)
-    if p is None:
-        return None
-    others = []
-    if actor != SUBJECT and rec.lane_id == target_lane:
-        others.append((0.0, SUBJECT))
-    for obs in rec.surroundings:
-        if obs.vehicle_id == actor:
-            continue
-        if obs.lane_id == target_lane:
-            others.append((obs.rel_longitudinal, obs.vehicle_id))
-    ahead = [q for q, _ in others if q > p]
-    behind = [q for q, _ in others if q < p]
-    if not ahead or not behind:
-        return None
-    return min(ahead) - max(behind)
+    longitudinal position in record r; None when either neighbor is
+    unobserved. The actor is observation o, or the subject when o is None."""
+    lo, hi = ds.obs_offsets[r:r + 2].tolist()
+    positions = ds.obs_rel_longitudinal[lo:hi].tolist()
+    p = 0.0 if o is None else positions[o - lo]
+    others = [0.0] if o is not None and ds.lane_id[r] == target_lane else []
+    others += [
+        q for k, (q, lane) in enumerate(zip(positions, ds.obs_lane[lo:hi].tolist()), lo)
+        if lane == target_lane and k != o
+    ]
+    ahead, behind = [q for q in others if q > p], [q for q in others if q < p]
+    return min(ahead) - max(behind) if ahead and behind else None
 
 
-def _scan_lane_changes(times, lanes, rel_lats, debounce_s, subject_lanes=None):
+def _scan_lane_changes(times, lanes, cuts, debounce_s, rel_lats=None, subject_lanes=None):
     """Confirmed lane transitions within one presence segment.
 
-    Returns (seg_index_init, from_lane, to_lane) triples, where seg_index_init
-    is the first sample in the new lane. A transition is confirmed when the
-    lane holds for debounce_s (or to the end of the segment) and, for
-    surrounding actors, the lateral movement agrees with the lane numbering
-    unless the subject changed lanes at the same step.
+    `cuts` lists in order the indices k at which lanes[k] != lanes[k - 1].
+    Returns (seg_index_init, from_lane, to_lane) triples, where
+    seg_index_init is the first sample in the new lane. A transition is
+    confirmed when the lane holds for debounce_s (or to the end of the
+    segment) and, for surrounding actors, the lateral movement agrees with
+    the lane numbering unless the subject changed lanes at the same step.
     """
-    out = []
-    confirmed = lanes[0]
-    i = 1
-    n = len(lanes)
+    out, confirmed, i, n = [], lanes[0], 1, len(lanes)
     while i < n:
+        k = bisect_right(cuts, i)
+        cut = cuts[k] if k < len(cuts) else n  # the lane holds until there
         if lanes[i] == confirmed:
-            i += 1
+            i = cut
             continue
         to = lanes[i]
-        t_init = times[i]
-        j = i
-        ok = True
-        while j < n and times[j] < t_init + debounce_s:
-            if lanes[j] != to:
-                ok = False
-                break
-            j += 1
-        if ok and rel_lats is not None:
-            moved_left = to > confirmed
+        held = bisect_left(times, times[i] + debounce_s, i)
+        ok = cut >= held
+        if ok and rel_lats is not None:  # unless the lateral motion contradicts it
             dlat = rel_lats[i] - rel_lats[i - 1]
-            subject_moved = (
-                subject_lanes is not None and subject_lanes[i] != subject_lanes[i - 1]
-            )
-            if not subject_moved and dlat != 0.0 and (dlat > 0) != moved_left:
-                ok = False  # lateral motion contradicts the lane id change
+            subject_moved = subject_lanes[i] != subject_lanes[i - 1]
+            ok = subject_moved or dlat == 0.0 or (dlat > 0) == (to > confirmed)
         if ok:
             out.append((i, confirmed, to))
             confirmed = to
-            i = max(j, i + 1)
-        else:
-            i = max(j, i + 1)
+        i = max(min(cut, held), i + 1)
     return out
 
 
-def _lane_change_details(dataset: FieldDataset, debounce_s: float):
-    """All confirmed lane changes with their record indices, subject first."""
-    records = dataset.records
+def _lane_change_details(ds: FieldDataset, debounce_s: float):
+    """All confirmed lane changes, ordered by entry time then actor id:
+    (actor id, record at initiation, record at entry, the actor's
+    observation at initiation and at entry, from lane, to lane); the
+    subject's observations are None."""
+    times = ds.timestamp.tolist()
     detailed = []
+    cuts = (np.flatnonzero(ds.lane_id[1:] != ds.lane_id[:-1]) + 1).tolist()
+    if cuts:
+        for i, frm, to in _scan_lane_changes(times, ds.lane_id.tolist(), cuts, debounce_s):
+            detailed.append((SUBJECT, i - 1, i, None, None, frm, to))
 
-    times = [r.timestamp for r in records]
-    lanes = [r.lane_id for r in records]
-    for idx_init, frm, to in _scan_lane_changes(times, lanes, None, debounce_s):
-        detailed.append((SUBJECT, idx_init - 1, idx_init, frm, to))
-
-    for vid, seg_entries in _presence_segments(records):
-        if len(seg_entries) < 2:
-            continue
-        seg_obs = [records[i].surroundings[oi] for i, oi in seg_entries]
-        seg_times = [records[i].timestamp for i, _ in seg_entries]
-        seg_lanes = [o.lane_id for o in seg_obs]
-        seg_lats = [o.rel_lateral for o in seg_obs]
-        seg_subject = [records[i].lane_id for i, _ in seg_entries]
-        for k_init, frm, to in _scan_lane_changes(
-            seg_times, seg_lanes, seg_lats, debounce_s, seg_subject
+    order, bounds = _presence_segments(ds)
+    lanes = ds.obs_lane[order]
+    cuts = (np.flatnonzero(lanes[1:] != lanes[:-1]) + 1).tolist()
+    by_segment: dict[int, list[int]] = {}
+    for k in cuts:  # a cut at a segment's first sample belongs to no segment
+        s = bisect_right(bounds, k) - 1
+        if k > bounds[s]:
+            by_segment.setdefault(s, []).append(k - bounds[s])
+    for s, seg_cuts in by_segment.items():
+        obs = order[bounds[s]:bounds[s + 1]]
+        rec = ds.obs_record[obs]
+        recs, obs = rec.tolist(), obs.tolist()
+        vid = ds.vehicle_ids[ds.obs_vehicle[obs[0]]]
+        for k, frm, to in _scan_lane_changes(
+            ds.timestamp[rec].tolist(), ds.obs_lane[obs].tolist(), seg_cuts, debounce_s,
+            ds.obs_rel_lateral[obs].tolist(), ds.lane_id[rec].tolist(),
         ):
-            detailed.append((vid, seg_entries[k_init - 1][0], seg_entries[k_init][0], frm, to))
-    detailed.sort(key=lambda e: (dataset.records[e[2]].timestamp, str(e[0])))
+            detailed.append((vid, recs[k - 1], recs[k], obs[k - 1], obs[k], frm, to))
+    detailed.sort(key=lambda e: (times[e[2]], e[0]))
     return detailed
 
 
-def _lane_change_events(dataset: FieldDataset, details):
-    """Lane-change events for the subject and every surrounding vehicle.
-
-    The gap between the target-lane leader and follower is measured at
-    initiation (the last sample in the origin lane).
-    """
-    events = []
-    for actor, idx_init, idx_entry, frm, to in details:
-        rec_init = dataset.records[idx_init]
-        events.append(
-            LaneChangeEvent(
-                actor=actor,
-                start_time=rec_init.timestamp,
-                end_time=dataset.records[idx_entry].timestamp,
-                from_lane=frm,
-                to_lane=to,
-                lc_distance=_target_lane_gap(rec_init, actor, to),
-            )
-        )
-    return events
+def _lane_change_events(ds: FieldDataset, details):
+    """Lane-change events for the subject and every surrounding vehicle; the
+    target-lane gap is measured at initiation (the last sample in the origin
+    lane)."""
+    times = ds.timestamp.tolist()
+    return [
+        LaneChangeEvent(actor, times[r0], times[r1], frm, to, _target_lane_gap(ds, r0, o0, to))
+        for actor, r0, r1, o0, _o1, frm, to in details
+    ]
 
 
-def _cut_in_events(dataset: FieldDataset, details, front_max, dedup_window_s):
+def _cut_in_events(ds: FieldDataset, details, front_max, dedup_window_s):
     """Surrounding vehicles entering the subject's lane ahead of it, at most
     one event per intruder per dedup window."""
-    events = []
-    last_event: dict[str, float] = {}
-    for actor, _idx_init, idx_entry, _frm, to in details:
-        if actor == SUBJECT:
-            continue
-        rec = dataset.records[idx_entry]
-        if to != rec.lane_id:
-            continue  # not into the subject's current lane
-        gap = _actor_position(rec, actor)
-        if gap is None or not (0.0 < gap <= front_max):
-            continue
-        t = rec.timestamp
-        if actor in last_event and t - last_event[actor] < dedup_window_s:
+    events, last_event = [], {}
+    for actor, _r0, r1, _o0, o1, _frm, to in details:
+        if o1 is None or to != ds.lane_id[r1]:
+            continue  # the subject, or not into the subject's current lane
+        gap, t = ds.obs_rel_longitudinal[o1].item(), ds.timestamp[r1].item()
+        if not (0.0 < gap <= front_max) or (
+            actor in last_event and t - last_event[actor] < dedup_window_s
+        ):
             continue
         last_event[actor] = t
         events.append(CutInEvent(intruder=actor, time=t, entry_gap=gap))
@@ -523,84 +462,76 @@ def detect_car_following(
     """Maximal same-lane follower/leader intervals with an unchanged pair,
     both lanes constant, and the gap inside max_gap.
 
-    Headway samples are gap / follower speed; samples below min_speed are
-    left out of the series (near-standstill headways diverge).
+    A vehicle's leader is the nearest vehicle strictly ahead in its lane in
+    the same record; of several at an equal gap, the one whose id sorts
+    first (the subject's id is ``SUBJECT``). Headway samples are gap /
+    follower speed; samples below min_speed are left out of the series
+    (near-standstill headways diverge).
     """
-    records = dataset.records
-    episodes: list[CarFollowingEpisode] = []
-    active: dict[tuple[str, str], dict] = {}
-
-    for idx, rec in enumerate(records):
-        entities = [(SUBJECT, 0.0, rec.lane_id, rec.speed_ms)]
-        for obs in sorted(rec.surroundings, key=lambda o: o.vehicle_id):
-            entities.append((obs.vehicle_id, obs.rel_longitudinal, obs.lane_id, obs.speed_ms))
-
-        pairs: dict[str, tuple[str, float, float, int]] = {}
-        for fid, fpos, flane, fspeed in entities:
-            best = None
-            for lid, lpos, llane, _ in entities:
-                if lid == fid or llane != flane:
-                    continue
-                gap = lpos - fpos
-                if gap <= 0 or gap > max_gap:
-                    continue
-                if best is None or gap < best[1] or (gap == best[1] and lid < best[0]):
-                    best = (lid, gap)
-            if best is not None:
-                pairs[fid] = (best[0], best[1], fspeed, flane)
-
-        for key in list(active.keys()):
-            follower, leader = key
-            run = active[key]
-            cur = pairs.get(follower)
-            contiguous = run["last_idx"] == idx - 1
-            same = (
-                cur is not None
-                and cur[0] == leader
-                and contiguous
-                and cur[3] == run["lane"]
-            )
-            if not same:
-                _finalize_episode(active.pop(key), records, episodes, min_duration)
-
-        for follower, (leader, gap, fspeed, flane) in pairs.items():
-            key = (follower, leader)
-            run = active.get(key)
-            if run is None:
-                run = {
-                    "follower": follower,
-                    "leader": leader,
-                    "start_idx": idx,
-                    "last_idx": idx,
-                    "lane": flane,
-                    "headways": [],
-                }
-                active[key] = run
-            else:
-                run["last_idx"] = idx
-            if fspeed >= min_speed:
-                run["headways"].append(gap / fspeed)
-
-    for run in active.values():
-        _finalize_episode(run, records, episodes, min_duration)
-    episodes.sort(key=lambda e: (e.start_time, str(e.follower), str(e.leader)))
-    return episodes
-
-
-def _finalize_episode(run, records, episodes, min_duration):
-    t0 = records[run["start_idx"]].timestamp
-    t1 = records[run["last_idx"]].timestamp
-    if t1 - t0 < min_duration:
-        return
-    episodes.append(
-        CarFollowingEpisode(
-            follower=run["follower"],
-            leader=run["leader"],
-            start_time=t0,
-            end_time=t1,
-            headway_series=tuple(run["headways"]),
-        )
+    ds = dataset
+    n = len(ds)
+    ids = list(ds.vehicle_ids)
+    subject = bisect_left(ids, SUBJECT)
+    ids.insert(subject, SUBJECT)
+    # every vehicle of every record, the subject included, sorted by
+    # (record, lane, position, id): a leader is the first of the next
+    # position in the same group
+    code = np.concatenate(
+        (np.full(n, subject), ds.obs_vehicle + (ds.obs_vehicle >= subject))
     )
+    pos = np.concatenate((np.zeros(n), ds.obs_rel_longitudinal))
+    lane = np.concatenate((ds.lane_id, ds.obs_lane))
+    rec = np.concatenate((np.arange(n), ds.obs_record))
+    o = np.lexsort((code, pos, lane, rec))
+    code, pos, lane, rec = code[o], pos[o], lane[o], rec[o]
+    speed = (np.concatenate((ds.speed_kmh, ds.obs_speed_kmh)) * KMH_TO_MS)[o]
+    m = len(o)
+    new_group = np.ones(m, dtype=bool)
+    new_group[1:] = (rec[1:] != rec[:-1]) | (lane[1:] != lane[:-1])
+    new_pos = new_group.copy()
+    new_pos[1:] |= pos[1:] != pos[:-1]
+    group = np.append(np.cumsum(new_group), -1)
+    at = np.cumsum(new_pos) - 1  # each vehicle's position run
+    after = np.append(np.flatnonzero(new_pos)[1:], [m, m])  # the start of the next run
+    lead = after[at]
+    padded = np.append(pos, 0.0)  # row m stands for "no vehicle" (group -1)
+    gap = padded[lead] - pos
+    found = (group[lead] == group[:m]) & (gap <= max_gap)
+    leader = np.append(code, -1)[lead]
+    follow = found.nonzero()[0]
+    if not len(follow):
+        return []
+    # a farther position whose gap rounds to the same value ties
+    beyond = after[at[lead[follow]]]
+    tied = (group[beyond] == group[follow]) & (padded[beyond] - pos[follow] == gap[follow])
+    for k in follow[tied].tolist():
+        j = lead[k]
+        while group[j] == group[k] and pos[j] - pos[k] == gap[k]:
+            leader[k] = min(leader[k], code[j])
+            j = after[at[j]]
+
+    # episodes: runs of consecutive records with one leader and lane
+    q = follow[np.lexsort((rec[follow], code[follow]))]
+    f, ld, r, ln = code[q], leader[q], rec[q], lane[q]
+    bounds = np.flatnonzero(
+        (f[1:] != f[:-1]) | (ld[1:] != ld[:-1]) | (r[1:] != r[:-1] + 1) | (ln[1:] != ln[:-1])
+    ) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(q)]))
+    t0, t1 = ds.timestamp[r[starts]], ds.timestamp[r[ends - 1]]
+    fast = speed[q] >= min_speed
+    headways = (gap[q][fast] / speed[q][fast]).tolist()
+    cut = np.concatenate(([0], np.cumsum(fast))).tolist()
+    episodes = [
+        CarFollowingEpisode(
+            follower=ids[f[a]], leader=ids[ld[a]], start_time=s, end_time=e,
+            headway_series=tuple(headways[cut[a]:cut[b]]),
+        )
+        for a, b, s, e in zip(starts.tolist(), ends.tolist(), t0.tolist(), t1.tolist())
+        if not e - s < min_duration
+    ]
+    episodes.sort(key=lambda e: (e.start_time, e.follower, e.leader))
+    return episodes
 
 
 def extract_events(

@@ -13,7 +13,9 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 
-from .detection import SUBJECT, FieldDataset
+import numpy as np
+
+from .detection import KMH_TO_MS, SUBJECT, FieldDataset
 from .fielddata import EventSet
 
 log = logging.getLogger(__name__)
@@ -94,17 +96,8 @@ class MopVector:
 
 
 def _infer_lane_count(dataset: FieldDataset) -> int:
-    lanes = [r.lane_id for r in dataset.records]
-    for r in dataset.records:
-        lanes.extend(o.lane_id for o in r.surroundings)
+    lanes = [int(lane.max()) for lane in (dataset.lane_id, dataset.obs_lane) if len(lane)]
     return max(lanes) if lanes else 1
-
-
-def _mean_window_count(dataset: FieldDataset) -> float:
-    total = 0
-    for r in dataset.records:
-        total += 1 + len(r.surroundings)
-    return total / len(dataset.records)
 
 
 def compute_traffic_mops(
@@ -124,7 +117,7 @@ def compute_traffic_mops(
     catalog; a whole-route average alone cannot separate the contributions
     of individual entrance roads.
     """
-    if len(dataset.records) == 0:
+    if len(dataset) == 0:
         raise ValueError("empty dataset")
     if lane_count is None:
         lane_count = _infer_lane_count(dataset)
@@ -132,16 +125,19 @@ def compute_traffic_mops(
     window_km = (front - rear) / 1000.0
     if window_km <= 0:
         raise ValueError("detection window must have positive length")
-    speed = sum(r.speed_ms for r in dataset.records) / len(dataset.records)
-    density = _mean_window_count(dataset) / (window_km * lane_count)
+    n = len(dataset)
+    speed = sum((dataset.speed_kmh * KMH_TO_MS).tolist()) / n
+    # the mean count of vehicles in the window, the subject included
+    density = (n + len(dataset.obs_vehicle)) / n / (window_km * lane_count)
     entries = [
-        MopEntry(AVG_SUBJECT_SPEED, speed, "m/s", len(dataset.records)),
-        MopEntry(AVG_DENSITY, density, "veh/km/lane", len(dataset.records)),
+        MopEntry(AVG_SUBJECT_SPEED, speed, "m/s", n),
+        MopEntry(AVG_DENSITY, density, "veh/km/lane", n),
     ]
     if per_road:
+        counts = (1 + np.diff(dataset.obs_offsets)).tolist()
         by_road: dict[str, list[int]] = {}
-        for r in dataset.records:
-            by_road.setdefault(r.road_name, []).append(1 + len(r.surroundings))
+        for road, count in zip(dataset.road_name, counts):
+            by_road.setdefault(road, []).append(count)
         for road in sorted(by_road):
             counts = by_road[road]
             entries.append(
@@ -323,13 +319,15 @@ def _relative_error(real: float | None, sim: float | None, name: str, errors: di
 
 
 def _pooled_traffic_speed(dataset: FieldDataset) -> float | None:
-    speeds = []
-    for r in dataset.records:
-        speeds.append(r.speed_ms)
-        speeds.extend(o.speed_ms for o in r.surroundings)
-    if not speeds:
+    """The mean of every speed sample, summed record by record: the subject
+    first, then its surroundings."""
+    n, m = len(dataset), len(dataset.obs_vehicle)
+    if not n:
         return None
-    return sum(speeds) / len(speeds)
+    speeds = np.empty(n + m)
+    speeds[dataset.obs_offsets[:-1] + np.arange(n)] = dataset.speed_kmh
+    speeds[np.arange(m) + dataset.obs_record + 1] = dataset.obs_speed_kmh
+    return sum((speeds * KMH_TO_MS).tolist()) / len(speeds)
 
 
 def _traffic_mops(dataset: FieldDataset, lane_count: int | None) -> MopVector | None:

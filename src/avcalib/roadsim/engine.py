@@ -52,7 +52,7 @@ go through Python per vehicle.
 A sink is a callable that takes a ``CaseView`` of one case once per step.
 ``record_frame``, the default, stores a ``Frame`` per step in
 ``TrajectoryLog.frames``; the virtual detector (``detector.py``) is a sink
-that stores nothing but its detection records. A sink that raises
+that stores nothing but each live step's detection window. A sink that raises
 ``MissingSubjectError`` ends that case's run: the case drops out of the
 batch with the exception in ``log.stopped_by``, and its batch-mates go on.
 A case that gridlocks drops out the same way. Any other exception a sink
@@ -325,8 +325,9 @@ class CaseView:
         """The subject and the background vehicles whose route position is
         within [rear, front] of the subject's, None without a subject: the
         subject's (link, lane, route position, lat, speed, accel, lat_rate),
-        then per visible vehicle, in id order, lists of id, lane, position
-        relative to the subject, lat, speed and lat_rate."""
+        then arrays of the visible vehicles' id, lane, position relative to
+        the subject, lat, speed and lat_rate, in id order. The arrays are
+        copies, taken once per step for the whole batch."""
         return self._sim._window(rear, front).get(self._case)
 
 
@@ -941,9 +942,9 @@ class Simulation:
             s = int(self.kind.argmax())
             subjects = [s]
             rel = arc - arc[s]
-            visible = ((rear <= rel) & (rel <= front)).nonzero()[0]
-            visible = visible[visible != s]
-            cuts = {c: (0, len(visible))}
+            inside = (rear <= rel) & (rel <= front)
+            inside[s] = False
+            visible, cuts = inside.nonzero()[0], None  # the case's columns are the whole gather
         else:
             subjects = (self.kind == KIND_SUBJECT).nonzero()[0]
             if not len(subjects):
@@ -952,20 +953,17 @@ class Simulation:
             subject_arc[self.case[subjects]] = arc[subjects]
             rel = arc - subject_arc[self.case]
             visible = ((rear <= rel) & (rel <= front) & (self.kind == KIND_BACKGROUND)).nonzero()[0]
-            ends = np.searchsorted(self.case[visible], self._case_ids).tolist()
-            cuts = {c: (ends[c], ends[c + 1]) for c in self.case[subjects].tolist()}
+            cuts = np.searchsorted(self.case[visible], self._case_ids).tolist()
             subjects = subjects.tolist()
-        vid, lane, rel_pos, lat, speed, lat_rate = [
-            column[visible].tolist()
-            for column in (self.vid, self.lane, rel, self.lat, self.speed, self.lat_rate)
-        ]
+        columns = [column[visible] for column in
+                   (self.vid, self.lane, rel, self.lat, self.speed, self.lat_rate)]
         found = {}
         for s in subjects:
             f, i = self._floats[s].tolist(), self._ints[s].tolist()
-            lo, hi = cuts[i[_CASE]]
+            c = i[_CASE]
             subject = (i[_LINK], i[_LANE], arc.item(s), f[_LAT], f[_SPEED], f[_ACCEL], f[_LAT_RATE])
-            found[i[_CASE]] = (subject, vid[lo:hi], lane[lo:hi], rel_pos[lo:hi], lat[lo:hi],
-                               speed[lo:hi], lat_rate[lo:hi])
+            found[c] = (subject, *(columns if cuts is None else
+                                   [column[cuts[c]:cuts[c + 1]] for column in columns]))
         return found
 
     # -- insertions -----------------------------------------------------------

@@ -1,8 +1,17 @@
 """Shared builders for detection records and tiny scenarios."""
 
+import numpy as np
 import pytest
 
-from avcalib.detection import DatasetMeta, DetectionRecord, FieldDataset, SurroundingObs
+from avcalib.detection import (
+    OBS_FLOATS,
+    RECORD_FLOATS,
+    DatasetMeta,
+    DetectionRecord,
+    FieldDataset,
+    SurroundingObs,
+    intern_ids,
+)
 from avcalib.roadsim import (
     BehaviorSpec,
     Entrance,
@@ -46,8 +55,23 @@ def rec(t, lane=1, speed_ms=15.0, surroundings=(), road="R1", accel=0.0,
 
 
 def dataset(records, interval=0.1, detection_range=(-150.0, 150.0), source="field"):
+    """The validated columns of `records`: the inverse of
+    ``FieldDataset.records``."""
+    records = list(records)
+    obs = [o for r in records for o in r.surroundings]
+    codes, names = intern_ids([o.vehicle_id for o in obs])
     ds = FieldDataset(
-        records=tuple(records),
+        timestamp=np.array([r.timestamp for r in records], dtype=float),
+        road_name=tuple(r.road_name for r in records),
+        **{f: np.array([getattr(r, f) for r in records], dtype=float) for f in RECORD_FLOATS},
+        lane_id=np.array([r.lane_id for r in records], dtype=np.int64),
+        lane_distance=np.array([r.lane_distance for r in records], dtype=float),
+        extras=tuple(r.extras for r in records),
+        obs_offsets=np.cumsum([0] + [len(r.surroundings) for r in records]),
+        obs_vehicle=codes,
+        vehicle_ids=names,
+        obs_lane=np.array([o.lane_id for o in obs], dtype=np.int64),
+        **{"obs_" + f: np.array([getattr(o, f) for o in obs], dtype=float) for f in OBS_FLOATS},
         meta=DatasetMeta(source=source, interval=interval, detection_range=detection_range),
     )
     ds.validate()

@@ -1,13 +1,23 @@
 import io
+import math
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avcalib.detection import SUBJECT, DETECTION_COLUMNS
 from avcalib.fielddata import (
+    CarFollowingEpisode,
+    CutInEvent,
+    EventSet,
+    LaneChangeEvent,
     RowError,
     SchemaError,
+    _despike,
     detect_car_following,
     export_detection_csv,
     extract_events,
@@ -419,3 +429,238 @@ def test_export_events_csv(tmp_path):
     assert (tmp_path / "episodes.csv").exists()
     lines = (tmp_path / "cutins.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + len(events.cut_ins)
+
+
+# ---------------------------------------------------------------------------
+# columns against a per-record reference
+
+
+def _despike_reference(values, max_jump):
+    """_despike as first written: each spike scans every accepted sample for
+    its anchors."""
+    out = list(values)
+    good, bad = [0], []
+    for i in range(1, len(values)):
+        if abs(values[i] - values[good[-1]]) > max_jump * (i - good[-1]):
+            bad.append(i)
+        else:
+            good.append(i)
+    for i in bad:
+        left = max(g for g in good if g < i)
+        rights = [g for g in good if g > i]
+        if rights:
+            right = min(rights)
+            out[i] = values[left] + (i - left) / (right - left) * (values[right] - values[left])
+        else:
+            out[i] = values[left]
+    return out, len(bad)
+
+
+_RANDOM_SERIES = [
+    [random.Random(k).choice([20.0, 20.5, 21.0, 60.0, 95.0, -30.0]) for _ in range(40)]
+    for k in range(12)
+]
+
+
+@pytest.mark.parametrize("values, expected", [
+    # a spike at the start anchors the series: everything after it is held
+    ([90.0, 20.0, 21.0, 22.0, 23.0], ([90.0] * 5, 4)),
+    ([20.0, 21.0, 90.0, 22.0, 95.0, 23.0], ([20.0, 21.0, 21.5, 22.0, 22.5, 23.0], 2)),
+    # spikes at the end have no right anchor: held at the last good sample
+    ([20.0, 21.0, 22.0, 90.0, 95.0], ([20.0, 21.0, 22.0, 22.0, 22.0], 2)),
+    *[(values, None) for values in _RANDOM_SERIES],
+])
+def test_despike_matches_the_full_scan(values, expected):
+    out = _despike(values, 15.0)
+    assert out == _despike_reference(values, 15.0)
+    if expected is not None:
+        assert out == expected
+
+
+def _expand(rows):
+    """A dataset from record templates (dt, repeats, subject lane, subject
+    speed in m/s, observations), each template repeated `repeats` times."""
+    records, t = [], 0.0
+    for dt, repeats, lane, speed, obs in rows:
+        for _ in range(repeats):
+            t = round(t + dt, 6)
+            records.append(rec(t, lane=lane, speed_ms=speed, surroundings=[
+                surr(vid, o_lane, pos, lat, o_speed) for vid, o_lane, pos, lat, o_speed in obs
+            ]))
+    return dataset(records)
+
+
+def _reference_events(ds, debounce_s, cutin_front_max, cutin_dedup_s, cf_max_gap,
+                      cf_min_duration, cf_min_speed):
+    """extract_events one record and one vehicle at a time."""
+    records = ds.records
+    times = [r.timestamp for r in records]
+
+    def scan(ts, lanes, lats=None, subject=None):
+        out, confirmed, i = [], lanes[0], 1
+        while i < len(lanes):
+            if lanes[i] == confirmed:
+                i += 1
+                continue
+            j, ok = i, True
+            while j < len(lanes) and ts[j] < ts[i] + debounce_s:
+                if lanes[j] != lanes[i]:
+                    ok = False
+                    break
+                j += 1
+            if ok and lats is not None:
+                dlat = lats[i] - lats[i - 1]
+                if subject[i] == subject[i - 1] and dlat != 0.0 and (dlat > 0) != (lanes[i] > confirmed):
+                    ok = False
+            if ok:
+                out.append((i, confirmed, lanes[i]))
+                confirmed = lanes[i]
+            i = max(j, i + 1)
+        return out
+
+    def position(r, actor):
+        if actor == SUBJECT:
+            return 0.0
+        return next(o.rel_longitudinal for o in r.surroundings if o.vehicle_id == actor)
+
+    details = [(SUBJECT, i - 1, i, frm, to) for i, frm, to in scan(times, [r.lane_id for r in records])]
+    present = {}
+    for idx, r in enumerate(records):
+        for o in r.surroundings:
+            present.setdefault(o.vehicle_id, []).append((idx, o))
+    for vid in sorted(present):
+        entries, start = present[vid], 0
+        for k in range(1, len(entries) + 1):
+            if k < len(entries) and entries[k][0] == entries[k - 1][0] + 1:
+                continue
+            run, start = entries[start:k], k
+            idx = [i for i, _ in run]
+            for k_init, frm, to in scan([times[i] for i in idx], [o.lane_id for _, o in run],
+                                        [o.rel_lateral for _, o in run],
+                                        [records[i].lane_id for i in idx]):
+                details.append((vid, idx[k_init - 1], idx[k_init], frm, to))
+    details.sort(key=lambda e: (times[e[2]], e[0]))
+
+    def target_gap(r, actor, lane):
+        p = position(r, actor)
+        others = [0.0] if actor != SUBJECT and r.lane_id == lane else []
+        others += [o.rel_longitudinal for o in r.surroundings
+                   if o.vehicle_id != actor and o.lane_id == lane]
+        ahead, behind = [q for q in others if q > p], [q for q in others if q < p]
+        return min(ahead) - max(behind) if ahead and behind else None
+
+    lane_changes = tuple(
+        LaneChangeEvent(a, times[i0], times[i1], frm, to, target_gap(records[i0], a, to))
+        for a, i0, i1, frm, to in details
+    )
+    cut_ins, last = [], {}
+    for a, _i0, i1, _frm, to in details:
+        if a == SUBJECT or to != records[i1].lane_id:
+            continue
+        gap = position(records[i1], a)
+        if not 0.0 < gap <= cutin_front_max or (a in last and times[i1] - last[a] < cutin_dedup_s):
+            continue
+        last[a] = times[i1]
+        cut_ins.append(CutInEvent(a, times[i1], gap))
+    episodes = tuple(
+        CarFollowingEpisode(*e)
+        for e in _brute_force_episodes(ds, cf_max_gap, cf_min_duration, cf_min_speed)
+    )
+    return EventSet(lane_changes, tuple(cut_ins), episodes)
+
+
+_THRESHOLDS = dict(debounce_s=0.3, cutin_front_max=30.0, cutin_dedup_s=1.0, cf_max_gap=50.0,
+                   cf_min_duration=0.5, cf_min_speed=1.0)
+# a position list with exact ties, and two positions (3 and the next float)
+# whose gaps from -1 both round to 4
+_POSITIONS = (-40.0, -10.0, -1.0, -0.0, 0.0, 3.0, math.nextafter(3.0, 4.0), 10.0, 25.0, 45.0)
+_OBSERVATION = st.tuples(
+    st.sampled_from(("1", "2", "9", "10", "t")),
+    st.integers(1, 3),
+    st.sampled_from(_POSITIONS) | st.floats(-60.0, 60.0),
+    st.sampled_from((-3.5, -0.3, 0.0, 0.3, 3.5)),
+    st.sampled_from((0.0, 0.5, 10.0, 20.0)),
+)
+_TEMPLATE = st.tuples(
+    st.sampled_from((0.1, 0.2, 0.5)),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from((0.5, 12.0, 20.0)),
+    st.lists(_OBSERVATION, max_size=5, unique_by=lambda o: o[0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_TEMPLATE, min_size=1, max_size=12))
+@example(rows=[  # ids 9 and 10 at one gap ahead of the subject: "10" sorts first
+    (0.1, 8, 1, 12.0, [("9", 1, 10.0, 0.0, 10.0), ("10", 1, 10.0, 0.0, 10.0)]),
+])
+@example(rows=[  # two leaders 4 ahead of vehicle 9 after rounding: "1" sorts first
+    (0.1, 8, 2, 12.0, [("1", 1, math.nextafter(3.0, 4.0), 0.0, 10.0),
+                       ("2", 1, 3.0, 0.0, 10.0), ("9", 1, -1.0, 0.0, 10.0)]),
+])
+@example(rows=[  # a vehicle abreast of the subject: neither leads the other
+    (0.1, 8, 1, 12.0, [("t", 1, 0.0, 0.0, 12.0), ("2", 1, 12.0, 0.0, 12.0)]),
+])
+@example(rows=[  # the subject tied with vehicle 1 ahead of vehicle 2
+    (0.1, 8, 1, 12.0, [("1", 1, -0.0, 0.0, 12.0), ("2", 1, -8.0, 0.0, 12.0)]),
+    (0.1, 8, 1, 12.0, [("t", 1, 0.0, 0.0, 12.0), ("2", 1, -8.0, 0.0, 12.0)]),
+])
+@example(rows=[  # vehicle 1 leaves the window and comes back in another lane
+    (0.1, 6, 1, 12.0, [("1", 1, 10.0, 0.0, 10.0), ("2", 2, 20.0, 3.5, 10.0)]),
+    (0.1, 4, 1, 12.0, [("2", 1, 20.0, 0.0, 10.0)]),
+    (0.1, 6, 1, 12.0, [("1", 2, 10.0, 3.5, 10.0), ("2", 1, 20.0, 0.0, 10.0)]),
+])
+def test_extraction_matches_the_per_record_reference(rows):
+    ds = _expand(rows)
+    assert extract_events(ds, **_THRESHOLDS) == _reference_events(ds, **_THRESHOLDS)
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes
+
+
+def test_export_reproduces_the_bytes_it_parsed(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    files = []
+    for name, setup in (("ga", workloads.ga_setup), ("merge", workloads.merge_setup)):
+        (tmp_path / name).mkdir()
+        setup(0, tmp_path / name)
+        files.append(tmp_path / name / workloads.FIELD_CSV)
+    # extra columns, and a record with no surroundings, in canonical form
+    extra = tmp_path / "extra.csv"
+    extra.write_text(
+        HEADER + ",Weather,Note\n"
+        "0.1,R1,80.0,50.0,0.0,12.5,0.0,-0.5,1,0.2,7,1,33.5,-3.5,61.2,0.0,sunny,\"a, b\"\n"
+        "0.1,R1,80.0,50.0,0.0,12.5,0.0,-0.5,1,0.2,10,2,-12.0,0.25,58.0,1.5,sunny,\"a, b\"\n"
+        "0.2,R 2,80.0,50.5,0.01,13.0,0.0,0.0,2,-1.75,,,,,,,rain,\n"
+        "0.30000000000000004,R 2,80.0,51.0,0.0,13.5,0.0,0.0,2,-0.0,9,2,5e-05,0.0,1e+22,-0.0,,x\n"
+    )
+    files.append(extra)
+    for path in files:
+        text = path.read_text()
+        assert export_detection_csv(parse_field_data(path)) == text, path.name
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", SchemaError, "empty input: no header row"),
+    (HEADER.replace(",Lane distance", ""), SchemaError, "missing mandatory column: 'Lane distance'"),
+    (HEADER + "\n0.0,R1,80,oops,0,0,0,0,1,0.2,,,,,,\n", RowError,
+     "line 2: column 'Speed': cannot parse number from 'oops'"),
+    (HEADER + "\n0.0,R1,80,50,0,0,0,0,1,0.2,7,1,3,0,50,0\n\n0.0,R1,80,50,0,0,0,0,1,0.2,8,x,3,0,50,0\n",
+     RowError, "line 4: column \"Surrounding vehicle's Lane ID\": cannot parse number from 'x'"),
+    (HEADER + "\n0.0,R1,80,50,0,0,0,0,1,0.2,7,1,3,0,50,0\n0.1,R1,80\n", RowError,
+     "line 3: expected 16 fields, got 3"),
+    (HEADER + "\n0.0,R1,80,50,0,0,0,0,1,0.2,,,,,,\n-0.1,R1,80,50,0,0,0,0,1,0.2,,,,,,\n",
+     ValueError, "timestamps must be non-decreasing; -0.1 after 0.0"),
+    (HEADER + "\n0.5,R1,80,50,0,0,0,0,1,0.2,7,1,3,0,50,0\n0.5,R1,80,50,0,0,0,0,1,0.2,7,1,3,0,50,0\n",
+     ValueError, "surrounding vehicle '7' listed twice at t=0.5"),
+])
+def test_parse_errors_keep_their_message_and_line(text, error, message):
+    with pytest.raises(error) as info:
+        parse_field_data(io.StringIO(text))
+    assert str(info.value) == message
+    if error is RowError:
+        assert info.value.line_number == int(message.split()[1].rstrip(":"))

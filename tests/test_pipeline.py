@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from avcalib import pipeline
 from avcalib.demo import recovery_scenario
+from avcalib.detection import DetectionRecord, SurroundingObs
+from avcalib.fielddata import export_detection_csv
 from avcalib.metrics import MopEntry, MopVector, compute_traffic_mops, compute_vehicle_mops
 from avcalib.fielddata import extract_events
 from avcalib.params import build_parameter_space
@@ -342,6 +344,28 @@ def test_calibration_path_builds_no_frame(micro_scenario, monkeypatch):
     assert len(field.records) == round(
         (micro_scenario.total_time - micro_scenario.warmup_time) / micro_scenario.time_step
     )
+
+
+def test_calibration_builds_no_detection_record(micro_scenario, monkeypatch, tmp_path):
+    # parsing, preprocessing, the detector, extraction and scoring all work
+    # on the datasets' columns; only the records view builds these objects
+    field_csv = tmp_path / "field.csv"
+    export_detection_csv(generate_field_data(micro_scenario, 0), field_csv)
+
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for cls in (DetectionRecord, SurroundingObs):
+        monkeypatch.setattr(cls, "__init__", built)
+    cfg = micro_calibration(
+        micro_scenario, field_data=str(field_csv),
+        preprocess=PreprocessConfig(smoothing_window_s=0.5, max_speed_jump=15.0),
+        stage1=Stage1Config(levels=2, delta=0.2, accuracy_threshold=1.0, per_road_density=True),
+    )
+    report = calibrate(cfg)
+    assert report.stage2.saga.history
+    with pytest.raises(AssertionError, match="was built"):  # the guard holds
+        generate_field_data(micro_scenario, 0).records
 
 
 # ---------------------------------------------------------------------------

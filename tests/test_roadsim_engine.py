@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from avcalib.demo import showcase_scenario
+from avcalib.detection import DetectionRecord, SurroundingObs
 from avcalib.roadsim import (
     BehaviorSpec,
     Entrance,
@@ -21,9 +22,16 @@ from avcalib.roadsim import (
     record_frame,
     run_batch,
     run_scenario,
+    virtual_detector_sample,
 )
 from avcalib.roadsim import engine
-from avcalib.roadsim.engine import KIND_SUBJECT, LC_DURATION, LOOKAHEAD_LINKS
+from avcalib.roadsim.engine import (
+    KIND_SUBJECT,
+    LANE_WIDTH,
+    LC_DURATION,
+    LOOKAHEAD_LINKS,
+    heading_deg,
+)
 from avcalib.roadsim.network import KMH
 from avcalib.roadsim.models import MODEL_CLASSES
 
@@ -219,6 +227,64 @@ def test_exactly_one_live_frame_when_total_is_warmup_plus_dt():
     assert len(live) == 1
     assert live[0].time == pytest.approx(50.0)
     assert log.live_steps == 1
+
+
+class PerStepDetector:
+    """Reference sink: one detection record built per live step from the
+    step's window, value by value in Python."""
+
+    def __init__(self, config):
+        self.config = config
+        self.links = config.network.route_links()
+        self.records = []
+
+    def __call__(self, case):
+        if case.time < self.config.warmup_time:
+            return
+        subject, *visible = case.window(*self.config.detection_range)
+        s_link, s_lane, s_arc, s_lat, s_speed, s_accel, s_lat_rate = subject
+        obs = tuple(
+            SurroundingObs(str(vid), lane, rel, (lane - s_lane) * LANE_WIDTH + (lat - s_lat),
+                           speed * 3.6, heading_deg(lat_rate, speed) if lat_rate else 0.0)
+            for vid, lane, rel, lat, speed, lat_rate in zip(*(c.tolist() for c in visible))
+        )
+        d = LANE_WIDTH / 2.0 - abs(s_lat)
+        link = self.links[s_link]
+        self.records.append(DetectionRecord(
+            float(case.time), link.id, link.speed_limit, s_speed * 3.6,
+            s_lat_rate / max(s_speed, 0.1), s_arc, 0.0, s_accel, s_lane,
+            d if s_lat >= 0.0 else -d, obs,
+        ))
+
+
+@pytest.mark.parametrize("dt, warmup, total, live", [
+    (0.5, 0.0, 128.0, 256),
+    (0.25, 100.0, 164.0, 256),
+    (0.25, 0.0, 128.0, 512),
+    (0.5, 10.0, 100.5, 181),
+])
+def test_detector_sample_matches_per_step_records(dt, warmup, total, live):
+    cfg = corridor(inputs=1500.0, lanes=2, total=total, warmup=warmup, dt=dt,
+                   length=3000.0, seed=1, variation=0.1)
+    detector, reference = VirtualDetector(cfg), PerStepDetector(cfg)
+
+    def sink(case):
+        detector(case)
+        reference(case)
+
+    run_scenario(cfg, sink)
+    records = virtual_detector_sample(detector).records
+    assert len(records) == len(reference.records) == live
+    assert [repr(r) for r in records] == [repr(r) for r in reference.records]
+    assert sum(len(r.surroundings) for r in records) > live
+    assert any(o.heading_deg for r in records for o in r.surroundings)
+
+
+def test_detector_sample_without_live_steps_is_empty():
+    dataset = virtual_detector_sample(VirtualDetector(corridor()))
+    assert len(dataset.timestamp) == len(dataset.obs_vehicle) == 0
+    assert dataset.obs_offsets.tolist() == [0]
+    assert dataset.records == ()
 
 
 def test_subject_present_for_whole_live_horizon():
@@ -546,7 +612,7 @@ def _recorded(configs, batch):
          {eid: t.tobytes() for eid, t in log.arrival_times.items()},
          (log.steps, log.vehicle_steps, log.live_steps, log.live_vehicle_steps,
           log.lc_evaluations, log.lc_scans, log.feasible, log.gridlock_at),
-         repr(log.stopped_by), [repr(r) for r in d.records])
+         repr(log.stopped_by), [repr(r) for r in virtual_detector_sample(d).records])
         for log, d in zip(logs, detectors)
     ]
 

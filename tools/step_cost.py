@@ -1,6 +1,8 @@
-"""Simulator cost per step and per vehicle-step on five fixed runs.
+"""Simulator cost per step and per vehicle-step on five fixed runs, and the
+cost of the sampling layers per detection record.
 
     PYTHONPATH=src python3 tools/step_cost.py [--repeats 5] [--only merge]
+    python3 tools/step_cost.py --against ../other-checkout [--pairs 5] [--only ga]
 
 Each run simulates through the virtual detector, as a calibration does, and
 reports the minimum CPU time (``time.process_time``) of `--repeats` runs in
@@ -16,14 +18,35 @@ this process, in µs per step and per vehicle-step:
   simulated as one batch (``run_batch``); a checkout without ``run_batch``
   runs them one after another. Its µs per step is per batch step.
 
+The sampling layers report µs per detection record, each the minimum of
+`--repeats` in this process:
+
+* ``sample-ga`` and ``sample-batch16``: the detector sink, as the minimum
+  time of the run with ``VirtualDetector`` sinks less the minimum with sinks
+  that do nothing (the two alternate), ``virtual_detector_sample``, and the
+  two together (``detector_us_per_record``);
+* ``sample-ga`` and ``sample-merge``: ``extract_events`` and
+  ``compute_traffic_mops`` on the ga truth run's dataset and on the
+  merge-fine-step workload's field file (its field data, parsed back).
+
 All runs use the scenario seed ``derive_scenario_seed(0, 0)``. The output is
 one JSON object.
+
+With ``--against CHECKOUT`` the script runs this checkout's
+``tools/step_cost.py`` and the other's, each in a fresh interpreter, for
+`--pairs` pairs in alternating order, and prints per run and µs metric the
+median of the paired ratios this / other: a drift of the host over minutes
+moves both sides of a pair alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -37,9 +60,19 @@ from avcalib import roadsim  # noqa: E402
 from avcalib.demo import recovery_calibration_config, recovery_truth_scenario  # noqa: E402
 from avcalib.doe import build_orthogonal_array, map_levels_to_values  # noqa: E402
 from avcalib.params import build_parameter_space  # noqa: E402
-from avcalib.pipeline import apply_parameters, derive_scenario_seed  # noqa: E402
-from avcalib.roadsim import VirtualDetector, run_scenario  # noqa: E402
-from workloads import ga_scenario, ga_truth, merge_scenario  # noqa: E402
+from avcalib.fielddata import export_detection_csv, extract_events, parse_field_data  # noqa: E402
+from avcalib.metrics import compute_traffic_mops  # noqa: E402
+from avcalib.pipeline import (  # noqa: E402
+    apply_parameters,
+    derive_scenario_seed,
+    generate_field_data,
+)
+from avcalib.roadsim import (  # noqa: E402
+    VirtualDetector,
+    run_scenario,
+    virtual_detector_sample,
+)
+from workloads import STREAM_SEED, ga_scenario, ga_truth, merge_scenario  # noqa: E402
 
 SEED = derive_scenario_seed(0, 0)
 PAPER_L4 = 12000.0
@@ -73,26 +106,32 @@ RUNS = {
 }
 
 
-def simulate(configs):
-    """The logs of `configs` run through the detector: one batch where the
-    simulator has batches, else one run each."""
-    detectors = [VirtualDetector(cfg) for cfg in configs]
+def simulate(configs, sinks=None):
+    """The logs of `configs` run through `sinks` (default: a detector
+    each): one batch where the simulator has batches, else one run each."""
+    sinks = sinks or [VirtualDetector(cfg) for cfg in configs]
     if hasattr(roadsim.engine, "run_batch"):
-        logs = roadsim.engine.run_batch(configs, detectors)
+        logs = roadsim.engine.run_batch(configs, sinks)
         for log in logs:
             if log.stopped_by is not None:
                 raise log.stopped_by
         return logs
-    return [run_scenario(cfg, det) for cfg, det in zip(configs, detectors)]
+    return [run_scenario(cfg, sink) for cfg, sink in zip(configs, sinks)]
 
 
-def measure(configs, repeats):
+def least(fn, repeats):
+    """The minimum CPU time of `repeats` calls of `fn`, and its last result."""
     best = None
     for _ in range(repeats):
         t0 = time.process_time()
-        logs = simulate(configs)
+        result = fn()
         cpu = time.process_time() - t0
         best = cpu if best is None else min(best, cpu)
+    return best, result
+
+
+def measure(configs, repeats):
+    best, logs = least(lambda: simulate(configs), repeats)
     steps = max(log.steps for log in logs)
     vehicle_steps = sum(log.vehicle_steps for log in logs)
     return {
@@ -106,12 +145,116 @@ def measure(configs, repeats):
     }
 
 
+def _us(seconds, records):
+    return round(1e6 * seconds / records, 2)
+
+
+def measure_sink(configs, repeats):
+    """The detector sink and ``virtual_detector_sample`` per record."""
+    with_sink, bare = [], []
+    for _ in range(repeats):
+        detectors = [VirtualDetector(cfg) for cfg in configs]
+        with_sink.append(least(lambda: simulate(configs, detectors), 1)[0])
+        bare.append(least(lambda: simulate(configs, [lambda case: None] * len(configs)), 1)[0])
+    sample, datasets = least(lambda: [virtual_detector_sample(d) for d in detectors], repeats)
+    records = sum(len(ds) for ds in datasets)
+    sink = min(with_sink) - min(bare)
+    return {
+        "records": records,
+        "sink_us_per_record": _us(sink, records),
+        "sample_us_per_record": _us(sample, records),
+        "detector_us_per_record": _us(sink + sample, records),
+    }
+
+
+def measure_extraction(dataset, repeats):
+    """``extract_events`` and ``compute_traffic_mops`` per record."""
+    records = len(dataset)
+    return {
+        "records": records,
+        "observations": len(dataset.obs_vehicle),
+        "extract_events_us_per_record": _us(
+            least(lambda: extract_events(dataset), repeats)[0], records
+        ),
+        "compute_traffic_mops_us_per_record": _us(
+            least(lambda: compute_traffic_mops(dataset), repeats)[0], records
+        ),
+    }
+
+
+def merge_field_file():
+    """The merge-fine-step workload's field data, written and parsed back."""
+    scenario = merge_scenario()
+    text = export_detection_csv(generate_field_data(scenario, STREAM_SEED))
+    return parse_field_data(io.StringIO(text), detection_range=scenario.detection_range)
+
+
+def sample_ga(repeats):
+    configs = RUNS["ga"]()
+    out = measure_sink(configs, repeats)
+    detector = VirtualDetector(configs[0])
+    simulate(configs, [detector])
+    out.update(measure_extraction(virtual_detector_sample(detector), repeats))
+    return out
+
+
+LAYERS = {
+    "sample-ga": sample_ga,
+    "sample-batch16": lambda repeats: measure_sink(stage1_batch(), repeats),
+    "sample-merge": lambda repeats: measure_extraction(merge_field_file(), repeats),
+}
+
+
+def against(other, args) -> dict:
+    """Median paired ratio (this / other) per run and µs metric over
+    `args.pairs` alternating pairs of fresh processes."""
+    scripts = {
+        "this": Path(__file__).resolve(),
+        "other": Path(other).resolve() / "tools" / "step_cost.py",
+    }
+    flags = ["--repeats", str(args.repeats)] + [f"--only={name}" for name in args.only or ()]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    ratios: dict = {}
+    for pair in range(args.pairs):
+        sides = ["this", "other"] if pair % 2 == 0 else ["other", "this"]
+        out = {}
+        for side in sides:
+            done = subprocess.run(
+                [sys.executable, str(scripts[side]), *flags],
+                env=env, cwd=scripts[side].parent.parent, capture_output=True, text=True,
+            )
+            if done.returncode:
+                sys.exit(f"{scripts[side]} failed:\n{done.stderr}")
+            out[side] = json.loads(done.stdout)
+        for run, metrics in out["this"].items():
+            for metric, value in metrics.items():
+                theirs = out["other"].get(run, {}).get(metric)
+                if "us_per" in metric and theirs:
+                    ratios.setdefault(run, {}).setdefault(metric, []).append(value / theirs)
+    return {
+        "other": str(Path(other).resolve()),
+        "pairs": args.pairs,
+        "median_ratio": {
+            run: {m: round(statistics.median(r), 3) for m, r in metrics.items()}
+            for run, metrics in ratios.items()
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--only", choices=sorted(RUNS), action="append")
+    parser.add_argument("--only", choices=sorted(RUNS) + sorted(LAYERS), action="append")
+    parser.add_argument("--against", metavar="CHECKOUT")
+    parser.add_argument("--pairs", type=int, default=5)
     args = parser.parse_args(argv)
-    out = {name: measure(RUNS[name](), args.repeats) for name in args.only or RUNS}
+    if args.against:
+        out = against(args.against, args)
+    else:
+        out = {}
+        for name in args.only or [*RUNS, *LAYERS]:
+            out[name] = (measure(RUNS[name](), args.repeats) if name in RUNS
+                         else LAYERS[name](args.repeats))
     print(json.dumps(out, indent=2))
     return 0
 
