@@ -45,9 +45,10 @@ the acceleration ``a`` just decided for it in its current lane. No side can
 pay off when ``max(max_free_accel(v, v_des, dt), -v/dt) - a`` is at most the
 advantage threshold, since no leader in a target lane can demand more than
 that bound; the vehicle then stays without a neighbour-lane scan. The skip
-is exact: the full evaluation would also decide to stay. Only those scans,
-the insertions, the lane-change ramps, the link crossings and the pushbacks
-go through Python per vehicle.
+is exact: the full evaluation would also decide to stay. The skip is one
+array mask (an IDM vehicle's bound is ``accel_rows``' free-road term); only
+the scans it lets through, the insertions, the lane-change ramps, the link
+crossings and the pushbacks go through Python per vehicle.
 
 A sink is a callable that takes a ``CaseView`` of one case once per step.
 ``record_frame``, the default, stores a ``Frame`` per step in
@@ -473,10 +474,7 @@ class Simulation:
             self._cases.append(_Case(cfg, entrance_ids, log))
         # a vehicle's slot, 2 * case + kind, picks its models
         self._models = [m for case in self._cases for m in case.cf]
-        self._skip_terms = [
-            (cf.max_free_accel, lc.advantage_threshold)
-            for case in self._cases for cf, lc in zip(case.cf, case.lc)
-        ]
+        self._thresholds = np.asarray([lc.advantage_threshold for case in self._cases for lc in case.lc])
         self._all_idm = all(type(m) is IdmParams for m in self._models)
         self._desired_from_limit = any(m.desired_speed is None for m in self._models)
         lengths = {cfg.vehicle_length for cfg in self.configs}
@@ -728,10 +726,11 @@ class Simulation:
         positions = self.pos[self._order]
         gap = positions[1:] - positions[:-1]
         gap[self._ends[:-1]] = math.inf
-        if len(gap) and not gap.min() > 0.0:
+        least = gap.min() if len(gap) else math.inf
+        if not least > 0.0:
             return False
         self._epos = positions
-        self._take_positions(gap)
+        self._take_positions(gap, least)
         return True
 
     def _derive(self) -> None:
@@ -749,27 +748,32 @@ class Simulation:
             np.not_equal(keys[1:], keys[:-1], out=ends[:-1])
             ends[-1] = True
         self._last = ends.nonzero()[0]
+        self._arc0_sorted = self.arc0[self._order]
         self._structure += 1
         self._starts = None
         self._key_list = None
         self._derived = True
         self._take_positions()
 
-    def _take_positions(self, gap=None) -> None:
+    def _take_positions(self, gap=None, least=None) -> None:
         """The position-dependent part of the index: each entry's arc, the
         in-group distance from each entry to the next (inf at a group's
         end), and whether two adjacent members are close enough to overlap
-        or tie."""
+        or tie. `least` is the smallest of `gap`, if known."""
         positions = self._epos
         m = len(positions)
         if gap is None:
             gap = positions[1:] - positions[:-1]
             gap[self._ends[:-1]] = math.inf
-        np.add(self.arc0[self._order], positions, out=self._arc_ext[:m])
+        np.add(self._arc0_sorted, positions, out=self._arc_ext[:m])
         self._gap = gap
-        near = self._length if self._length is not None else self.length[self._order[1:]]
-        self._near = m > 1 and bool((gap <= near).any())
-        self._tie = self._near and bool((gap <= _TIE).any())
+        if least is None:
+            least = gap.min() if m > 1 else math.inf
+        if self._length is not None:  # one vehicle length: the least gap decides
+            self._near = bool(least <= self._length)
+        else:
+            self._near = m > 1 and bool((gap <= self.length[self._order[1:]]).any())
+        self._tie = self._near and bool(least <= _TIE)
         self._lists = None
 
     def _group_starts(self):
@@ -1106,7 +1110,8 @@ class Simulation:
     def _accelerations(self, lead, lead_d):
         """Every row's car-following acceleration, clamped so the speed stays
         non-negative after one step (0 for a fixed vehicle), its desired
-        speed."""
+        speed, and the free-road term of the IDM rows (nan for another
+        family)."""
         speed = self.speed
         v_des = self.v_des
         if self._desired_from_limit:
@@ -1117,21 +1122,22 @@ class Simulation:
             gap = lead_d - (self.length + self.length[lead]) / 2.0
         gap = np.maximum(gap, 0.05)
         if self._all_idm:
-            a = IdmParams.accel_rows(self._idm_terms, speed, gap, speed[lead], v_des)
+            a, free = IdmParams.accel_rows(self._idm_terms, speed, gap, speed[lead], v_des)
         else:
-            a = self._mixed_accelerations(speed, gap, lead, v_des)
-        a = np.maximum(a, speed / -self.dt)  # the speed floor is -v / dt
+            a, free = self._mixed_accelerations(speed, gap, lead, v_des)
+        np.maximum(a, speed / -self.dt, out=a)  # the speed floor is -v / dt
         if self._n_fixed:
             a[self.fixed == 1] = 0.0
-        return a, v_des
+        return a, v_des, free
 
     def _mixed_accelerations(self, speed, gap, lead, v_des):
-        """``accel`` when some vehicle's family is not IDM: IDM rows as
-        arrays, the others per element."""
+        """``accel`` and the IDM free-road term when some vehicle's family
+        is not IDM: IDM rows as arrays, the others per element."""
         a = np.empty(len(speed))
+        free = np.full(len(speed), math.nan)
         idm = self.a_max == self.a_max
         if idm.any():
-            a[idm] = IdmParams.accel_rows(
+            a[idm], free[idm] = IdmParams.accel_rows(
                 tuple(t[idm] for t in self._idm_terms), speed[idm], gap[idm],
                 speed[lead[idm]], v_des[idm],
             )
@@ -1145,43 +1151,54 @@ class Simulation:
                 )
             ))
         ]
-        return a
+        return a, free
 
-    def _lane_change_decisions(self, a, v_des):
+    def _lane_change_decisions(self, a, v_des, free):
         """(row, target lane) of every vehicle that starts a lane change this
-        step, in row order; counts the evaluations and scans on the logs."""
+        step, in row order; counts the evaluations and scans on the logs.
+        `free` is ``max_free_accel`` for the IDM rows, nan for the others."""
         t = self.time
         dt = self.dt
         due = (self.lc_due_at <= t).nonzero()[0]
         if not len(due):
             return []
         self.next_lc_check[due] = self.lc_due_at[due] = t + LC_CHECK_INTERVAL
-        rows = due.tolist()
-        slots, speeds = self.slot[due].tolist(), self.speed[due].tolist()
-        desired, a_due = v_des[due].tolist(), a[due].tolist()
+        speed, slots = self.speed[due], self.slot[due]
+        # the exact skip (see the module docstring) as a mask
+        bound = free[due]
+        if not self._all_idm:
+            (other,) = np.isnan(bound).nonzero()
+            models = self._models
+            bound[other] = [models[slot].max_free_accel(v, d, dt) for slot, v, d in zip(
+                slots[other].tolist(), speed[other].tolist(), v_des[due[other]].tolist()
+            )]
+        np.maximum(bound, -speed / dt, out=bound)
+        bound -= a[due]
+        scan = due[bound > self._thresholds[slots]]
+        if len(self._active) == 1:  # as in _find_windows
+            log = self.logs[self._active[0]]
+            log.lc_evaluations += len(due)
+            log.lc_scans += len(scan)
+        else:
+            n_cases = len(self.logs)
+            for log, evaluations, scans in zip(
+                self.logs, np.bincount(self.case[due], minlength=n_cases).tolist(),
+                np.bincount(self.case[scan], minlength=n_cases).tolist(),
+            ):
+                log.lc_evaluations += evaluations
+                log.lc_scans += scans
+        if not len(scan):
+            return []
+        pending = self._pending_targets()
         starts = []
-        pending = None  # built at the step's first side scan
-        evaluations = [0] * len(self.logs)
-        for r, slot, speed, d, a_r in zip(rows, slots, speeds, desired, a_due):
+        for r, slot, d, a_r in zip(
+            scan.tolist(), self.slot[scan].tolist(), v_des[scan].tolist(), a[scan].tolist()
+        ):
             c, kind = divmod(slot, 2)
-            evaluations[c] += 1
-            max_free_accel, threshold = self._skip_terms[slot]
-            # the exact skip (see the module docstring)
-            bound = max_free_accel(speed, d, dt)
-            floor = -speed / dt
-            if floor > bound:
-                bound = floor
-            if bound - a_r > threshold:
-                log = self.logs[c]
-                log.lc_scans += 1
-                if pending is None:
-                    pending = self._pending_targets()
-                direction = self._evaluate_lane_change(r, c, kind, a_r, d, pending.get(c, ()))
-                if direction != STAY:
-                    lane = self._ints.item(r, _LANE)
-                    starts.append((r, lane + 1 if direction == CHANGE_LEFT else lane - 1))
-        for log, k in zip(self.logs, evaluations):
-            log.lc_evaluations += k
+            direction = self._evaluate_lane_change(r, c, kind, a_r, d, pending.get(c, ()))
+            if direction != STAY:
+                lane = self._ints.item(r, _LANE)
+                starts.append((r, lane + 1 if direction == CHANGE_LEFT else lane - 1))
         return starts
 
     def _pending_targets(self):
@@ -1491,8 +1508,8 @@ class Simulation:
         if failed:
             self._drop_cases(failed)
         lead, lead_d = self._leader_pass()
-        a, v_des = self._accelerations(lead, lead_d)
-        changing = self._move(a, self._lane_change_decisions(a, v_des))
+        a, v_des, free = self._accelerations(lead, lead_d)
+        changing = self._move(a, self._lane_change_decisions(a, v_des, free))
         self._sort(changing)
         self._resolve_collisions()
         self._count_gridlock()

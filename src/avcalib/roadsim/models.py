@@ -23,8 +23,8 @@ MODEL_CLASSES, that carries the whole model interface:
   of and behind a vehicle it inserts.
 
 IDM, which every shipped scenario uses, also has ``accel_rows``: its
-``accel`` over arrays of vehicles, bit for bit the same per element, which
-the simulator uses for all its IDM vehicles at once.
+``accel`` and ``max_free_accel`` over arrays of vehicles, bit for bit the
+same per element, which the simulator uses for all its IDM vehicles at once.
 
 The lane-change model is gap acceptance: a change must be safe for the
 trailing vehicle in the target lane and for the vehicle itself, and must
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -101,23 +100,23 @@ class IdmParams:
         return free - a_max * (s_star / gap) ** 2
 
     def max_free_accel(self, v, v_des, dt):
+        # bit for bit accel_rows' free term: float_power is libm's pow
         return self.accel(v, None, 0.0, v_des, 0.0, 0.0, dt)
 
     @staticmethod
     def accel_rows(terms, v, gap, v_leader, v_des):
-        """``accel`` over arrays of vehicles, in its operation order, so each
-        element equals the scalar result bit for bit. ``terms`` is five
-        arrays, the vehicles' ``_terms``; ``gap`` is inf where there is no
-        leader, which leaves the free-road value. Both powers go through the C
-        library's ``pow`` per element (``math.pow``, which ``**`` on floats
-        calls too): ``np.power`` differs from it in the last bit on some
-        inputs, and so does squaring by multiplication. The arrays are
-        worked in place; each step swaps only the operands of a commutative
-        operation, which changes no bit."""
+        """``accel`` and the free-road term ``max_free_accel`` over arrays of
+        vehicles, in their operation order, so each element equals the
+        scalar result bit for bit. ``terms`` is five arrays, the vehicles'
+        ``_terms``; ``gap`` is inf where there is no leader. Each power is
+        one ``np.float_power`` call, the C library's ``pow`` per element as
+        ``**`` calls it; ``np.power`` and squaring by multiplication differ
+        from it in the last bit on some inputs. Each step swaps only the
+        operands of a commutative operation, which changes no bit."""
         a_max, T, s0, delta, two_sqrt_ab = terms
-        n = len(v)
         # free = a_max * (1.0 - (v / v_des) ** delta)
-        free = np.fromiter(map(math.pow, (v / v_des).tolist(), delta.tolist()), float, n)
+        free = v / v_des
+        np.float_power(free, delta, out=free)
         np.subtract(1.0, free, out=free)
         free *= a_max
         # s_dyn = v * T + v * (v - v_leader) / two_sqrt_ab
@@ -130,10 +129,9 @@ class IdmParams:
         np.maximum(s_dyn, 0.0, out=s_dyn)  # -0.0 for 0.0 adds the same
         s_dyn += s0
         s_dyn /= gap
-        square = np.fromiter(map(math.pow, s_dyn.tolist(), repeat(2.0)), float, n)
-        square *= a_max
-        free -= square
-        return free
+        np.float_power(s_dyn, 2.0, out=s_dyn)
+        s_dyn *= a_max
+        return free - s_dyn, free
 
 
 @dataclass(frozen=True)

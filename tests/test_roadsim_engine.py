@@ -580,6 +580,80 @@ def test_leader_pass_matches_brute_force(seed, lanes, inflows, model, dt):
     assert sim.checked > 0
 
 
+class ScanCheckedSimulation(Simulation):
+    """Checks each step's neighbour-lane scans against the scalar skip rule:
+    a vehicle due an evaluation scans exactly when
+    ``max(max_free_accel(v, v_des, dt), -v/dt) - a`` exceeds its advantage
+    threshold, ``a`` being its acceleration this step; and each case's
+    counters against its due and scanned vehicles."""
+
+    checked = scans = 0
+
+    def _lane_change_decisions(self, a, v_des, free):
+        due = (self.lc_due_at <= self.time).nonzero()[0].tolist()
+        expected = []
+        for r in due:
+            c, kind = divmod(int(self.slot[r]), 2)
+            model, lc = self._cases[c].cf[kind], self._cases[c].lc[kind]
+            v = float(self.speed[r])
+            bound = max(model.max_free_accel(v, float(v_des[r]), self.dt), -v / self.dt)
+            if bound - float(a[r]) > lc.advantage_threshold:
+                expected.append(r)
+        counters = [(log.lc_evaluations, log.lc_scans) for log in self.logs]
+        self.scanned = []
+        starts = super()._lane_change_decisions(a, v_des, free)
+        assert self.scanned == expected, self.time
+        for c, (log, (evaluations, scans)) in enumerate(zip(self.logs, counters)):
+            assert log.lc_evaluations - evaluations == sum(self.case[r] == c for r in due)
+            assert log.lc_scans - scans == sum(self.case[r] == c for r in expected)
+        self.checked += len(due)
+        self.scans += len(expected)
+        return starts
+
+    def _evaluate_lane_change(self, r, *args):
+        self.scanned.append(r)
+        return super()._evaluate_lane_change(r, *args)
+
+
+def scan_checked(lanes, dt, cases):
+    """A ScanCheckedSimulation of one batch on leader_corridor: per case its
+    seed, its background family and the advantage threshold of every
+    vehicle; each case's subject is IDM."""
+    configs = []
+    for seed, model, threshold in cases:
+        cfg = leader_corridor(seed, lanes, (1800.0, 600.0), model, dt)
+        lc = LaneChangeParams(advantage_threshold=threshold)
+        configs.append(replace(cfg, behavior={
+            "background": BehaviorSpec(MODEL_CLASSES[model](), lc),
+            "subject": BehaviorSpec(IdmParams(), lc),
+        }))
+    sim = ScanCheckedSimulation(configs)
+    sim.run([lambda case: None] * len(configs))
+    return sim
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    lanes=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    dt=st.sampled_from([0.1, 0.2]),
+    cases=st.lists(
+        st.tuples(
+            st.integers(0, 2**32 - 1),                    # seed
+            st.sampled_from(["idm", "w99", "gipps"]),     # background family
+            st.floats(-0.5, 3.0),                         # advantage threshold
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+def test_lane_change_scans_follow_the_scalar_skip_rule(lanes, dt, cases):
+    assert scan_checked(lanes, dt, cases).checked > 0
+
+
+def test_a_batch_of_three_families_both_scans_and_skips():
+    sim = scan_checked([2, 3, 3, 2, 2], 0.1, [(1, "idm", 0.2), (2, "w99", 0.2), (3, "gipps", 0.2)])
+    assert sim.checked > sim.scans > 0
+
+
 def _crawling(cfg):
     """Everyone's desired speed below the gridlock speed: the corridor
     gridlocks once its vehicles have stood for GRIDLOCK_TIME."""

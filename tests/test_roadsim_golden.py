@@ -35,6 +35,7 @@ from avcalib.roadsim import (
     BehaviorSpec,
     FvdParams,
     GippsParams,
+    IdmParams,
     KraussParams,
     Simulation,
     VirtualDetector,
@@ -252,9 +253,11 @@ def test_vehicle_state_and_route_offsets_are_plain_floats(name):
 
 
 def test_side_scan_skip_changes_no_trajectory(monkeypatch):
-    # with an infinite max_free_accel no lane-change evaluation can skip the
+    # with an infinite bound no lane-change evaluation can skip the
     # neighbour-lane scan: the trajectories must not move, and the scans
-    # must get more frequent
+    # must get more frequent. The engine reads the bound of its IDM rows
+    # from accel_rows' free-road term and that of the other families from
+    # max_free_accel, so both are made infinite
     names = ("showcase", "showcase-w99")
     skipping = {}
     for name in names:
@@ -264,6 +267,13 @@ def test_side_scan_skip_changes_no_trajectory(monkeypatch):
         skipping[name] = log
     for cls in MODEL_CLASSES.values():
         monkeypatch.setattr(cls, "max_free_accel", lambda self, v, v_des, dt: math.inf)
+    accel_rows = IdmParams.accel_rows
+
+    def unbounded(*args):
+        a, free = accel_rows(*args)
+        return a, np.full_like(free, math.inf)
+
+    monkeypatch.setattr(IdmParams, "accel_rows", staticmethod(unbounded))
     for name in names:
         log = run_scenario(_scenario(name))
         assert trajectory_digest(log) == GOLDEN[name]

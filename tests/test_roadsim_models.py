@@ -328,12 +328,34 @@ _POSITIVE = st.floats(0.05, 10.0)
 @example(rows=[(18.477, 7.114, 12.484, 19.4, IdmParams(T=1.44, s0=2.4, v0=19.4))])
 def test_idm_rows_equal_the_scalar_accel_bit_for_bit(rows):
     # the array form the engine uses against IdmParams.accel, element by
-    # element, including the squaring where x * x differs from pow(x, 2)
+    # element, including the squaring where x * x differs from pow(x, 2);
+    # its free-road term against max_free_accel, the lane-change skip's bound
     v, gap, v_leader, v_des, models = zip(*rows)
     terms = tuple(np.asarray(column) for column in zip(*(m._terms for m in models)))
-    got = IdmParams.accel_rows(
+    got, free = IdmParams.accel_rows(
         terms, np.asarray(v), np.asarray([math.inf if g is None else g for g in gap]),
         np.asarray(v_leader), np.asarray(v_des),
     )
     expected = [m.accel(*args, 0.0, 0.0, 0.1) for m, *args in zip(models, v, gap, v_leader, v_des)]
     assert got.tobytes() == np.asarray(expected).tobytes()
+    bounds = [m.max_free_accel(speed, d, 0.1) for m, speed, d in zip(models, v, v_des)]
+    assert free.tobytes() == np.asarray(bounds).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bases=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=64),
+    exponents=st.one_of(st.just(2.0), st.floats(1.0, 8.0)),
+)
+@example(bases=[0.0, 5e-324, 2.2250738585072014e-308, 1e6], exponents=2.0)
+@example(bases=[0.0, 5e-324, 2.2250738585072014e-308, 1e6], exponents=8.0)
+@example(bases=[18.477 * 1.44 / 7.114], exponents=2.0)  # x * x is not pow(x, 2) near here
+def test_float_power_is_libm_pow_bit_for_bit(bases, exponents):
+    # accel_rows' powers: np.float_power must stay the C library's pow, as
+    # math.pow and ** are, on the engine's domain (a ratio or a gap ratio to
+    # a power of 1 to 8), at any array length, with an array of exponents
+    # and with the scalar 2.0; np.power, which has vector loops, is not
+    x = np.asarray(bases)
+    expected = np.asarray([math.pow(b, exponents) for b in bases])
+    assert np.float_power(x, exponents).tobytes() == expected.tobytes()
+    assert np.float_power(x, np.full(len(x), exponents)).tobytes() == expected.tobytes()

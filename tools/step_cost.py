@@ -6,7 +6,9 @@ cost of the sampling layers per detection record.
 
 Each run simulates through the virtual detector, as a calibration does, and
 reports the minimum CPU time (``time.process_time``) of `--repeats` runs in
-this process, in µs per step and per vehicle-step:
+this process, in µs per step and per vehicle-step, with the run's
+lane-change evaluations, neighbour-lane scans (the evaluations the exact
+skip did not settle) and lane changes:
 
 * ``ga``: the ga-search-2w workload's truth scenario (about 17 vehicles);
 * ``recovery``: the recovery study's truth scenario (about 45 vehicles);
@@ -36,7 +38,9 @@ With ``--against CHECKOUT`` the script runs this checkout's
 ``tools/step_cost.py`` and the other's, each in a fresh interpreter, for
 `--pairs` pairs in alternating order, and prints per run and µs metric the
 median of the paired ratios this / other: a drift of the host over minutes
-moves both sides of a pair alike.
+moves both sides of a pair alike. It also lists every count (steps,
+vehicle-steps, lane-change evaluations and scans, lane changes, records,
+observations) that differs between the two checkouts.
 """
 
 from __future__ import annotations
@@ -142,6 +146,9 @@ def measure(configs, repeats):
         "cpu_s": round(best, 4),
         "us_per_step": round(1e6 * best / steps, 1),
         "us_per_vehicle_step": round(1e6 * best / vehicle_steps, 3),
+        "lc_evaluations": sum(log.lc_evaluations for log in logs),
+        "lc_scans": sum(log.lc_scans for log in logs),
+        "lane_changes": sum(len(log.lane_changes) for log in logs),
     }
 
 
@@ -205,9 +212,14 @@ LAYERS = {
 }
 
 
+COUNTS = ("cases", "steps", "vehicle_steps", "lc_evaluations", "lc_scans", "lane_changes",
+          "records", "observations")
+
+
 def against(other, args) -> dict:
     """Median paired ratio (this / other) per run and µs metric over
-    `args.pairs` alternating pairs of fresh processes."""
+    `args.pairs` alternating pairs of fresh processes, and the counts that
+    differ between the two."""
     scripts = {
         "this": Path(__file__).resolve(),
         "other": Path(other).resolve() / "tools" / "step_cost.py",
@@ -215,6 +227,7 @@ def against(other, args) -> dict:
     flags = ["--repeats", str(args.repeats)] + [f"--only={name}" for name in args.only or ()]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     ratios: dict = {}
+    differ = set()
     for pair in range(args.pairs):
         sides = ["this", "other"] if pair % 2 == 0 else ["other", "this"]
         out = {}
@@ -231,6 +244,8 @@ def against(other, args) -> dict:
                 theirs = out["other"].get(run, {}).get(metric)
                 if "us_per" in metric and theirs:
                     ratios.setdefault(run, {}).setdefault(metric, []).append(value / theirs)
+                elif metric in COUNTS and theirs is not None and value != theirs:
+                    differ.add(f"{run}.{metric}")
     return {
         "other": str(Path(other).resolve()),
         "pairs": args.pairs,
@@ -238,6 +253,7 @@ def against(other, args) -> dict:
             run: {m: round(statistics.median(r), 3) for m, r in metrics.items()}
             for run, metrics in ratios.items()
         },
+        "counts_differ": sorted(differ),
     }
 
 
