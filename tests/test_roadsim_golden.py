@@ -10,7 +10,9 @@ two after its second link, so vehicles follow leaders across the drop and
 the ones left in the third lane are moved into the second;
 ``lane-drop-pushback`` narrows the seed-0 corridor at a higher inflow, where
 vehicles overlap and are pushed back (every other golden run is
-collision-free).
+collision-free). ``showcase-w99-limits`` gives the W99 corridor a different
+speed limit on each link and 6 m vehicles: W99 has no desired speed of its
+own, so each vehicle's desired speed follows the limit of the link it is on.
 
 The detection digests pin the virtual detector's output on five of those
 runs: a sha256 over the ``repr`` of every detection record and of the
@@ -61,6 +63,7 @@ GOLDEN = {
     "showcase-fvd": "c1a1c399eba8356abcb1e63cc7d52942ad51935d5a9ea2ee0916ecc0f91c440a",
     "showcase-krauss": "fb46f4bd8d4cb311ea717f0a927b71728b4a62405aa1df146b733ab5e29ffa17",
     "showcase-w99": "442bf420ac7aa99e8dd280c944f6bb7a87fcf80af0450a16b658dc47f44a1597",
+    "showcase-w99-limits": "bd337fae430642950452af39b477a74e96cd2cbde90a9908df8977f72b770b8c",
     "showcase-fine-step": "b2f84d8a2802752ad7048a0eb7fe2476c91115935625e204b25da121830a9b07",
     "lane-drop": "43e11ed94540b8f689d059dd3dcae59a7e7cfa548941d892b50b6721de81e324",
     "lane-drop-pushback": "057909f8b0d55bfeaf884ff6d1dd319db64299350672d5156a38482916a5d1ac",
@@ -97,6 +100,11 @@ def _scenario(name):
         return _lane_drop(sc, {"E1": 1800.0, "E2": 600.0, "E3": 400.0, "E4": 450.0})
     if name == "showcase-fine-step":
         return replace(sc, time_step=0.1, total_time=250.0)
+    if name == "showcase-w99-limits":
+        limits = {"L1": 80.0, "L2": 60.0, "L3": 100.0, "L4": 70.0}
+        links = tuple(replace(link, speed_limit=limits[link.id]) for link in sc.network.links)
+        return replace(_scenario("showcase-w99"), network=replace(sc.network, links=links),
+                       vehicle_length=6.0)
     model = BACKGROUND_MODELS[name.split("-", 1)[1]]
     behavior = dict(sc.behavior)
     behavior["background"] = BehaviorSpec(model, sc.behavior["background"].lane_change)
