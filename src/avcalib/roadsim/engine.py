@@ -1,24 +1,24 @@
 """Discrete-time microscopic traffic simulation of a batch of cases.
 
 A batch is a list of scenario configs that share their network, time step,
-warm-up and horizon; ``run_batch`` steps every case of it together, and
-``run_scenario`` is a batch of one. Each case keeps its own arrival
-generators (one seeded generator per entrance plus the scenario seed), its
-own vehicles and its own log, so a case gives the same log in any batch and
-an identical ScenarioConfig reproduces its run bit for bit.
+warm-up, horizon and vehicle length; ``run_batch`` steps every case of it
+together, and ``run_scenario`` is a batch of one. Each case keeps its own
+arrival generators (one seeded generator per entrance plus the scenario
+seed), its own vehicles and its own log, so a case gives the same log in
+any batch and an identical ScenarioConfig reproduces its run bit for bit.
 
 State lives in numpy arrays, one row per vehicle (``FLOAT_FIELDS`` and
 ``INT_FIELDS``: link, lane, pos, speed, accel, lateral offset and rate,
-lane-change timers, kind, case); the rows of a case are contiguous and in
-insertion order. Each step runs synchronously from a pre-step snapshot, in
-this order: insert the subject (at the end of warm-up) and queued arrivals;
-count the step on each case's log and hand the case to its sink; find every
-vehicle's leader, then take car-following and lane-change decisions for
-every vehicle against the snapshot; integrate once (explicit Euler, speed
-clamped at zero) and move vehicles across link ends; sort the lane index;
-push back overlapping vehicles. Lane changes flip the lane at the midpoint
-of a fixed-duration lateral ramp so the lateral offset stays continuous for
-the detection output.
+lane-change timers, desired speed, kind, case); the rows of a case are
+contiguous and in insertion order. Each step runs synchronously from a
+pre-step snapshot, in this order: insert the subject (at the end of
+warm-up) and queued arrivals; count the step on each case's log and hand
+the case to its sink; find every vehicle's leader, then take car-following
+and lane-change decisions for every vehicle against the snapshot; integrate
+once (explicit Euler, speed clamped at zero) and move vehicles across link
+ends; sort the lane index; push back overlapping vehicles. Lane changes
+flip the lane at the midpoint of a fixed-duration lateral ramp so the
+lateral offset stays continuous for the detection output.
 
 The lane index lists every vehicle by (case, link, lane, pos), from one
 stable ``np.lexsort`` per step taken after the move. Its tie rules:
@@ -28,7 +28,8 @@ stable ``np.lexsort`` per step taken after the move. Its tie rules:
   insertions are merged into the index after the members already there;
 * a step in which no vehicle changed lanes or link, entered or left, and
   every group is still strictly increasing in pos keeps the last sort;
-  a step whose pushback moved a vehicle sorts again.
+  a step whose pushback moved a vehicle sorts again, and so does a case
+  dropping out of the batch.
 
 A vehicle's leader (at centre distance ``lead_d``) is the next member of its
 (link, lane) group. The last member of a group looks downstream along its
@@ -97,37 +98,36 @@ KIND_SUBJECT = 1
 SUBJECT_VID = 0
 
 # the per-vehicle arrays, one row per vehicle: floats, then integers (flags
-# as 0/1). v_des is the desired speed (nan: the link limit, times factor each
-# step); link_end and arc0 are the length and route offset of the vehicle's
-# link, gbase its lane group's key less the lane; a_max to two_sqrt_ab are
-# its IDM terms (nan for another family). lc_due_at is the first step time at
-# which a lane-change evaluation is due: at or after next_lc_check and once
-# the cooldown after the last change has passed; inf while a vehicle changes
-# lanes and for a fixed vehicle. While a vehicle changes lanes,
-# lc_keys is 2 * gbase + lc_from + lc_to, the sum of its two lane groups' keys.
+# as 0/1). v_des is the desired speed: the model's times factor, or for a
+# family without one the limit of the vehicle's link times factor, set when
+# the vehicle enters the link. link_end and arc0 are the length and route
+# offset of the vehicle's link, gbase its lane group's key less the lane;
+# a_max to two_sqrt_ab are its IDM terms (nan for another family). lc_due_at
+# is the first step time at which a lane-change evaluation is due: at or
+# after next_lc_check and once the cooldown after the last change has
+# passed; inf while a vehicle changes lanes and for a fixed vehicle. Every
+# vehicle of a batch has the same length, ``Simulation.vehicle_length``.
 FLOAT_FIELDS = (
-    "pos", "lat", "speed", "accel", "lat_rate", "length", "factor", "v_des",
-    "lc_start", "lc_done_at", "next_lc_check", "lc_due_at", "link_end", "arc0",
+    "pos", "lat", "speed", "accel", "lat_rate", "factor", "v_des",
+    "lc_start", "next_lc_check", "lc_due_at", "link_end", "arc0",
     "a_max", "T", "s0", "delta", "two_sqrt_ab",
 )
 INT_FIELDS = (
     "vid", "kind", "case", "slot", "link", "lane",
-    "lc_from", "lc_to", "lc_switched", "fixed", "gbase", "lc_keys",
+    "lc_from", "lc_to", "lc_switched", "fixed", "gbase",
 )
 IDM_TERMS = ("a_max", "T", "s0", "delta", "two_sqrt_ab")
 FLOAT_COLUMN = {name: k for k, name in enumerate(FLOAT_FIELDS)}
 INT_COLUMN = {name: k for k, name in enumerate(INT_FIELDS)}
-_POS, _LAT, _SPEED, _ACCEL, _LAT_RATE, _LENGTH, _LC_START, _LC_DONE_AT = (
-    FLOAT_COLUMN[name] for name in (
-        "pos", "lat", "speed", "accel", "lat_rate", "length", "lc_start", "lc_done_at",
-    )
+_POS, _LAT, _SPEED, _ACCEL, _LAT_RATE = (
+    FLOAT_COLUMN[name] for name in ("pos", "lat", "speed", "accel", "lat_rate")
 )
-_KIND, _CASE, _LINK, _LANE, _LC_SWITCHED, _GBASE = (
-    INT_COLUMN[name] for name in ("kind", "case", "link", "lane", "lc_switched", "gbase")
+_KIND, _CASE, _LINK, _LANE, _LC_SWITCHED = (
+    INT_COLUMN[name] for name in ("kind", "case", "link", "lane", "lc_switched")
 )
 # lc_start is nan while a vehicle is not changing lanes
-_NEW_FLOATS = dict(lat=0.0, accel=0.0, lat_rate=0.0, lc_start=math.nan, lc_done_at=-1e9)
-_NEW_INTS = dict(lc_from=0, lc_to=0, lc_switched=0, lc_keys=0)
+_NEW_FLOATS = dict(lat=0.0, accel=0.0, lat_rate=0.0, lc_start=math.nan)
+_NEW_INTS = dict(lc_from=0, lc_to=0, lc_switched=0)
 # two route positions closer than this may round to the same arc position
 _TIE = 1e-9
 
@@ -289,15 +289,16 @@ def heading_deg(lat_rate: float, speed: float) -> float:
 
 class CaseView:
     """What a sink sees of one case at one step: the time, the case's log,
-    and its vehicles' state, in insertion order, so the background
-    vehicles' ids ascend. ``floats`` and ``ints`` are views of the
-    simulation's row arrays, their columns named by ``FLOAT_FIELDS`` and
-    ``INT_FIELDS``; each name is also an attribute (``case.speed``). The
-    views change as the simulation steps."""
+    the batch's vehicle length, and its vehicles' state, in insertion order,
+    so the background vehicles' ids ascend. ``floats`` and ``ints`` are
+    views of the simulation's row arrays, their columns named by
+    ``FLOAT_FIELDS`` and ``INT_FIELDS``; each name is also an attribute
+    (``case.speed``). The views change as the simulation steps."""
 
     def __init__(self, sim: Simulation, case: int):
         self.time = sim.time
         self.log = sim.logs[case]
+        self.vehicle_length = sim.vehicle_length
         lo, hi = sim._bounds[case], sim._bounds[case + 1]
         self.floats = sim._floats[lo:hi]
         self.ints = sim._ints[lo:hi]
@@ -353,7 +354,7 @@ def record_frame(case: CaseView) -> None:
             speed=speed,
             accel=case.accel[order],
             heading=heading,
-            length=case.length[order],
+            length=np.full(len(order), case.vehicle_length),
         )
     )
 
@@ -409,9 +410,11 @@ class _Case:
 
 
 class Simulation:
-    """A batch of scenario instances stepped together. Single-threaded and
-    self-contained; instances never share mutable state. ``add_vehicle``,
-    ``row`` and ``vehicle`` serve tests and custom setups."""
+    """A batch of scenario instances stepped together; the cases share
+    their network, time step, warm-up, horizon and vehicle length.
+    Single-threaded and self-contained; instances never share mutable
+    state. ``add_vehicle``, ``row`` and ``vehicle`` serve tests and custom
+    setups."""
 
     def __init__(self, configs):
         self.configs = list(configs)
@@ -419,7 +422,7 @@ class Simulation:
             raise ValueError("a batch needs at least one case")
         first = self.configs[0]
         for cfg in self.configs[1:]:
-            for name in ("network", "time_step", "warmup_time", "total_time"):
+            for name in ("network", "time_step", "warmup_time", "total_time", "vehicle_length"):
                 if getattr(cfg, name) != getattr(first, name):
                     raise ValueError(f"the cases of a batch must share their {name}")
         net = first.network
@@ -428,7 +431,7 @@ class Simulation:
         self.offsets = net.route_offsets()
         self._lengths = [l.length for l in self.route]
         self._counts = [l.lane_count for l in self.route]
-        self._limit_of = np.asarray([l.speed_limit_ms for l in self.route])
+        self._limits = [l.speed_limit_ms for l in self.route]
         self._entrances = sorted(net.entrances, key=lambda e: e.id)
         route_index = {lid: i for i, lid in enumerate(self.route_ids)}
         for e in self._entrances:
@@ -445,6 +448,7 @@ class Simulation:
             )
 
         self.dt = first.time_step
+        self.vehicle_length = float(first.vehicle_length)
         self.n_steps = int(round(first.total_time / first.time_step))
         self.warmup_steps = int(round(first.warmup_time / first.time_step))
         self.time = 0.0
@@ -476,9 +480,6 @@ class Simulation:
         self._models = [m for case in self._cases for m in case.cf]
         self._thresholds = np.asarray([lc.advantage_threshold for case in self._cases for lc in case.lc])
         self._all_idm = all(type(m) is IdmParams for m in self._models)
-        self._desired_from_limit = any(m.desired_speed is None for m in self._models)
-        lengths = {cfg.vehicle_length for cfg in self.configs}
-        self._length = lengths.pop() if len(lengths) == 1 else None  # None: per case
         self._active = list(range(len(self.configs)))
         self._n_fixed = 0
         self._lateral = False  # some vehicle may have a lateral offset or rate
@@ -575,14 +576,11 @@ class Simulation:
         """Store a vehicle of case `c` after every row and merge it into the
         lane index's lists, after any members of its group at an equal pos.
         ``_settle_rows`` then files it after its case's other rows."""
-        case = self._cases[c]
-        model = case.cf[kind]
-        desired = model.desired_speed
+        model = self._cases[c].cf[kind]
+        desired = self._limits[link] if model.desired_speed is None else model.desired_speed
         values.update(
             kind=kind, case=c, slot=2 * c + kind, link=link, lane=lane, pos=pos,
-            length=case.cfg.vehicle_length,
-            v_des=math.nan if desired is None else desired * values["factor"],
-            link_end=self._lengths[link], arc0=self.offsets[link],
+            v_des=desired * values["factor"], link_end=self._lengths[link], arc0=self.offsets[link],
             gbase=(c * self._n_links + link) * self._stride,
             **dict(zip(IDM_TERMS, model._terms if type(model) is IdmParams else (math.nan,) * 5)),
         )
@@ -612,11 +610,10 @@ class Simulation:
     def _settle_rows(self) -> None:
         """After insertions: file the new rows after their cases' other rows
         and rebuild the lane index's arrays from its lists."""
-        order, positions, starts = self._lists
+        order, positions, _starts = self._lists
         self._order = np.asarray(order, dtype=np.int64)
         self._keys = np.asarray(self._key_list, dtype=np.int64)
         self._epos = np.asarray(positions)
-        self._starts = np.asarray(starts, dtype=np.int64)
         settled = self._bounds[-1]
         last_case = int(self._int_store[settled - 1, _CASE]) if settled else -1
         in_order = self._new_rows[0] >= last_case and all(
@@ -626,7 +623,6 @@ class Simulation:
             for k in range(c + 1, len(self._bounds)):
                 self._bounds[k] += 1
         self._new_rows = []
-        self._key_list = None
         self._bind()
         if not in_order:
             perm = np.argsort(self.case, kind="stable")
@@ -639,12 +635,11 @@ class Simulation:
             if self._pairs is not None:
                 rows, first, second = self._pairs
                 self._pairs = (moved[rows], first, second)
-            self._lists = None
-        self._derived = False
+        self._derive()
 
-    def _drop_rows(self, keep: np.ndarray, index: bool = True) -> None:
-        """Keep only the rows where `keep` holds; with `index`, the lane
-        index keeps the kept rows' entries in their order."""
+    def _drop_rows(self, keep: np.ndarray) -> None:
+        """Keep only the rows where `keep` holds; the lane index is stale
+        until the next ``_sort``."""
         counts = np.bincount(self.case[~keep], minlength=len(self.configs)).tolist()
         removed = 0
         for c, n in enumerate(counts):
@@ -656,18 +651,11 @@ class Simulation:
         self._int_store[:n] = self._ints[keep]
         self._n = n
         self._bind()
-        if index:
-            kept = keep[self._order]
-            self._order = (np.cumsum(keep) - 1)[self._order[kept]]
-            self._keys = self._keys[kept]
-            self._epos = self._epos[kept]
-            if self._pairs is not None:
-                self._pairs = self._find_pairs()
-            self._derive()
 
     def _drop_cases(self, cases) -> None:
         self._active = [c for c in self._active if c not in cases]
         self._drop_rows(~np.isin(self.case, list(cases)))
+        self._sort()
 
     def row(self, vid: int, case: int = 0) -> int:
         """The row of vehicle `vid` of `case`."""
@@ -688,23 +676,22 @@ class Simulation:
 
     # -- lane index -----------------------------------------------------------
 
-    def _sort(self, changing=None) -> None:
+    def _sort(self) -> None:
         """Sort the lane index: every vehicle in its lane, a vehicle
-        mid-lane-change (the rows `changing`, else those with a change under
-        way) in its other lane too, each group by pos, ties in row order.
-        When no vehicle changed lanes or link, entered or left since the last
-        sort, and every group is still strictly increasing in pos, the last
-        sort holds and only the positions are taken again."""
+        mid-lane-change in its other lane too, each group by pos, ties in
+        row order. When no vehicle changed lanes or link, entered or left
+        since the last sort, and every group is still strictly increasing in
+        pos, the last sort holds and only the positions are taken again."""
         if not self._restructured and self._keep_order():
             return
-        if changing is None:
-            changing = (self.lc_start == self.lc_start).nonzero()[0]
+        changing = (self.lc_start == self.lc_start).nonzero()[0]
         keys = self.gbase + self.lane
         if len(changing):
             # the second entries go after the rows; the row breaks ties
             n, k = len(keys), len(changing)
             # the other lane of a change is lc_from + lc_to - lane
-            other = self.lc_keys[changing] - keys[changing]
+            base = self.gbase[changing]
+            other = 2 * base + self.lc_from[changing] + self.lc_to[changing] - keys[changing]
             keys = np.concatenate((keys, other))
             rows = np.concatenate((np.arange(n), changing))
             positions = np.concatenate((self.pos, self.pos[changing]))
@@ -752,7 +739,6 @@ class Simulation:
         self._structure += 1
         self._starts = None
         self._key_list = None
-        self._derived = True
         self._take_positions()
 
     def _take_positions(self, gap=None, least=None) -> None:
@@ -769,10 +755,7 @@ class Simulation:
         self._gap = gap
         if least is None:
             least = gap.min() if m > 1 else math.inf
-        if self._length is not None:  # one vehicle length: the least gap decides
-            self._near = bool(least <= self._length)
-        else:
-            self._near = m > 1 and bool((gap <= self.length[self._order[1:]]).any())
+        self._near = bool(least <= self.vehicle_length)
         self._tie = self._near and bool(least <= _TIE)
         self._lists = None
 
@@ -834,8 +817,6 @@ class Simulation:
         distance (inf for none), from the lane index (see the module
         docstring). Who leads whom, bar the per-vehicle cases, is worked out
         once per index structure."""
-        if not self._derived:
-            self._derive()
         order, positions, last = self._order, self._epos, self._last
         m, n = len(order), len(self.pos)
         if not m:
@@ -893,16 +874,6 @@ class Simulation:
         if chain[0][1] == lane and (i - starts[key] < 1 or offset + positions[i - 1] < arc):
             chain = chain[1:]
         lead[i], lead_d[i] = self._first_in_chain(key - local, chain, arc, order[i])
-
-    def _find_pairs(self):
-        """The two sorted entries of each vehicle in two lanes, worked out
-        from the index: (rows, first entries, second entries), or None."""
-        order = self._order
-        twice = (np.bincount(order, minlength=len(self.pos))[order] > 1).nonzero()[0]
-        if not len(twice):
-            return None
-        twice = twice[np.argsort(order[twice], kind="stable")]
-        return order[twice[0::2]], twice[0::2], twice[1::2]
 
     def _two_lane_leaders(self, row_lead, row_d, lead, lead_d):
         """Fix the leaders of the vehicles with an entry in two lanes: the
@@ -977,7 +948,7 @@ class Simulation:
         link_idx = self._entrance_link[ei]
         link = self.route[link_idx]
         entry = self._entry_speed[ei]
-        length = case.cfg.vehicle_length
+        length = self.vehicle_length
         entry_arc = self.offsets[link_idx] + length / 2.0
         order, positions, starts = self._index_lists()
         base = c * self._case_stride
@@ -989,13 +960,13 @@ class Simulation:
             leader_speed = None
             if e > s:  # sorted by pos: the first occupant is the nearest
                 cand = order[s]
-                clear = positions[s] - self._float_store.item(cand, _LENGTH) / 2.0 - length
+                clear = positions[s] - length / 2.0 - length
                 leader_speed = self._float_store.item(cand, _SPEED)
             # a fast vehicle closing in from upstream must get braking room
             fol, dist_r = self._follower(base, link_idx, lane, entry_arc, -1)
             rear_ok = True
             if fol >= 0:
-                rear_gap = dist_r - (self._float_store.item(fol, _LENGTH) + length) / 2.0
+                rear_gap = dist_r - length
                 v_entry_guess = min(entry, leader_speed) if leader_speed is not None else entry
                 fol_speed = self._float_store.item(fol, _SPEED)
                 rear_ok = rear_gap > max(case.spawn_gap, 1.5 * (fol_speed - v_entry_guess))
@@ -1034,40 +1005,38 @@ class Simulation:
                 case.queued -= 1
                 inserted += 1
 
-    def _subject_slot(self, s, e, link, length, margin):
+    def _subject_slot(self, s, e, link, margin):
         """First position along the lane (sorted entries s to e, starting at
         the link entry) where the subject fits with `margin` clear on both
         bumpers. Returns (position, speed limit imposed by the vehicle ahead
         or None)."""
         order, positions, _starts = self._index_lists()
-        candidate = length / 2.0
+        half = self.vehicle_length / 2.0
+        candidate = half
         for i in range(s, e):
-            r = order[i]
-            half = self._float_store.item(r, _LENGTH) / 2.0
             rear = positions[i] - half
-            if rear - (candidate + length / 2.0) >= margin:
-                return candidate, self._float_store.item(r, _SPEED)
-            candidate = positions[i] + half + margin + length / 2.0
-        if candidate + length / 2.0 <= link.length:
+            if rear - (candidate + half) >= margin:
+                return candidate, self._float_store.item(order[i], _SPEED)
+            candidate = positions[i] + half + margin + half
+        if candidate + half <= link.length:
             return candidate, None
         return None, None
 
     def _insert_subject(self, c: int) -> None:
         case = self._cases[c]
         link = self.route[0]
-        length = case.cfg.vehicle_length
         margin = max(2.0, case.spawn_gap)
         _order, _positions, starts = self._index_lists()
         best = None
         for lane in range(1, link.lane_count + 1):
             g = c * self._case_stride + lane
-            pos, ahead_speed = self._subject_slot(starts[g], starts[g + 1], link, length, margin)
+            pos, ahead_speed = self._subject_slot(starts[g], starts[g + 1], link, margin)
             if pos is None:
                 continue
             if best is None or pos < best[0]:
                 best = (pos, lane, ahead_speed)
         if best is None:
-            best = (length / 2.0, 1, 0.0)  # packed link: insert and let CF sort it out
+            best = (self.vehicle_length / 2.0, 1, 0.0)  # packed link: insert and let CF sort it out
         pos, lane, ahead_speed = best
         v_des = case.cf[KIND_SUBJECT].desired_speed  # None: the link limit
         speed = link.speed_limit_ms if v_des is None else min(v_des, link.speed_limit_ms)
@@ -1086,8 +1055,12 @@ class Simulation:
     def add_vehicle(self, link_idx=0, lane=1, pos=10.0, speed=0.0, kind=KIND_BACKGROUND,
                     fixed=False, factor=1.0, case=0) -> int:
         """Insert a vehicle directly into `case` and return its id. A fixed
-        vehicle keeps its speed and never changes lanes. Its pos must lie on
-        its link."""
+        vehicle keeps its speed and never changes lanes. Its link must be on
+        the route, its lane on its link and its pos on its link."""
+        if not 0 <= link_idx < len(self.route):
+            raise ValueError(f"link index {link_idx} is off the route")
+        if not 1 <= lane <= self._counts[link_idx]:
+            raise ValueError(f"lane {lane} is off link {self.route_ids[link_idx]}")
         if not 0.0 <= pos <= self._lengths[link_idx]:
             raise ValueError(f"pos {pos} is off link {self.route_ids[link_idx]}")
         state = self._cases[case]
@@ -1109,26 +1082,18 @@ class Simulation:
 
     def _accelerations(self, lead, lead_d):
         """Every row's car-following acceleration, clamped so the speed stays
-        non-negative after one step (0 for a fixed vehicle), its desired
-        speed, and the free-road term of the IDM rows (nan for another
-        family)."""
+        non-negative after one step (0 for a fixed vehicle), and the
+        free-road term of the IDM rows (nan for another family)."""
         speed = self.speed
-        v_des = self.v_des
-        if self._desired_from_limit:
-            v_des = np.where(np.isnan(v_des), self._limit_of[self.link] * self.factor, v_des)
-        if self._length is not None:  # (length + length) / 2 is length itself
-            gap = lead_d - self._length
-        else:
-            gap = lead_d - (self.length + self.length[lead]) / 2.0
-        gap = np.maximum(gap, 0.05)
+        gap = np.maximum(lead_d - self.vehicle_length, 0.05)
         if self._all_idm:
-            a, free = IdmParams.accel_rows(self._idm_terms, speed, gap, speed[lead], v_des)
+            a, free = IdmParams.accel_rows(self._idm_terms, speed, gap, speed[lead], self.v_des)
         else:
-            a, free = self._mixed_accelerations(speed, gap, lead, v_des)
+            a, free = self._mixed_accelerations(speed, gap, lead, self.v_des)
         np.maximum(a, speed / -self.dt, out=a)  # the speed floor is -v / dt
         if self._n_fixed:
             a[self.fixed == 1] = 0.0
-        return a, v_des, free
+        return a, free
 
     def _mixed_accelerations(self, speed, gap, lead, v_des):
         """``accel`` and the IDM free-road term when some vehicle's family
@@ -1223,7 +1188,7 @@ class Simulation:
         link_idx = ints.item(r, _LINK)
         lane = ints.item(r, _LANE)
         speed = floats.item(r, _SPEED)
-        length = floats.item(r, _LENGTH)
+        length = self.vehicle_length
         arc = self.offsets[link_idx] + floats.item(r, _POS)
         base = c * self._case_stride
         sides = {}
@@ -1241,12 +1206,10 @@ class Simulation:
                 leader = follower = None
                 leader_accel = 0.0
                 if lead >= 0:
-                    leader = (max(dist_f - (length + floats.item(lead, _LENGTH)) / 2.0, 0.01),
-                              floats.item(lead, _SPEED))
+                    leader = (max(dist_f - length, 0.01), floats.item(lead, _SPEED))
                     leader_accel = floats.item(lead, _ACCEL)
                 if fol >= 0:
-                    follower = (max(dist_r - (length + floats.item(fol, _LENGTH)) / 2.0, 0.01),
-                                floats.item(fol, _SPEED))
+                    follower = (max(dist_r - length, 0.01), floats.item(fol, _SPEED))
                 sides[name] = NeighborView(leader, follower, leader_accel)
         if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
             return STAY
@@ -1261,8 +1224,7 @@ class Simulation:
         advance the lane-change ramps and move vehicles across link ends; a
         vehicle leaving the route's last link despawns. At a lane drop a
         vehicle in a lost lane moves into the last lane left, and a change
-        toward a lost lane ends there. Returns the rows still changing
-        lanes, None where a crossing may have changed them."""
+        toward a lost lane ends there."""
         dt = self.dt
         t = self.time
         t_next = t + dt
@@ -1284,7 +1246,6 @@ class Simulation:
         self.pos[:] += new_speed * dt
 
         changing = (self.lc_start == self.lc_start).nonzero()[0]
-        self._still_changing = changing
         if len(changing) or self._lateral:
             self._ramp(changing, t_next)
             self._lateral = bool(len(changing))
@@ -1295,9 +1256,7 @@ class Simulation:
             if gone:
                 keep = np.ones(len(speed), dtype=bool)
                 keep[gone] = False
-                self._drop_rows(keep, index=False)
-            return None
-        return self._still_changing
+                self._drop_rows(keep)
 
     def _start_lane_change(self, r: int, target: int) -> None:
         """Row `r` starts changing from its lane to `target` now."""
@@ -1306,7 +1265,6 @@ class Simulation:
         self.lc_from[r] = lane
         self.lc_to[r] = target
         self.lc_switched[r] = 0
-        self.lc_keys[r] = 2 * self._ints.item(r, _GBASE) + lane + target
         self.lc_due_at[r] = math.inf
         self._restructured = True
 
@@ -1315,7 +1273,6 @@ class Simulation:
         due at the first step time both after its next check and
         LC_COOLDOWN after `t_next`."""
         self.lc_start[r] = math.nan
-        self.lc_done_at[r] = t_next
         k = max(self.step_index + 1, int((t_next + LC_COOLDOWN) / self.dt) - 1)
         while not k * self.dt - t_next >= LC_COOLDOWN:
             k += 1
@@ -1357,13 +1314,10 @@ class Simulation:
             self.lat_rate[rows] = lat_rate
         if ended:
             self._restructured = True
-            ended = set(ended)
-            self._still_changing = np.asarray(
-                [r for r in rows.tolist() if r not in ended], dtype=np.int64
-            )
 
     def _cross(self, rows, t_next):
-        """Move `rows`, which ran past their link's end, onto the next link;
+        """Move `rows`, which ran past their link's end, onto the next link,
+        where a family without a desired speed takes the link's limit;
         returns the rows that left the route."""
         lengths = self._lengths
         last_link = len(lengths) - 1
@@ -1394,9 +1348,9 @@ class Simulation:
             self.lane[r] = lane
             self.link_end[r] = lengths[link_idx]
             self.arc0[r] = self.offsets[link_idx]
-            gbase = (int(self.case[r]) * self._n_links + link_idx) * self._stride
-            self.gbase[r] = gbase
-            self.lc_keys[r] = 2 * gbase + self.lc_from[r] + self.lc_to[r]
+            self.gbase[r] = (int(self.case[r]) * self._n_links + link_idx) * self._stride
+            if self._models[int(self.slot[r])].desired_speed is None:
+                self.v_des[r] = self._limits[link_idx] * float(self.factor[r])
         return gone
 
     def _resolve_collisions(self):
@@ -1410,21 +1364,18 @@ class Simulation:
         pair of the group is as close as a vehicle length, which the index
         notes."""
         found = []
+        pos, length = self.pos, self.vehicle_length
         if self._near:
             order, keys = self._order, self._keys
             physical = keys % self._stride == self.lane[order]
             if not physical.all():
                 order, keys = order[physical], keys[physical]
             rear, front = order[:-1], order[1:]
-            pos, length = self.pos, self.length
-            overlap = (keys[1:] == keys[:-1]) & (
-                pos[front] - pos[rear] - (length[front] + length[rear]) / 2.0 <= 0.0
-            )
+            overlap = (keys[1:] == keys[:-1]) & (pos[front] - pos[rear] - length <= 0.0)
             found = [(int(rear[k]), int(front[k]), int(keys[k])) for k in overlap.nonzero()[0]]
         overlapping = {}
         if found:
             t = self.time + self.dt
-            pos, length = self.pos, self.length
             for r, f, key in found:
                 c = int(self.case[r])
                 pair = (int(self.vid[r]), int(self.vid[f]))
@@ -1437,11 +1388,7 @@ class Simulation:
                             link=self.route_ids[local // self._stride], lane=local % self._stride,
                         )
                     )
-                rear_length = float(length[r])
-                pos[r] = max(
-                    float(pos[f]) - (float(length[f]) + rear_length) / 2.0 - 0.1,
-                    rear_length / 2.0,
-                )
+                pos[r] = max(float(pos[f]) - length - 0.1, length / 2.0)
                 if not self.fixed[r]:  # a fixed vehicle keeps its speed
                     self.speed[r] = 0.0
                     self.accel[r] = 0.0
@@ -1508,9 +1455,9 @@ class Simulation:
         if failed:
             self._drop_cases(failed)
         lead, lead_d = self._leader_pass()
-        a, v_des, free = self._accelerations(lead, lead_d)
-        changing = self._move(a, self._lane_change_decisions(a, v_des, free))
-        self._sort(changing)
+        a, free = self._accelerations(lead, lead_d)
+        self._move(a, self._lane_change_decisions(a, self.v_des, free))
+        self._sort()
         self._resolve_collisions()
         self._count_gridlock()
         self.step_index += 1
@@ -1538,10 +1485,11 @@ class Simulation:
 def run_batch(configs, sinks=None) -> list[TrajectoryLog]:
     """Simulate every scenario of `configs` together, handing each step of
     case c to `sinks[c]`; without sinks every log records its frames. The
-    configs must share network, time step, warm-up and horizon. A case whose
-    sink raises ``MissingSubjectError`` stops there with the exception in its
-    log's ``stopped_by``; the others run on. Any other exception a sink
-    raises propagates. Each log equals that of the case run alone."""
+    configs must share network, time step, warm-up, horizon and vehicle
+    length. A case whose sink raises ``MissingSubjectError`` stops there
+    with the exception in its log's ``stopped_by``; the others run on. Any
+    other exception a sink raises propagates. Each log equals that of the
+    case run alone."""
     return Simulation(configs).run(sinks)
 
 

@@ -120,6 +120,10 @@ class ScenarioConfig:
             raise ValueError("warmup_time must be below total_time")
         if self.time_step <= 0:
             raise ValueError("time_step must be > 0")
+        if self.warmup_time < 0:
+            raise ValueError("warmup_time must be >= 0")
+        if self.vehicle_length <= 0:
+            raise ValueError("vehicle_length must be > 0")
         rear, front = self.detection_range
         if not (rear < 0.0 < front):
             raise ValueError("detection_range must straddle zero (rear < 0 < front)")

@@ -403,7 +403,19 @@ def test_vehicle_abreast_in_target_lane_blocks_the_change():
     assert starts and starts[0].time > 0.0
     assert log.collisions == []
     changer, abreast = sim.vehicle(changer), sim.vehicle(abreast)
-    assert abs(changer["pos"] - abreast["pos"]) > changer["length"]
+    assert abs(changer["pos"] - abreast["pos"]) > sim.vehicle_length
+
+
+@pytest.mark.parametrize("link_idx, lane", [(-1, 1), (4, 1), (0, 0), (0, 3)])
+def test_add_vehicle_rejects_a_link_or_lane_off_the_route(link_idx, lane):
+    # the showcase route has four two-lane links; lane 3 of L1 would share
+    # its lane group key with lane 0 of L2 and corrupt the lane index
+    sim = Simulation([showcase_scenario(0)])
+    with pytest.raises(ValueError, match="off"):
+        sim.add_vehicle(link_idx=link_idx, lane=lane)
+    assert len(sim.pos) == 0
+    sim.add_vehicle(link_idx=3, lane=2)
+    assert sim.vehicle(1)["link"] == 3 and sim.vehicle(1)["lane"] == 2
 
 
 def test_fixed_vehicle_keeps_its_speed_through_a_pushback():
@@ -732,7 +744,8 @@ def test_batch_cases_match_their_single_runs(lanes, dt, total, cases):
 def test_batch_rejects_cases_of_different_runs():
     cfg = corridor()
     for other in (replace(cfg, time_step=0.2), replace(cfg, warmup_time=5.0),
-                  replace(cfg, total_time=90.0), corridor(lanes=2)):
+                  replace(cfg, total_time=90.0), replace(cfg, vehicle_length=5.0),
+                  corridor(lanes=2)):
         with pytest.raises(ValueError, match="share"):
             run_batch([cfg, other])
 

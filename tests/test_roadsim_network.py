@@ -45,3 +45,18 @@ def test_missing_scenario_settings_take_the_defaults():
     bare = ScenarioConfig(network=sc.network, entrance_inputs=sc.entrance_inputs,
                           behavior=sc.behavior)
     assert scenario_from_dict(d) == bare
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("vehicle_length", 0.0, "vehicle_length must be > 0"),
+        ("vehicle_length", -4.5, "vehicle_length must be > 0"),
+        ("warmup_time", -1.0, "warmup_time must be >= 0"),
+    ],
+)
+def test_impossible_scenario_values_are_rejected_at_load(key, value, message):
+    d = scenario_to_dict(showcase_scenario())
+    d[key] = value
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)

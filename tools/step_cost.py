@@ -17,8 +17,7 @@ skip did not settle) and lane changes:
   a 1750 s horizon and a 600 s warm-up, with L4 lengthened to 12 km so that
   the subject stays on the route (about 180);
 * ``batch16``: the 16 stage-1 design cases of the recovery calibration,
-  simulated as one batch (``run_batch``); a checkout without ``run_batch``
-  runs them one after another. Its µs per step is per batch step.
+  simulated as one batch (``run_batch``). Its µs per step is per batch step.
 
 The sampling layers report µs per detection record, each the minimum of
 `--repeats` in this process:
@@ -60,7 +59,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from avcalib import roadsim  # noqa: E402
 from avcalib.demo import recovery_calibration_config, recovery_truth_scenario  # noqa: E402
 from avcalib.doe import build_orthogonal_array, map_levels_to_values  # noqa: E402
 from avcalib.params import build_parameter_space  # noqa: E402
@@ -73,7 +71,7 @@ from avcalib.pipeline import (  # noqa: E402
 )
 from avcalib.roadsim import (  # noqa: E402
     VirtualDetector,
-    run_scenario,
+    run_batch,
     virtual_detector_sample,
 )
 from workloads import STREAM_SEED, ga_scenario, ga_truth, merge_scenario  # noqa: E402
@@ -111,16 +109,13 @@ RUNS = {
 
 
 def simulate(configs, sinks=None):
-    """The logs of `configs` run through `sinks` (default: a detector
-    each): one batch where the simulator has batches, else one run each."""
-    sinks = sinks or [VirtualDetector(cfg) for cfg in configs]
-    if hasattr(roadsim.engine, "run_batch"):
-        logs = roadsim.engine.run_batch(configs, sinks)
-        for log in logs:
-            if log.stopped_by is not None:
-                raise log.stopped_by
-        return logs
-    return [run_scenario(cfg, sink) for cfg, sink in zip(configs, sinks)]
+    """The logs of `configs` run as one batch through `sinks` (default: a
+    detector each)."""
+    logs = run_batch(configs, sinks or [VirtualDetector(cfg) for cfg in configs])
+    for log in logs:
+        if log.stopped_by is not None:
+            raise log.stopped_by
+    return logs
 
 
 def least(fn, repeats):
