@@ -39,17 +39,19 @@ lanes keeps the nearer leader; on a tie, the one of the group met first,
 that is the group whose earliest-inserted member was inserted first (of a
 vehicle's two lanes, the lower one first).
 
-Car-following is evaluated for all vehicles at once: IDM in arrays
-(``IdmParams.accel_rows``), the other families per vehicle through their
-``accel``. A vehicle due a lane-change evaluation compares its sides with
-the acceleration ``a`` just decided for it in its current lane. No side can
-pay off when ``max(max_free_accel(v, v_des, dt), -v/dt) - a`` is at most the
-advantage threshold, since no leader in a target lane can demand more than
-that bound; the vehicle then stays without a neighbour-lane scan. The skip
-is exact: the full evaluation would also decide to stay. The skip is one
-array mask (an IDM vehicle's bound is ``accel_rows``' free-road term); only
-the scans it lets through, the insertions, the lane-change ramps, the link
-crossings and the pushbacks go through Python per vehicle.
+Car-following is evaluated for all vehicles at once, by each family's
+``accel_rows`` (one call per family present in the batch) on the terms of
+each vehicle's model. A vehicle due a lane-change evaluation compares its
+sides with the acceleration ``a`` just decided for it in its current lane.
+No side can pay off when ``max(free, -v/dt) - a`` is at most the advantage
+threshold, ``free`` being the family's bound from the same call, since no
+leader in a target lane can demand more than that; the vehicle then stays
+without a neighbour-lane scan. The skip is exact: the full evaluation would
+also decide to stay. The skip is one array mask. The vehicles it lets
+through look up their neighbours per vehicle, and the accelerations behind
+every side found in a step come from one more car-following call; the
+insertions, the lane-change ramps, the link crossings and the pushbacks
+also go through Python per vehicle.
 
 A sink is a callable that takes a ``CaseView`` of one case once per step.
 ``record_frame``, the default, stores a ``Frame`` per step in
@@ -78,7 +80,6 @@ from .models import (
     CHANGE_LEFT,
     CHANGE_RIGHT,
     STAY,
-    IdmParams,
     NeighborView,
     lane_change_decision,
 )
@@ -101,29 +102,28 @@ SUBJECT_VID = 0
 # as 0/1). v_des is the desired speed: the model's times factor, or for a
 # family without one the limit of the vehicle's link times factor, set when
 # the vehicle enters the link. link_end and arc0 are the length and route
-# offset of the vehicle's link, gbase its lane group's key less the lane;
-# a_max to two_sqrt_ab are its IDM terms (nan for another family). lc_due_at
-# is the first step time at which a lane-change evaluation is due: at or
-# after next_lc_check and once the cooldown after the last change has
-# passed; inf while a vehicle changes lanes and for a fixed vehicle. Every
-# vehicle of a batch has the same length, ``Simulation.vehicle_length``.
+# offset of the vehicle's link, gbase its lane group's key less the lane,
+# slot the index of its models (2 * case + kind), whose car-following terms
+# are column slot of ``Simulation._terms``. lc_due_at is the first step time
+# at which a lane-change evaluation is due: at or after next_lc_check and
+# once the cooldown after the last change has passed; inf while a vehicle
+# changes lanes and for a fixed vehicle. Every vehicle of a batch has the
+# same length, ``Simulation.vehicle_length``.
 FLOAT_FIELDS = (
     "pos", "lat", "speed", "accel", "lat_rate", "factor", "v_des",
     "lc_start", "next_lc_check", "lc_due_at", "link_end", "arc0",
-    "a_max", "T", "s0", "delta", "two_sqrt_ab",
 )
 INT_FIELDS = (
     "vid", "kind", "case", "slot", "link", "lane",
     "lc_from", "lc_to", "lc_switched", "fixed", "gbase",
 )
-IDM_TERMS = ("a_max", "T", "s0", "delta", "two_sqrt_ab")
 FLOAT_COLUMN = {name: k for k, name in enumerate(FLOAT_FIELDS)}
 INT_COLUMN = {name: k for k, name in enumerate(INT_FIELDS)}
-_POS, _LAT, _SPEED, _ACCEL, _LAT_RATE = (
-    FLOAT_COLUMN[name] for name in ("pos", "lat", "speed", "accel", "lat_rate")
+_POS, _LAT, _SPEED, _ACCEL, _LAT_RATE, _V_DES = (
+    FLOAT_COLUMN[name] for name in ("pos", "lat", "speed", "accel", "lat_rate", "v_des")
 )
-_KIND, _CASE, _LINK, _LANE, _LC_SWITCHED = (
-    INT_COLUMN[name] for name in ("kind", "case", "link", "lane", "lc_switched")
+_KIND, _CASE, _SLOT, _LINK, _LANE, _LC_SWITCHED = (
+    INT_COLUMN[name] for name in ("kind", "case", "slot", "link", "lane", "lc_switched")
 )
 # lc_start is nan while a vehicle is not changing lanes
 _NEW_FLOATS = dict(lat=0.0, accel=0.0, lat_rate=0.0, lc_start=math.nan)
@@ -478,8 +478,17 @@ class Simulation:
             self._cases.append(_Case(cfg, entrance_ids, log))
         # a vehicle's slot, 2 * case + kind, picks its models
         self._models = [m for case in self._cases for m in case.cf]
-        self._thresholds = np.asarray([lc.advantage_threshold for case in self._cases for lc in case.lc])
-        self._all_idm = all(type(m) is IdmParams for m in self._models)
+        self._lane_change = [lc for case in self._cases for lc in case.lc]
+        self._thresholds = np.asarray([lc.advantage_threshold for lc in self._lane_change])
+        # the car-following terms of each slot's model, a column per slot
+        # (nan past the last term of a family), and the families present
+        width = max(len(m.terms) for m in self._models)
+        self._terms = np.array([m.terms + (math.nan,) * (width - len(m.terms))
+                                for m in self._models]).T.copy()
+        self._families = list(dict.fromkeys((type(m), len(m.terms)) for m in self._models))
+        self._slot_family = np.asarray(
+            [self._families.index((type(m), len(m.terms))) for m in self._models]
+        )
         self._active = list(range(len(self.configs)))
         self._n_fixed = 0
         self._lateral = False  # some vehicle may have a lateral offset or rate
@@ -570,7 +579,8 @@ class Simulation:
         columns = dict(zip(FLOAT_FIELDS, self._floats.T))
         columns.update(zip(INT_FIELDS, self._ints.T))
         self.__dict__.update(columns)
-        self._idm_terms = tuple(columns[name] for name in IDM_TERMS)
+        # every row's car-following groups, as ``_car_following`` reads them
+        self._groups = [(cls, of, tuple(terms)) for cls, of, terms in self._groups_of(self.slot)]
 
     def _insert_row(self, c: int, kind: int, link: int, lane: int, pos: float, **values) -> None:
         """Store a vehicle of case `c` after every row and merge it into the
@@ -582,7 +592,6 @@ class Simulation:
             kind=kind, case=c, slot=2 * c + kind, link=link, lane=lane, pos=pos,
             v_des=desired * values["factor"], link_end=self._lengths[link], arc0=self.offsets[link],
             gbase=(c * self._n_links + link) * self._stride,
-            **dict(zip(IDM_TERMS, model._terms if type(model) is IdmParams else (math.nan,) * 5)),
         )
         r = self._n
         if r == len(self._float_store):
@@ -1082,64 +1091,67 @@ class Simulation:
 
     def _accelerations(self, lead, lead_d):
         """Every row's car-following acceleration, clamped so the speed stays
-        non-negative after one step (0 for a fixed vehicle), and the
-        free-road term of the IDM rows (nan for another family)."""
-        speed = self.speed
+        non-negative after one step (0 for a fixed vehicle), and its bound
+        ``free``."""
         gap = np.maximum(lead_d - self.vehicle_length, 0.05)
-        if self._all_idm:
-            a, free = IdmParams.accel_rows(self._idm_terms, speed, gap, speed[lead], self.v_des)
-        else:
-            a, free = self._mixed_accelerations(speed, gap, lead, self.v_des)
-        np.maximum(a, speed / -self.dt, out=a)  # the speed floor is -v / dt
+        a, free = self._car_following(
+            None, self.speed, gap, self.speed[lead], self.v_des, self.accel, self.accel[lead]
+        )
         if self._n_fixed:
             a[self.fixed == 1] = 0.0
         return a, free
 
-    def _mixed_accelerations(self, speed, gap, lead, v_des):
-        """``accel`` and the IDM free-road term when some vehicle's family
-        is not IDM: IDM rows as arrays, the others per element."""
-        a = np.empty(len(speed))
-        free = np.full(len(speed), math.nan)
-        idm = self.a_max == self.a_max
-        if idm.any():
-            a[idm], free[idm] = IdmParams.accel_rows(
-                tuple(t[idm] for t in self._idm_terms), speed[idm], gap[idm],
-                speed[lead[idm]], v_des[idm],
-            )
-        rest = (~idm).nonzero()[0]
-        models = self._models
-        a[rest] = [
-            models[s].accel(v, None if g == math.inf else g, vl, vd, pa, la, self.dt)
-            for s, v, g, vl, vd, pa, la in zip(*(
-                x[rest].tolist() for x in (
-                    self.slot, speed, gap, speed[lead], v_des, self.accel, self.accel[lead],
-                )
-            ))
-        ]
+    def _groups_of(self, slots):
+        """Vehicles of the models `slots` by family: (family, their indexes,
+        None for all, and their terms), the terms in one ``np.take`` from
+        the per-slot table."""
+        terms = np.take(self._terms, slots, axis=1)
+        if len(self._families) == 1:
+            return [(self._families[0][0], None, terms)]
+        family = self._slot_family[slots]
+        groups = []
+        for f, (cls, width) in enumerate(self._families):
+            (of,) = (family == f).nonzero()
+            if len(of) == len(slots):
+                return [(cls, None, terms[:width])]
+            if len(of):
+                groups.append((cls, of, terms[:width, of]))
+        return groups
+
+    def _car_following(self, slots, v, gap, v_leader, v_des, prev_accel, leader_accel):
+        """The car-following acceleration of vehicles of the models `slots`
+        (None: the rows) at speed `v` behind leaders at bumper gap `gap`
+        (inf for none) and speed `v_leader` that accelerated at
+        `leader_accel` over the last step, clamped so the speed stays
+        non-negative after one step; and each one's bound ``free`` on it
+        (see ``models``). Each family present makes one ``accel_rows`` call
+        on its vehicles."""
+        groups = self._groups if slots is None else self._groups_of(slots)
+        if len(groups) == 1:
+            ((cls, _all, terms),) = groups
+            a, free = cls.accel_rows(terms, v, gap, v_leader, v_des, prev_accel, leader_accel, self.dt)
+        else:
+            a, free = np.empty(len(v)), np.empty(len(v))
+            state = np.array((v, gap, v_leader, v_des, prev_accel, leader_accel))
+            for cls, of, terms in groups:
+                a[of], free[of] = cls.accel_rows(terms, *state[:, of], self.dt)
+        np.maximum(a, v / -self.dt, out=a)  # the speed floor is -v / dt
         return a, free
 
-    def _lane_change_decisions(self, a, v_des, free):
+    def _lane_change_decisions(self, a, free):
         """(row, target lane) of every vehicle that starts a lane change this
         step, in row order; counts the evaluations and scans on the logs.
-        `free` is ``max_free_accel`` for the IDM rows, nan for the others."""
+        `a` and `free` are ``_accelerations``'."""
         t = self.time
-        dt = self.dt
         due = (self.lc_due_at <= t).nonzero()[0]
         if not len(due):
             return []
         self.next_lc_check[due] = self.lc_due_at[due] = t + LC_CHECK_INTERVAL
-        speed, slots = self.speed[due], self.slot[due]
         # the exact skip (see the module docstring) as a mask
         bound = free[due]
-        if not self._all_idm:
-            (other,) = np.isnan(bound).nonzero()
-            models = self._models
-            bound[other] = [models[slot].max_free_accel(v, d, dt) for slot, v, d in zip(
-                slots[other].tolist(), speed[other].tolist(), v_des[due[other]].tolist()
-            )]
-        np.maximum(bound, -speed / dt, out=bound)
+        np.maximum(bound, self.speed[due] / -self.dt, out=bound)
         bound -= a[due]
-        scan = due[bound > self._thresholds[slots]]
+        scan = due[bound > self._thresholds[self.slot[due]]]
         if len(self._active) == 1:  # as in _find_windows
             log = self.logs[self._active[0]]
             log.lc_evaluations += len(due)
@@ -1155,20 +1167,36 @@ class Simulation:
         if not len(scan):
             return []
         pending = self._pending_targets()
+        scanned, slots, inputs = [], [], []
+        for r, c in zip(scan.tolist(), self.case[scan].tolist()):
+            left, right = sides = self._scan_sides(r, c, pending, slots, inputs)
+            if left is not None or right is not None:
+                scanned.append((r, sides))
+        if not slots:
+            return []
+        # the acceleration behind every side's leader, in one call
+        accel = iter(self._car_following(
+            np.asarray(slots), *np.array(inputs).reshape(-1, 6).T
+        )[0].tolist())
         starts = []
-        for r, slot, d, a_r in zip(
-            scan.tolist(), self.slot[scan].tolist(), v_des[scan].tolist(), a[scan].tolist()
-        ):
-            c, kind = divmod(slot, 2)
-            direction = self._evaluate_lane_change(r, c, kind, a_r, d, pending.get(c, ()))
+        floats, ints = self._floats, self._ints
+        for r, (left, right) in scanned:
+            if left is not None:
+                left = NeighborView(*left, next(accel))
+            if right is not None:
+                right = NeighborView(*right, next(accel))
+            slot = ints.item(r, _SLOT)
+            direction = lane_change_decision(
+                floats.item(r, _SPEED), a.item(r), left, right, self._lane_change[slot]
+            )
             if direction != STAY:
-                lane = self._ints.item(r, _LANE)
+                lane = ints.item(r, _LANE)
                 starts.append((r, lane + 1 if direction == CHANGE_LEFT else lane - 1))
         return starts
 
     def _pending_targets(self):
-        """By case: (link, target lane, arc) of every vehicle moving into a
-        lane it has not reached yet."""
+        """The arcs of every vehicle moving into a lane it has not reached
+        yet, by (case, link, target lane)."""
         pending = {}
         if self._pairs is not None:  # the vehicles in two lanes of the index
             rows = self._pairs[0]
@@ -1177,47 +1205,48 @@ class Simulation:
                 self.lc_switched[rows].tolist(), (self.arc0[rows] + self.pos[rows]).tolist(),
             ):
                 if not switched:
-                    pending.setdefault(case, []).append((link, target, arc))
+                    pending.setdefault((case, link, target), []).append(arc)
         return pending
 
-    def _evaluate_lane_change(self, r, c, kind, a_current, v_des, pending):
-        """Lane-change decision for row `r`, whose current-lane acceleration
-        is `a_current`, from a scan of the neighbour lanes."""
-        case = self._cases[c]
+    def _scan_sides(self, r, c, pending, slots, inputs):
+        """The neighbour lanes of row `r` of case `c`, left then right: None
+        where there is no lane or a vehicle moving into it (`pending`) is
+        near, else the (bumper gap, speed) of the closest vehicle ahead in it
+        and of the closest behind, None for none. Appends the slot of each
+        lane found to `slots`, and to `inputs` what ``_car_following`` reads
+        to give the row's acceleration in that lane: the row's speed, the
+        gap and speed of the vehicle ahead (inf and 0 for none), the row's
+        desired speed and acceleration over the last step, and that of the
+        vehicle ahead (0 for none)."""
         floats, ints = self._floats, self._ints
         link_idx = ints.item(r, _LINK)
         lane = ints.item(r, _LANE)
-        speed = floats.item(r, _SPEED)
         length = self.vehicle_length
         arc = self.offsets[link_idx] + floats.item(r, _POS)
         base = c * self._case_stride
-        sides = {}
-        for name, target in ((CHANGE_LEFT, lane + 1), (CHANGE_RIGHT, lane - 1)):
-            if target < 1 or target > self._counts[link_idx]:
-                sides[name] = None
+        v, v_des, prev_accel = floats.item(r, _SPEED), floats.item(r, _V_DES), floats.item(r, _ACCEL)
+        slot = ints.item(r, _SLOT)
+        sides = []
+        for target in (lane + 1, lane - 1):
+            near = pending.get((c, link_idx, target))
+            if target < 1 or target > self._counts[link_idx] or near and any(
+                abs(p_arc - arc) < LC_CLEARANCE for p_arc in near
+            ):
+                sides.append(None)
                 continue
-            for p_link, p_lane, p_arc in pending:
-                if p_link == link_idx and p_lane == target and abs(p_arc - arc) < LC_CLEARANCE:
-                    sides[name] = None
-                    break
+            lead, dist_f = self._first_in_chain(base, self._ahead[link_idx, target], arc, r)
+            fol, dist_r = self._follower(base, link_idx, target, arc, r)
+            leader = follower = None
+            if lead >= 0:
+                leader = (max(dist_f - length, 0.01), floats.item(lead, _SPEED))
+                inputs += (v, *leader, v_des, prev_accel, floats.item(lead, _ACCEL))
             else:
-                lead, dist_f = self._first_in_chain(base, self._ahead[link_idx, target], arc, r)
-                fol, dist_r = self._follower(base, link_idx, target, arc, r)
-                leader = follower = None
-                leader_accel = 0.0
-                if lead >= 0:
-                    leader = (max(dist_f - length, 0.01), floats.item(lead, _SPEED))
-                    leader_accel = floats.item(lead, _ACCEL)
-                if fol >= 0:
-                    follower = (max(dist_r - length, 0.01), floats.item(fol, _SPEED))
-                sides[name] = NeighborView(leader, follower, leader_accel)
-        if sides[CHANGE_LEFT] is None and sides[CHANGE_RIGHT] is None:
-            return STAY
-        return lane_change_decision(
-            speed, a_current, sides[CHANGE_LEFT], sides[CHANGE_RIGHT],
-            case.lc[kind], case.cf[kind], dt=self.dt, desired_speed=v_des,
-            prev_accel=floats.item(r, _ACCEL),
-        )
+                inputs += (v, math.inf, 0.0, v_des, prev_accel, 0.0)
+            if fol >= 0:
+                follower = (max(dist_r - length, 0.01), floats.item(fol, _SPEED))
+            slots.append(slot)
+            sides.append((leader, follower))
+        return sides
 
     def _move(self, a, starts):
         """Start the decided lane changes, integrate every vehicle one step,
@@ -1456,7 +1485,7 @@ class Simulation:
             self._drop_cases(failed)
         lead, lead_d = self._leader_pass()
         a, free = self._accelerations(lead, lead_d)
-        self._move(a, self._lane_change_decisions(a, self.v_des, free))
+        self._move(a, self._lane_change_decisions(a, free))
         self._sort()
         self._resolve_collisions()
         self._count_gridlock()

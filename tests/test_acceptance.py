@@ -29,13 +29,13 @@ from avcalib.metrics import (
 )
 from avcalib.params import build_parameter_space
 from avcalib.pipeline import calibrate, generate_field_data
-from avcalib.roadsim import IdmParams, Simulation, car_following_acceleration, run_scenario
+from avcalib.roadsim import IdmParams, Simulation, run_scenario
 from avcalib.saga import adaptive_probability
 
 from conftest import dataset, rec, surr
 from test_doe import _brute_force_ra
 from test_roadsim_engine import corridor
-from test_roadsim_models import idm_equilibrium_gap
+from test_roadsim_models import cf_accel, idm_equilibrium_gap
 
 
 def _ok(criterion, detail=""):
@@ -193,7 +193,7 @@ def test_criterion_7_simulator_oracles():
     # equilibrium spacing from bisection, checked through the model call
     p = IdmParams()
     s_eq = idm_equilibrium_gap(p, 15.0)
-    assert abs(car_following_acceleration(p, 15.0, (s_eq, 15.0), 0.1)) < 1e-9
+    assert abs(cf_accel(p, 15.0, (s_eq, 15.0), 0.1)) < 1e-9
 
     # five-vehicle platoon converges to the leader speed by 300 s
     cfg = corridor(total=300.0, warmup=1.0, dt=0.1, length=8000.0)

@@ -35,6 +35,7 @@ from avcalib.roadsim.engine import (
 from avcalib.roadsim.network import KMH
 from avcalib.roadsim.models import MODEL_CLASSES
 
+from scalar_models import max_free_accel
 from test_roadsim_models import idm_equilibrium_gap
 
 
@@ -596,24 +597,25 @@ class ScanCheckedSimulation(Simulation):
     """Checks each step's neighbour-lane scans against the scalar skip rule:
     a vehicle due an evaluation scans exactly when
     ``max(max_free_accel(v, v_des, dt), -v/dt) - a`` exceeds its advantage
-    threshold, ``a`` being its acceleration this step; and each case's
-    counters against its due and scanned vehicles."""
+    threshold, ``a`` being its acceleration this step and
+    ``max_free_accel`` the scalar reference's; and each case's counters
+    against its due and scanned vehicles."""
 
     checked = scans = 0
 
-    def _lane_change_decisions(self, a, v_des, free):
+    def _lane_change_decisions(self, a, free):
         due = (self.lc_due_at <= self.time).nonzero()[0].tolist()
         expected = []
         for r in due:
             c, kind = divmod(int(self.slot[r]), 2)
             model, lc = self._cases[c].cf[kind], self._cases[c].lc[kind]
             v = float(self.speed[r])
-            bound = max(model.max_free_accel(v, float(v_des[r]), self.dt), -v / self.dt)
+            bound = max(max_free_accel(model, v, float(self.v_des[r]), self.dt), -v / self.dt)
             if bound - float(a[r]) > lc.advantage_threshold:
                 expected.append(r)
         counters = [(log.lc_evaluations, log.lc_scans) for log in self.logs]
         self.scanned = []
-        starts = super()._lane_change_decisions(a, v_des, free)
+        starts = super()._lane_change_decisions(a, free)
         assert self.scanned == expected, self.time
         for c, (log, (evaluations, scans)) in enumerate(zip(self.logs, counters)):
             assert log.lc_evaluations - evaluations == sum(self.case[r] == c for r in due)
@@ -622,9 +624,9 @@ class ScanCheckedSimulation(Simulation):
         self.scans += len(expected)
         return starts
 
-    def _evaluate_lane_change(self, r, *args):
+    def _scan_sides(self, r, *args):
         self.scanned.append(r)
-        return super()._evaluate_lane_change(r, *args)
+        return super()._scan_sides(r, *args)
 
 
 def scan_checked(lanes, dt, cases):

@@ -37,7 +37,6 @@ from avcalib.roadsim import (
     BehaviorSpec,
     FvdParams,
     GippsParams,
-    IdmParams,
     KraussParams,
     Simulation,
     VirtualDetector,
@@ -263,25 +262,25 @@ def test_vehicle_state_and_route_offsets_are_plain_floats(name):
 def test_side_scan_skip_changes_no_trajectory(monkeypatch):
     # with an infinite bound no lane-change evaluation can skip the
     # neighbour-lane scan: the trajectories must not move, and the scans
-    # must get more frequent. The engine reads the bound of its IDM rows
-    # from accel_rows' free-road term and that of the other families from
-    # max_free_accel, so both are made infinite
-    names = ("showcase", "showcase-w99")
+    # must get more frequent. The engine reads every family's bound from
+    # the free term of its accel_rows, so that term is made infinite
+    names = ("showcase", "showcase-w99", "showcase-w99-limits", "showcase-gipps",
+             "showcase-fvd", "showcase-krauss")
     skipping = {}
     for name in names:
         log = run_scenario(_scenario(name))
         assert trajectory_digest(log) == GOLDEN[name]
         assert 0 < log.lc_scans < log.lc_evaluations
         skipping[name] = log
+
+    def unbounded(accel_rows):
+        def rows(*args):
+            a, free = accel_rows(*args)
+            return a, np.full_like(free, math.inf)
+        return staticmethod(rows)
+
     for cls in MODEL_CLASSES.values():
-        monkeypatch.setattr(cls, "max_free_accel", lambda self, v, v_des, dt: math.inf)
-    accel_rows = IdmParams.accel_rows
-
-    def unbounded(*args):
-        a, free = accel_rows(*args)
-        return a, np.full_like(free, math.inf)
-
-    monkeypatch.setattr(IdmParams, "accel_rows", staticmethod(unbounded))
+        monkeypatch.setattr(cls, "accel_rows", unbounded(cls.accel_rows))
     for name in names:
         log = run_scenario(_scenario(name))
         assert trajectory_digest(log) == GOLDEN[name]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from avcalib.demo import showcase_scenario
 from avcalib.roadsim import (
     CHANGE_LEFT,
     CHANGE_RIGHT,
     STAY,
-    DegenerateGapError,
     FvdParams,
     GippsParams,
     IdmParams,
@@ -17,9 +18,12 @@ from avcalib.roadsim import (
     LaneChangeParams,
     NeighborView,
     W99Params,
-    car_following_acceleration,
     lane_change_decision,
+    scenario_from_dict,
+    scenario_to_dict,
 )
+
+import scalar_models
 
 ALL_MODELS = [
     IdmParams(),
@@ -28,6 +32,26 @@ ALL_MODELS = [
     KraussParams(),
     W99Params(),
 ]
+
+
+def cf_rows(model, speed, leader=None, dt=0.1, desired_speed=None, leader_accel=0.0,
+            prev_accel=0.0):
+    """`model`'s ``accel_rows`` on one vehicle at `speed` behind `leader`,
+    (bumper gap, speed) or None for free flow: its acceleration, unclamped,
+    and its bound ``free``."""
+    gap, v_leader = (math.inf, 0.0) if leader is None else leader
+    v_des = model.desired_speed if desired_speed is None else desired_speed
+    a, free = type(model).accel_rows(
+        np.asarray(model.terms)[:, None],
+        *(np.asarray([float(x)]) for x in (speed, gap, v_leader, v_des, prev_accel, leader_accel)),
+        dt,
+    )
+    return a.item(), free.item()
+
+
+def cf_accel(model, speed, leader=None, dt=0.1, **kwargs):
+    """``cf_rows``' acceleration with the engine's clamp at -speed / dt."""
+    return max(cf_rows(model, speed, leader, dt, **kwargs)[0], -speed / dt)
 
 
 def idm_equilibrium_gap(p: IdmParams, v: float, tol=1e-12) -> float:
@@ -56,12 +80,12 @@ def idm_equilibrium_gap(p: IdmParams, v: float, tol=1e-12) -> float:
 
 def test_idm_standing_start_free_flow_gives_max_acceleration():
     p = IdmParams()
-    assert car_following_acceleration(p, 0.0, None, 0.1) == pytest.approx(p.a_max)
+    assert cf_accel(p, 0.0, None, 0.1) == pytest.approx(p.a_max)
 
 
 def test_idm_at_desired_speed_free_flow_gives_zero():
     p = IdmParams()
-    assert car_following_acceleration(p, p.v0, None, 0.1) == pytest.approx(0.0, abs=1e-12)
+    assert cf_accel(p, p.v0, None, 0.1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_idm_free_flow_strictly_positive_below_desired():
@@ -76,23 +100,15 @@ def test_idm_free_flow_strictly_positive_below_desired():
             v0=float(rng.uniform(10.0, 35.0)),
         )
         v = float(rng.uniform(0.0, p.v0 * 0.999))
-        assert car_following_acceleration(p, v, None, 0.1) > 0.0
+        assert cf_accel(p, v, None, 0.1) > 0.0
 
 
 def test_idm_equilibrium_gap_matches_bisection_oracle():
     p = IdmParams()
     v = 15.0
     s_eq = idm_equilibrium_gap(p, v)
-    a = car_following_acceleration(p, v, (s_eq, v), 0.1)
+    a = cf_accel(p, v, (s_eq, v), 0.1)
     assert abs(a) < 1e-9
-
-
-def test_non_positive_gap_is_a_degenerate_input():
-    for model in ALL_MODELS:
-        with pytest.raises(DegenerateGapError):
-            car_following_acceleration(model, 10.0, (0.0, 5.0), 0.1, desired_speed=20.0)
-        with pytest.raises(DegenerateGapError):
-            car_following_acceleration(model, 10.0, (-3.0, 5.0), 0.1, desired_speed=20.0)
 
 
 def test_acceleration_never_brakes_below_zero_speed():
@@ -103,7 +119,7 @@ def test_acceleration_never_brakes_below_zero_speed():
             v = float(rng.uniform(0, 30))
             gap = float(rng.uniform(0.2, 120.0))
             vl = float(rng.uniform(0, 30))
-            a = car_following_acceleration(model, v, (gap, vl), dt, desired_speed=25.0)
+            a = cf_accel(model, v, (gap, vl), dt, desired_speed=25.0)
             assert math.isfinite(a)
             assert v + a * dt >= -1e-12
 
@@ -115,13 +131,13 @@ def test_acceleration_never_brakes_below_zero_speed():
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_free_flow_acceleration_non_negative_below_desired(model):
     for v in (0.0, 5.0, 12.0, 19.0):
-        a = car_following_acceleration(model, v, None, 0.1, desired_speed=20.0)
+        a = cf_accel(model, v, None, 0.1, desired_speed=20.0)
         assert a >= 0.0
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_strong_braking_when_fast_behind_slow_close_leader(model):
-    a = car_following_acceleration(model, 20.0, (6.0, 2.0), 0.1, desired_speed=25.0)
+    a = cf_accel(model, 20.0, (6.0, 2.0), 0.1, desired_speed=25.0)
     assert a < -0.5
 
 
@@ -129,20 +145,15 @@ def test_strong_braking_when_fast_behind_slow_close_leader(model):
 def test_one_step_never_overruns_a_stopped_leader(model):
     dt = 0.1
     for gap in (0.3, 1.0, 3.0):
-        a = car_following_acceleration(model, 0.0, (gap, 0.0), dt, desired_speed=20.0)
+        a = cf_accel(model, 0.0, (gap, 0.0), dt, desired_speed=20.0)
         v_new = max(0.0, 0.0 + a * dt)
         assert v_new * dt < gap
 
 
-def test_w99_needs_a_desired_speed():
-    with pytest.raises(ValueError):
-        car_following_acceleration(W99Params(), 10.0, None, 0.1)
-
-
 def test_w99_free_acceleration_ramp():
     p = W99Params()
-    a0 = car_following_acceleration(p, 0.0, None, 0.1, desired_speed=30.0)
-    a_mid = car_following_acceleration(p, 10.0, None, 0.1, desired_speed=30.0)
+    a0 = cf_accel(p, 0.0, None, 0.1, desired_speed=30.0)
+    a_mid = cf_accel(p, 10.0, None, 0.1, desired_speed=30.0)
     assert a0 == pytest.approx(p.cc8)
     assert p.cc9 <= a_mid <= p.cc8
 
@@ -176,6 +187,29 @@ def test_parameter_validation():
         LaneChangeParams(max_decel_trailing=2.0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda x: IdmParams(T=x), "IdmParams.T"),
+    (lambda x: IdmParams(v0=x), "IdmParams.v0"),
+    (lambda x: GippsParams(decel_max=x), "GippsParams.decel_max"),
+    (lambda x: W99Params(cc3=x), "W99Params.cc3"),
+    (lambda x: W99Params(cc5=x), "W99Params.cc5"),
+    (lambda x: LaneChangeParams(advantage_threshold=x), "LaneChangeParams.advantage_threshold"),
+    (lambda x: LaneChangeParams(max_decel_own=x), "LaneChangeParams.max_decel_own"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(value)
+
+
+def test_scenario_with_a_nan_parameter_is_rejected_at_load():
+    # json reads NaN, and a model must not take it
+    d = json.loads(json.dumps(scenario_to_dict(showcase_scenario(0))))
+    d["behavior"]["background"]["car_following"]["T"] = json.loads("NaN")
+    with pytest.raises(ValueError, match="IdmParams.T"):
+        scenario_from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # lane-change decision
 
@@ -184,14 +218,18 @@ CF = IdmParams()
 LC = LaneChangeParams()
 
 
+def side(leader=None, follower=None, speed=15.0):
+    """A neighbour lane with the acceleration behind its leader."""
+    return NeighborView(leader, follower, cf_accel(CF, speed, leader))
+
+
 def test_blocked_by_slow_leader_with_empty_target_changes():
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
-        left=NeighborView(),  # empty lane
+        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
+        left=side(),  # empty lane
         right=None,
         params=LC,
-        cf_model=CF,
     )
     assert decision == CHANGE_LEFT
 
@@ -199,37 +237,34 @@ def test_blocked_by_slow_leader_with_empty_target_changes():
 def test_close_fast_rear_vehicle_blocks_change():
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
-        left=NeighborView(follower=(1.0, 20.0)),
+        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
+        left=side(follower=(1.0, 20.0)),
         right=None,
         params=LC,
-        cf_model=CF,
     )
     assert decision == STAY
 
 
 def test_symmetric_conditions_stay():
-    same = NeighborView(leader=(40.0, 15.0), follower=(40.0, 15.0))
+    same = side(leader=(40.0, 15.0), follower=(40.0, 15.0))
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (40.0, 15.0)),
+        a_current=cf_accel(CF, 15.0, (40.0, 15.0)),
         left=same,
         right=same,
         params=LC,
-        cf_model=CF,
     )
     assert decision == STAY
 
 
 def test_right_preferred_on_equal_advantage():
-    empty = NeighborView()
+    empty = side()
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
+        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
         left=empty,
         right=empty,
         params=LC,
-        cf_model=CF,
     )
     assert decision == CHANGE_RIGHT
 
@@ -237,11 +272,10 @@ def test_right_preferred_on_equal_advantage():
 def test_absent_neighbors_mean_infinite_gaps():
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
-        left=NeighborView(leader=None, follower=None),
+        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
+        left=side(leader=None, follower=None),
         right=None,
         params=LC,
-        cf_model=CF,
     )
     assert decision == CHANGE_LEFT
 
@@ -251,30 +285,188 @@ def test_trailing_decel_bound_respected():
     strict = LaneChangeParams(max_decel_trailing=-0.5)
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (8.0, 5.0)),
-        left=NeighborView(follower=(12.0, 24.0)),
+        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
+        left=side(follower=(12.0, 24.0)),
         right=None,
         params=strict,
-        cf_model=CF,
     )
     assert decision == STAY
 
 
 def test_insufficient_advantage_stays():
-    slightly_better = NeighborView(leader=(42.0, 15.0))
+    slightly_better = side(leader=(42.0, 15.0))
     decision = lane_change_decision(
         15.0,
-        a_current=car_following_acceleration(CF, 15.0, (40.0, 15.0)),
+        a_current=cf_accel(CF, 15.0, (40.0, 15.0)),
         left=slightly_better,
         right=None,
         params=LC,
-        cf_model=CF,
     )
     assert decision == STAY
 
 
 # ---------------------------------------------------------------------------
-# max_free_accel: the bound behind the engine's lane-change side-scan skip
+# accel_rows: each family against its scalar rule (tests/scalar_models.py)
+
+
+def rows_match_the_scalar_rule(rows, dt):
+    """``accel_rows`` of one family on `rows`, each (model, v, gap or None,
+    v_leader, v_des, prev_accel, leader_accel), equals the scalar ``accel``
+    and ``max_free_accel`` row by row, bit for bit, with no floating-point
+    warning."""
+    models, v, gap, v_leader, v_des, prev_accel, leader_accel = zip(*rows)
+    (cls,) = {type(m) for m in models}
+    columns = [np.asarray(c) for c in (
+        v, [math.inf if g is None else g for g in gap], v_leader, v_des, prev_accel, leader_accel,
+    )]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        got, free = cls.accel_rows(np.asarray([m.terms for m in models]).T, *columns, dt)
+    expected = [scalar_models.accel(*row, dt) for row in rows]
+    assert got.tobytes() == np.asarray(expected).tobytes()
+    bounds = [scalar_models.max_free_accel(m, speed, d, dt) for m, speed, d in zip(models, v, v_des)]
+    assert free.tobytes() == np.asarray(bounds).tobytes()
+
+
+_SPEED = st.floats(0.0, 45.0)
+_POSITIVE = st.floats(0.05, 10.0)
+_DT = st.floats(0.01, 1.0)
+
+
+def family_rows(models):
+    """Rows for ``rows_match_the_scalar_rule``, their models drawn from
+    `models`."""
+    return st.lists(
+        st.tuples(
+            models, _SPEED,
+            st.one_of(st.none(), st.floats(0.01, 400.0)),  # gap, None: free road
+            _SPEED, st.floats(0.5, 45.0),                  # v_leader, v_des
+            st.floats(-10.0, 5.0), st.floats(-10.0, 5.0),  # prev_accel, leader_accel
+        ),
+        min_size=1, max_size=40,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=family_rows(st.builds(
+        IdmParams, a_max=_POSITIVE, b=_POSITIVE, T=st.floats(0.2, 3.0), s0=_POSITIVE,
+        delta=st.floats(1.0, 8.0), v0=st.floats(1.0, 45.0),
+    )),
+    dt=_DT,
+)
+# x * x is not pow(x, 2) near this gap ratio
+@example(rows=[(IdmParams(T=1.44, s0=2.4, v0=19.4), 18.477, 7.114, 12.484, 19.4, 0.0, 0.0)],
+         dt=0.1)
+@example(rows=[  # s_dyn at 0: from rest, and behind a leader faster by T * 2 sqrt(ab);
+    # at v_des with no leader
+    (IdmParams(), 0.0, 10.0, 5.0, 20.0, 0.0, 0.0),
+    (IdmParams(a_max=1.0, b=1.0, T=1.0), 2.0, 10.0, 4.0, 20.0, 0.0, 0.0),
+    (IdmParams(), 22.2, None, 0.0, 22.2, 0.0, 0.0),
+], dt=0.1)
+def test_idm_rows_equal_the_scalar_accel_bit_for_bit(rows, dt):
+    rows_match_the_scalar_rule(rows, dt)
+
+
+GIPPS_EXACT = GippsParams(decel_max=-2.0, leader_eff_length=4.5, leader_decel_est=-2.0, tau=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=family_rows(st.builds(
+        GippsParams, accel_max=_POSITIVE, decel_max=st.floats(-8.0, -0.5),
+        leader_eff_length=st.floats(3.0, 10.0), leader_decel_est=st.floats(-8.0, -0.5),
+        v_desired=st.floats(1.0, 45.0), tau=st.floats(0.2, 2.0),
+    )),
+    dt=_DT,
+)
+@example(rows=[  # under exactly 0 and just above it; at v_des (ratio 1) and above it,
+    # where the cap on the ratio keeps v_acc at v; v_safe below 0
+    (GIPPS_EXACT, 2.0, 0.25, 0.0, 20.0, 0.0, 0.0),
+    (GIPPS_EXACT, 2.0, 0.25000000000000006, 0.0, 20.0, 0.0, 0.0),
+    (GippsParams(), 22.2, 80.0, 22.2, 22.2, 0.0, 0.0),
+    (GippsParams(), 1.0, None, 0.0, 0.5, 0.0, 0.0),
+    (GippsParams(), 30.0, 2.5, 0.0, 22.2, 0.0, 0.0),
+], dt=0.1)
+def test_gipps_rows_equal_the_scalar_accel_bit_for_bit(rows, dt):
+    rows_match_the_scalar_rule(rows, dt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=family_rows(st.builds(
+        FvdParams, alpha=st.floats(0.05, 2.0), lambda0=st.floats(0.05, 2.0),
+        v0=st.floats(1.0, 45.0), b_len=st.floats(1.0, 10.0), beta=st.floats(0.5, 4.0),
+        sc=st.floats(11.0, 120.0),
+    )),
+    dt=_DT,
+)
+@example(rows=[  # the gap at b_len, on the ramp, at sc, beyond it, and none; v_des > v0
+    (FvdParams(), 10.0, 6.0, 8.0, 30.0, 0.0, 0.0),
+    (FvdParams(), 10.0, 30.0, 8.0, 30.0, 0.0, 0.0),
+    (FvdParams(), 10.0, 60.0, 8.0, 30.0, 0.0, 0.0),
+    (FvdParams(), 10.0, 90.0, 8.0, 30.0, 0.0, 0.0),
+    (FvdParams(), 10.0, None, 8.0, 30.0, 0.0, 0.0),
+], dt=0.1)
+def test_fvd_rows_equal_the_scalar_accel_bit_for_bit(rows, dt):
+    rows_match_the_scalar_rule(rows, dt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=family_rows(st.builds(
+        KraussParams, a=_POSITIVE, b=_POSITIVE, tau=st.floats(0.2, 2.0),
+        v_max=st.floats(1.0, 45.0),
+    )),
+    dt=_DT,
+)
+@example(rows=[  # v_mean at its floor 0.1 and below it; v_safe below 0; v_max under v_des
+    (KraussParams(), 0.1, 0.05, 0.1, 22.2, 0.0, 0.0),
+    (KraussParams(), 0.0, 0.05, 0.0, 22.2, 0.0, 0.0),
+    (KraussParams(), 20.0, 0.5, 0.0, 22.2, 0.0, 0.0),
+    (KraussParams(v_max=15.0), 14.95, None, 0.0, 22.2, 0.0, 0.0),
+], dt=0.1)
+def test_krauss_rows_equal_the_scalar_accel_bit_for_bit(rows, dt):
+    rows_match_the_scalar_rule(rows, dt)
+
+
+W99_BOUNDARIES = [
+    # emergency: at dx = sdxc = cc0 behind a leader at rest, from rest, at
+    # dv = 0, and beyond cc0 at dv < 0
+    (W99Params(), 5.0, 1.5, 0.0, 20.0, 0.0, -1.0),
+    (W99Params(), 0.0, 1.0, 0.0, 20.0, 0.0, 0.0),
+    (W99Params(), 5.0, 3.0, 5.0, 20.0, 0.0, 0.0),
+    (W99Params(), 10.0, 3.0, 5.0, 20.0, 0.0, 0.5),
+    # approaching: beyond sdxc, and within it, which needs cc4 > cc5
+    (W99Params(), 20.0, 30.0, 10.0, 25.0, 0.0, 0.0),
+    (W99Params(cc4=1.0, cc5=-1.0), 5.0, 3.0, 5.0, 20.0, 0.0, 0.0),
+    # following: after prev_accel 0 and > 0, below and at v_des
+    (W99Params(), 10.0, 12.0, 10.0, 20.0, 0.0, 0.0),
+    (W99Params(), 10.0, 12.0, 10.0, 20.0, 1.0, 0.0),
+    (W99Params(), 10.0, 12.0, 10.0, 10.0, 1.0, 0.0),
+    # free: at dx = sdxo, inside sdxo with the ramp above cc7, no leader at
+    # v_des
+    (W99Params(), 10.0, 14.5, 10.0, 20.0, 0.0, 0.0),
+    (W99Params(), 10.0, 14.0, 12.0, 20.0, 0.0, 0.0),
+    (W99Params(), 20.0, None, 0.0, 20.0, 0.0, 0.0),
+    # v_leader at 0.01, v at cc5
+    (W99Params(), 5.0, 8.0, 0.01, 20.0, 0.0, 0.0),
+    (W99Params(), 0.35, 8.0, 1.0, 20.0, 0.0, 0.0),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=family_rows(st.builds(
+        W99Params, cc0=st.floats(0.5, 3.0), cc1=st.floats(0.3, 2.0), cc2=st.floats(0.5, 8.0),
+        cc3=st.floats(-15.0, 0.0), cc4=st.floats(-2.0, 2.0), cc5=st.floats(-2.0, 2.0),
+        cc6=st.floats(1e-5, 1e-2), cc7=st.floats(0.05, 4.0), cc8=st.floats(0.5, 5.0),
+        cc9=st.floats(0.5, 3.0),
+    )),
+    dt=_DT,
+)
+@example(rows=W99_BOUNDARIES, dt=0.1)
+def test_w99_rows_equal_the_scalar_accel_bit_for_bit(rows, dt):
+    rows_match_the_scalar_rule(rows, dt)
 
 
 @settings(max_examples=400, deadline=None)
@@ -294,52 +486,13 @@ def test_insufficient_advantage_stays():
     model=W99Params(cc7=4.0), v=10.0, gap=12.0, v_leader=10.0, leader_accel=0.0,
     prev_accel=1.0, v_des=20.0, dt=0.1,
 )
-def test_max_free_accel_bounds_every_leader(
-    model, v, gap, v_leader, leader_accel, prev_accel, v_des, dt
-):
-    bound = max(model.max_free_accel(v, v_des, dt), -v / dt)
-    a = car_following_acceleration(
+def test_free_bounds_every_leader(model, v, gap, v_leader, leader_accel, prev_accel, v_des, dt):
+    # the bound behind the engine's lane-change side-scan skip
+    a, free = cf_rows(
         model, v, (gap, v_leader), dt, desired_speed=v_des, leader_accel=leader_accel,
         prev_accel=prev_accel,
     )
-    assert a <= bound
-
-
-
-_POSITIVE = st.floats(0.05, 10.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.floats(0.0, 45.0),                          # v
-            st.one_of(st.none(), st.floats(0.05, 300.0)),  # gap, None: free road
-            st.floats(0.0, 45.0),                          # v_leader
-            st.floats(1.0, 45.0),                          # v_des
-            st.builds(
-                IdmParams, a_max=_POSITIVE, b=_POSITIVE, T=st.floats(0.2, 3.0),
-                s0=_POSITIVE, delta=st.floats(1.0, 8.0), v0=st.floats(1.0, 45.0),
-            ),
-        ),
-        min_size=1, max_size=40,
-    ),
-)
-@example(rows=[(18.477, 7.114, 12.484, 19.4, IdmParams(T=1.44, s0=2.4, v0=19.4))])
-def test_idm_rows_equal_the_scalar_accel_bit_for_bit(rows):
-    # the array form the engine uses against IdmParams.accel, element by
-    # element, including the squaring where x * x differs from pow(x, 2);
-    # its free-road term against max_free_accel, the lane-change skip's bound
-    v, gap, v_leader, v_des, models = zip(*rows)
-    terms = tuple(np.asarray(column) for column in zip(*(m._terms for m in models)))
-    got, free = IdmParams.accel_rows(
-        terms, np.asarray(v), np.asarray([math.inf if g is None else g for g in gap]),
-        np.asarray(v_leader), np.asarray(v_des),
-    )
-    expected = [m.accel(*args, 0.0, 0.0, 0.1) for m, *args in zip(models, v, gap, v_leader, v_des)]
-    assert got.tobytes() == np.asarray(expected).tobytes()
-    bounds = [m.max_free_accel(speed, d, 0.1) for m, speed, d in zip(models, v, v_des)]
-    assert free.tobytes() == np.asarray(bounds).tobytes()
+    assert max(a, -v / dt) <= max(free, -v / dt)
 
 
 @settings(max_examples=300, deadline=None)

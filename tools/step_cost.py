@@ -1,4 +1,4 @@
-"""Simulator cost per step and per vehicle-step on five fixed runs, and the
+"""Simulator cost per step and per vehicle-step on ten fixed runs, and the
 cost of the sampling layers per detection record.
 
     PYTHONPATH=src python3 tools/step_cost.py [--repeats 5] [--only merge]
@@ -17,7 +17,11 @@ skip did not settle) and lane changes:
   a 1750 s horizon and a 600 s warm-up, with L4 lengthened to 12 km so that
   the subject stays on the route (about 180);
 * ``batch16``: the 16 stage-1 design cases of the recovery calibration,
-  simulated as one batch (``run_batch``). Its µs per step is per batch step.
+  simulated as one batch (``run_batch``). Its µs per step is per batch step;
+* ``showcase-idm``, ``showcase-gipps``, ``showcase-fvd``, ``showcase-krauss``
+  and ``showcase-w99``: the showcase corridor for 300 s with that
+  car-following family, at its default parameters, for the background
+  vehicles (about 39), one run per family.
 
 The sampling layers report µs per detection record, each the minimum of
 `--repeats` in this process:
@@ -33,18 +37,19 @@ The sampling layers report µs per detection record, each the minimum of
 All runs use the scenario seed ``derive_scenario_seed(0, 0)``. The output is
 one JSON object.
 
-With ``--against CHECKOUT`` the script runs this checkout's
-``tools/step_cost.py`` and the other's, each in a fresh interpreter, for
-`--pairs` pairs in alternating order, and prints per run and µs metric the
-median of the paired ratios this / other: a drift of the host over minutes
-moves both sides of a pair alike. It also lists every count (steps,
-vehicle-steps, lane-change evaluations and scans, lane changes, records,
-observations) that differs between the two checkouts.
+With ``--against CHECKOUT`` the script runs its runs on this checkout's
+``src`` and on the other's, each in a fresh interpreter, for `--pairs`
+pairs in alternating order, and prints per run and µs metric the median of
+the paired ratios this / other: a drift of the host over minutes moves both
+sides of a pair alike. It also lists every count (steps, vehicle-steps,
+lane-change evaluations and scans, lane changes, records, observations)
+that differs between the two checkouts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -59,7 +64,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from avcalib.demo import recovery_calibration_config, recovery_truth_scenario  # noqa: E402
+from avcalib.demo import (  # noqa: E402
+    recovery_calibration_config,
+    recovery_truth_scenario,
+    showcase_scenario,
+)
 from avcalib.doe import build_orthogonal_array, map_levels_to_values  # noqa: E402
 from avcalib.params import build_parameter_space  # noqa: E402
 from avcalib.fielddata import export_detection_csv, extract_events, parse_field_data  # noqa: E402
@@ -70,10 +79,12 @@ from avcalib.pipeline import (  # noqa: E402
     generate_field_data,
 )
 from avcalib.roadsim import (  # noqa: E402
+    BehaviorSpec,
     VirtualDetector,
     run_batch,
     virtual_detector_sample,
 )
+from avcalib.roadsim.models import MODEL_CLASSES  # noqa: E402
 from workloads import STREAM_SEED, ga_scenario, ga_truth, merge_scenario  # noqa: E402
 
 SEED = derive_scenario_seed(0, 0)
@@ -99,12 +110,19 @@ def stage1_batch():
     return [replace(apply_parameters(cfg.scenario, c.values), seed=SEED) for c in cases]
 
 
+def showcase_run(family):
+    sc = showcase_scenario(SEED)
+    background = BehaviorSpec(MODEL_CLASSES[family](), sc.behavior["background"].lane_change)
+    return [replace(sc, behavior={**sc.behavior, "background": background}, total_time=300.0)]
+
+
 RUNS = {
     "ga": lambda: [replace(apply_parameters(ga_scenario(), ga_truth(0)), seed=SEED)],
     "recovery": lambda: [recovery_truth_scenario(SEED)],
     "merge": lambda: [replace(merge_scenario(), seed=SEED)],
     "paper": lambda: [paper_scenario()],
     "batch16": stage1_batch,
+    **{f"showcase-{family}": functools.partial(showcase_run, family) for family in MODEL_CLASSES},
 }
 
 
@@ -211,14 +229,21 @@ COUNTS = ("cases", "steps", "vehicle_steps", "lc_evaluations", "lc_scans", "lane
           "records", "observations")
 
 
+# runs this script on the code of the checkout in the working directory:
+# avcalib and the workloads are imported from there before the script puts
+# its own checkout on the path, so that its imports find them loaded
+_ON_CHECKOUT = (
+    "import runpy, sys; sys.path[:0] = ['src', 'perfbench']; import avcalib, workloads; "
+    "runpy.run_path(sys.argv.pop(1), run_name='__main__')"
+)
+
+
 def against(other, args) -> dict:
     """Median paired ratio (this / other) per run and µs metric over
-    `args.pairs` alternating pairs of fresh processes, and the counts that
-    differ between the two."""
-    scripts = {
-        "this": Path(__file__).resolve(),
-        "other": Path(other).resolve() / "tools" / "step_cost.py",
-    }
+    `args.pairs` alternating pairs of fresh processes, one on this
+    checkout's code and one on the other's, and the counts that differ
+    between the two."""
+    checkouts = {"this": ROOT, "other": Path(other).resolve()}
     flags = ["--repeats", str(args.repeats)] + [f"--only={name}" for name in args.only or ()]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     ratios: dict = {}
@@ -228,11 +253,11 @@ def against(other, args) -> dict:
         out = {}
         for side in sides:
             done = subprocess.run(
-                [sys.executable, str(scripts[side]), *flags],
-                env=env, cwd=scripts[side].parent.parent, capture_output=True, text=True,
+                [sys.executable, "-c", _ON_CHECKOUT, str(Path(__file__).resolve()), *flags],
+                env=env, cwd=checkouts[side], capture_output=True, text=True,
             )
             if done.returncode:
-                sys.exit(f"{scripts[side]} failed:\n{done.stderr}")
+                sys.exit(f"{side} ({checkouts[side]}) failed:\n{done.stderr}")
             out[side] = json.loads(done.stdout)
         for run, metrics in out["this"].items():
             for metric, value in metrics.items():
