@@ -579,7 +579,9 @@ class Simulation:
         columns = dict(zip(FLOAT_FIELDS, self._floats.T))
         columns.update(zip(INT_FIELDS, self._ints.T))
         self.__dict__.update(columns)
-        # every row's car-following groups, as ``_car_following`` reads them
+        # every row's car-following groups for ``_car_following``, worked out
+        # when the rows change: per step, the take alone is a quarter of a
+        # small batch's car following
         self._groups = [(cls, of, tuple(terms)) for cls, of, terms in self._groups_of(self.slot)]
 
     def _insert_row(self, c: int, kind: int, link: int, lane: int, pos: float, **values) -> None:
