@@ -45,11 +45,11 @@ def simulate(scenario_path, out_dir, seed):
         from dataclasses import replace
 
         cfg = replace(cfg, seed=seed)
-    detector = VirtualDetector(cfg)
+    detector = VirtualDetector([cfg])
 
     def record_and_detect(sim):
         record_frame(sim)
-        detector(sim)
+        return detector(sim)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -59,7 +59,7 @@ def simulate(scenario_path, out_dir, seed):
         exc.log.to_csv(out / "trajectory.csv")
         raise click.ClickException(str(exc)) from exc
     log.to_csv(out / "trajectory.csv")
-    export_detection_csv(virtual_detector_sample(detector), out / "detection.csv")
+    export_detection_csv(virtual_detector_sample(detector, 0), out / "detection.csv")
     summary = {
         "feasible": log.feasible,
         "gridlock_at": log.gridlock_at,

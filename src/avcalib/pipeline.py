@@ -273,8 +273,8 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
             break
         seed = derive_scenario_seed(ctx.master_seed, rep)
         configs = [replace(scenarios[i], seed=seed) for i in live]
-        detectors = [VirtualDetector(cfg) for cfg in configs]
-        for i, detector, sim_log in zip(live, detectors, run_batch(configs, detectors)):
+        detector = VirtualDetector(configs)
+        for k, (i, sim_log) in enumerate(zip(live, run_batch(configs, detector))):
             collisions[i] += sim_log.collision_count
             if sim_log.stopped_by is not None:
                 fail(i, rep + 1, _describe(sim_log.stopped_by))
@@ -282,7 +282,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
                 fail(i, rep + 1, f"gridlock at t={sim_log.gridlock_at}")
             else:
                 try:
-                    dataset = virtual_detector_sample(detector)
+                    dataset = virtual_detector_sample(detector, k)
                     if ctx.stage == 1:
                         mops = compute_traffic_mops(dataset, per_road=ctx.per_road)
                     else:
@@ -704,9 +704,9 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     calibrated.update(stage2.best_values)
     final_scenario = apply_parameters(cfg.scenario, calibrated)
     final_scenario = replace(final_scenario, seed=derive_scenario_seed(cfg.master_seed, 0))
-    detector = VirtualDetector(final_scenario)
+    detector = VirtualDetector([final_scenario])
     final_log = run_scenario(final_scenario, detector)
-    sim_dataset = virtual_detector_sample(detector)
+    sim_dataset = virtual_detector_sample(detector, 0)
     sim_events = extract_events(sim_dataset, **cfg.extraction.kwargs())
     final_moes = evaluate_moes(
         field_dataset, stage2.field_events, sim_dataset, sim_events, cfg.cutin_error
@@ -865,6 +865,6 @@ def generate_field_data(
     through the virtual detector; the result parses and scores like real
     field data."""
     cfg = replace(scenario, seed=derive_scenario_seed(master_seed, replication))
-    detector = VirtualDetector(cfg)
+    detector = VirtualDetector([cfg])
     run_scenario(cfg, detector)
-    return virtual_detector_sample(detector).with_meta(source="field")
+    return virtual_detector_sample(detector, 0).with_meta(source="field")

@@ -1,16 +1,20 @@
-"""Virtual detector: what the subject vehicle's sensors would report.
+"""Virtual detector: what each subject vehicle's sensors would report.
 
-``VirtualDetector`` is a simulation sink (see ``engine.py``). After warm-up
-it keeps each step's detection window, which the engine finds on its arrays
-once per step for the whole batch (``CaseView.window``): the subject's values
-and one array per column of the background vehicles whose route position is
-inside the window. The first live step without a subject raises
-``MissingSubjectError``, which ends the run.
+``VirtualDetector`` is the sink of a batch (see ``engine.py``). On each live
+step it makes one pass over the whole batch: it finds every case's subject
+and the rows whose route position is within the detection range of their
+case's subject, and keeps those rows whole, the subjects among them. A
+running case without a subject on a live step goes back to the engine,
+which stops that case with ``MissingSubjectError``.
 
-``virtual_detector_sample`` concatenates a finished run's windows once into
-the columns of a validated ``FieldDataset``: positions front-positive /
-left-positive, speeds in km/h, each value from the same floating-point
-operations as when records were built one at a time.
+Every ``PACK_STEPS`` live steps the kept rows are packed into one block of
+columns: per record (one subject on one step) its case, time, subject
+values and observation count, per observation its vehicle values and
+position relative to its subject. ``virtual_detector_sample`` cuts one
+case out of a finished run into the columns of a validated
+``FieldDataset``: positions front-positive / left-positive, speeds in km/h,
+each value from the same floating-point operations as when records were
+built one at a time.
 """
 
 from __future__ import annotations
@@ -18,71 +22,126 @@ from __future__ import annotations
 import numpy as np
 
 from ..detection import DatasetMeta, FieldDataset, intern_ids
-from .engine import LANE_WIDTH, MissingSubjectError, heading_deg
-from .network import ScenarioConfig
+from .engine import (
+    FLOAT_COLUMN,
+    FLOAT_FIELDS,
+    INT_COLUMN,
+    INT_FIELDS,
+    KIND_SUBJECT,
+    LANE_WIDTH,
+    heading_deg,
+)
 
 MS_TO_KMH = 3.6
-# live steps whose windows are kept as they came before being concatenated
-# into one block: a 4,000-step run then holds 16 blocks, not 24,000 small
+# live steps whose kept rows are stored as they came before being packed
+# into one block: a 4,000-step run then holds 16 blocks, not 8,000 small
 # arrays, which lowers the peak RSS of a merge-fine-step pass by 4.7-4.9 MB
 # (about 8%) in paired benchmark runs
 PACK_STEPS = 256
-# the observation columns of no live step
-_NO_OBS = tuple(np.empty(0, dtype=d) for d in (np.int64, np.int64, float, float, float, float))
+_F = [FLOAT_COLUMN[name] for name in ("lat", "speed", "accel", "lat_rate")]
+_I = [INT_COLUMN[name] for name in ("case", "vid", "link", "lane")]
+_ARC0, _POS, _KIND = FLOAT_COLUMN["arc0"], FLOAT_COLUMN["pos"], INT_COLUMN["kind"]
+_RECORD_COLUMNS = 10
+# a live step that kept no row
+_NO_ROWS = (0.0, np.empty((0, len(FLOAT_FIELDS))), np.empty((0, len(INT_FIELDS)), dtype=np.int64))
 
 
 class VirtualDetector:
-    """Sink that samples one run through the subject's detection window.
-
-    One detector serves one run of `config`. Each live step's time and
-    window go to ``steps``; every ``PACK_STEPS`` steps they are concatenated
+    """Sink that samples every case of a batch through its subject's
+    detection window. One detector serves one run of the batch `configs`,
+    which share their warm-up and detection range. Each live step's time and
+    kept rows go to ``steps``; every ``PACK_STEPS`` steps they are packed
     into one block of ``blocks``."""
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.links = config.network.route_links()
+    def __init__(self, configs):
+        self.configs = list(configs)
+        first = self.configs[0]
+        self.links = first.network.route_links()
+        self.warmup_time = first.warmup_time
+        self.rear, self.front = first.detection_range
         self.steps: list[tuple] = []
         self.blocks: list[tuple] = []
 
-    def __call__(self, case) -> None:
-        t = case.time
-        cfg = self.config
-        if t < cfg.warmup_time:
-            return
-        window = case.window(*cfg.detection_range)
-        if window is None:
-            raise MissingSubjectError(
-                f"no subject vehicle in frame at t={t}; "
-                "shorten the horizon or extend the route",
-                case.log,
-            )
-        self.steps.append((t, window))
+    def __call__(self, sim) -> list[int] | None:
+        """Keep the rows in the detection window of each subject of `sim`
+        on a live step; return the running cases without a subject."""
+        t = sim.time
+        if t < self.warmup_time:
+            return None
+        arc = sim.arc0 + sim.pos
+        subjects = sim.kind.nonzero()[0]  # the subject is the only nonzero kind
+        # each case's subject arc, by case: the subjects are in case order
+        subject_arc = arc[subjects]
+        missing = None
+        if len(subjects) < len(self.configs):
+            # a case has stopped or has no subject: nan puts its rows
+            # outside every window
+            subject_arc = np.full(len(self.configs), np.nan)
+            subject_arc[sim.case[subjects]] = arc[subjects]
+            missing = [c for c in sim.active if np.isnan(subject_arc[c])] or None
+        rel = arc - subject_arc[sim.case]
+        # detection_range straddles 0, so each subject keeps its own row
+        inside = rel >= self.rear
+        inside &= rel <= self.front
+        rows = inside.nonzero()[0]
+        self.steps.append((t, sim.floats.take(rows, axis=0), sim.ints.take(rows, axis=0)))
         if len(self.steps) == PACK_STEPS:
-            self.blocks.append(_pack(self.steps))
+            self.blocks.append(_pack(self.steps, len(self.configs)))
             self.steps = []
+        return missing
+
+    def _columns(self) -> tuple:
+        """Every block packed so far and the steps not yet packed, as one
+        block."""
+        if self.steps or not self.blocks:
+            self.blocks.append(_pack(self.steps or [_NO_ROWS], len(self.configs)))
+            self.steps = []
+        if len(self.blocks) > 1:
+            self.blocks = [tuple(np.concatenate(parts) for parts in zip(*self.blocks))]
+        return self.blocks[0]
 
 
-def _pack(steps) -> tuple:
-    """The times, subject rows, window sizes and the six observation columns
-    of `steps`, each one array."""
-    times = np.array([t for t, _ in steps], dtype=float)
-    subject = np.array([w[0] for _, w in steps], dtype=float).reshape(len(steps), 7)
-    counts = np.array([len(w[1]) for _, w in steps], dtype=np.int64)
-    columns = map(np.concatenate, zip(*([w[1:] for _, w in steps] or [_NO_OBS])))
-    return (times, subject, counts, *columns)
-
-
-def virtual_detector_sample(detector: VirtualDetector) -> FieldDataset:
-    """The validated dataset of the windows `detector` took during its
-    run."""
-    cfg = detector.config
-    blocks = [*detector.blocks, _pack(detector.steps)]
-    times, subject, counts, vid, o_lane, rel, o_lat, o_speed, o_lat_rate = (
-        np.concatenate(parts) for parts in zip(*blocks)
+def _pack(steps, n_cases: int) -> tuple:
+    """The rows kept on `steps` as columns: per record, its case, time,
+    link, lane, route position, lat, speed, accel, lat_rate and number of
+    observations (``_RECORD_COLUMNS`` columns); per observation, its id,
+    lane, position relative to its subject, lat, speed and lat_rate."""
+    counts = np.array([len(floats) for _, floats, _ in steps])
+    floats = np.concatenate([floats for _, floats, _ in steps])
+    ints = np.concatenate([ints for *_, ints in steps])
+    case, vid, link, lane = (ints[:, k] for k in _I)
+    lat, speed, accel, lat_rate = (floats[:, k] for k in _F)
+    arc = floats[:, _ARC0] + floats[:, _POS]
+    # a record is the rows one case kept on one step, its subject among them
+    key = np.repeat(np.arange(len(steps)) * n_cases, counts) + case
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    record = np.cumsum(first) - 1
+    is_subject = ints[:, _KIND] == KIND_SUBJECT
+    s, o = is_subject.nonzero()[0], (~is_subject).nonzero()[0]
+    of = record[o]
+    times = np.repeat(np.array([t for t, *_ in steps]), counts)
+    return (
+        case[s], times[s], link[s], lane[s], arc[s], lat[s], speed[s], accel[s], lat_rate[s],
+        np.bincount(of, minlength=len(s)),
+        vid[o], lane[o], arc[o] - arc[s][of], lat[o], speed[o], lat_rate[o],
     )
+
+
+def virtual_detector_sample(detector: VirtualDetector, case: int) -> FieldDataset:
+    """The validated dataset of the windows `detector` took of `case` (an
+    index into its configs) during its run."""
+    columns = detector._columns()
+    records, observations = columns[:_RECORD_COLUMNS], columns[_RECORD_COLUMNS:]
+    mine = records[0] == case
+    if not mine.all():  # cut the case out; a case that owns every record takes no copy
+        seen = np.repeat(mine, records[-1])
+        records = [column[mine] for column in records]
+        observations = [column[seen] for column in observations]
+    _case, times, link, lane, arc, lat, speed, accel, lat_rate, counts = records
+    vid, o_lane, rel, o_lat, o_speed, o_lat_rate = observations
+    cfg = detector.configs[case]
     n = len(times)
-    link, lane, arc, lat, speed, accel, lat_rate = subject.T
-    link, lane = link.astype(np.int64), lane.astype(np.int64)
     heading = np.zeros(len(vid))
     for i in o_lat_rate.nonzero()[0].tolist():  # 0 when not moving sideways
         heading[i] = heading_deg(o_lat_rate.item(i), o_speed.item(i))

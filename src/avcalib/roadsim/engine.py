@@ -1,24 +1,26 @@
 """Discrete-time microscopic traffic simulation of a batch of cases.
 
 A batch is a list of scenario configs that share their network, time step,
-warm-up, horizon and vehicle length; ``run_batch`` steps every case of it
-together, and ``run_scenario`` is a batch of one. Each case keeps its own
-arrival generators (one seeded generator per entrance plus the scenario
-seed), its own vehicles and its own log, so a case gives the same log in
-any batch and an identical ScenarioConfig reproduces its run bit for bit.
+warm-up, horizon, vehicle length and detection range; ``run_batch`` steps
+every case of it together, and ``run_scenario`` is a batch of one. Each case
+keeps its own arrival generators (one seeded generator per entrance plus the
+scenario seed), its own vehicles and its own log, so a case gives the same
+log in any batch and an identical ScenarioConfig reproduces its run bit for
+bit.
 
 State lives in numpy arrays, one row per vehicle (``FLOAT_FIELDS`` and
 ``INT_FIELDS``: link, lane, pos, speed, accel, lateral offset and rate,
 lane-change timers, desired speed, kind, case); the rows of a case are
-contiguous and in insertion order. Each step runs synchronously from a
-pre-step snapshot, in this order: insert the subject (at the end of
-warm-up) and queued arrivals; count the step on each case's log and hand
-the case to its sink; find every vehicle's leader, then take car-following
-and lane-change decisions for every vehicle against the snapshot; integrate
-once (explicit Euler, speed clamped at zero) and move vehicles across link
-ends; sort the lane index; push back overlapping vehicles. Lane changes
-flip the lane at the midpoint of a fixed-duration lateral ramp so the
-lateral offset stays continuous for the detection output.
+contiguous and in insertion order, and the cases follow in order. Each step
+runs synchronously from a pre-step snapshot, in this order: insert the
+subject (at the end of warm-up) and queued arrivals; count the step on each
+case's log and hand the batch to the sink; find every vehicle's leader, then
+take car-following and lane-change decisions for every vehicle against the
+snapshot; integrate once (explicit Euler, speed clamped at zero) and move
+vehicles across link ends; sort the lane index; push back overlapping
+vehicles. Lane changes flip the lane at the midpoint of a fixed-duration
+lateral ramp so the lateral offset stays continuous for the detection
+output.
 
 The lane index lists every vehicle by (case, link, lane, pos), from one
 stable ``np.lexsort`` per step taken after the move. Its tie rules:
@@ -53,15 +55,17 @@ every side found in a step come from one more car-following call; the
 insertions, the lane-change ramps, the link crossings and the pushbacks
 also go through Python per vehicle.
 
-A sink is a callable that takes a ``CaseView`` of one case once per step.
-``record_frame``, the default, stores a ``Frame`` per step in
-``TrajectoryLog.frames``; the virtual detector (``detector.py``) is a sink
-that stores nothing but each live step's detection window. A sink that raises
-``MissingSubjectError`` ends that case's run: the case drops out of the
-batch with the exception in ``log.stopped_by``, and its batch-mates go on.
-A case that gridlocks drops out the same way. Any other exception a sink
-raises propagates out of the run. The log's counters do not depend on the
-sink.
+A sink is a callable that takes the simulation once per step, after the
+step's insertions, and reads the rows of every running case (``active``,
+``floats`` and ``ints``, and a column per field name).
+``record_frame``, the default, stores a ``Frame`` per case and step in
+``TrajectoryLog.frames``; the virtual detector (``detector.py``) keeps each
+live step's detection windows of the whole batch. A sink returns the running
+cases it found without a subject on a live step, or None: each of them drops
+out of the batch with a ``MissingSubjectError`` in ``log.stopped_by``, and
+its batch-mates go on. A case that gridlocks drops out the same way. An
+exception a sink raises propagates out of the run. The log's counters do not
+depend on the sink.
 """
 
 from __future__ import annotations
@@ -119,11 +123,11 @@ INT_FIELDS = (
 )
 FLOAT_COLUMN = {name: k for k, name in enumerate(FLOAT_FIELDS)}
 INT_COLUMN = {name: k for k, name in enumerate(INT_FIELDS)}
-_POS, _LAT, _SPEED, _ACCEL, _LAT_RATE, _V_DES = (
-    FLOAT_COLUMN[name] for name in ("pos", "lat", "speed", "accel", "lat_rate", "v_des")
+_POS, _SPEED, _ACCEL, _V_DES = (
+    FLOAT_COLUMN[name] for name in ("pos", "speed", "accel", "v_des")
 )
-_KIND, _CASE, _SLOT, _LINK, _LANE, _LC_SWITCHED = (
-    INT_COLUMN[name] for name in ("kind", "case", "slot", "link", "lane", "lc_switched")
+_CASE, _SLOT, _LINK, _LANE, _LC_SWITCHED = (
+    INT_COLUMN[name] for name in ("case", "slot", "link", "lane", "lc_switched")
 )
 # lc_start is nan while a vehicle is not changing lanes
 _NEW_FLOATS = dict(lat=0.0, accel=0.0, lat_rate=0.0, lc_start=math.nan)
@@ -203,8 +207,8 @@ class TrajectoryLog:
     same for the live steps after warm-up; ``lc_evaluations``, the
     lane-change evaluations due, and ``lc_scans``, those the exact skip
     did not settle, which scan the neighbour lanes. ``stopped_by`` is the
-    ``MissingSubjectError`` the run's sink raised, which ended the run, or
-    None."""
+    ``MissingSubjectError`` that ended the run at a live step on which its
+    sink found no subject, or None."""
 
     time_step: float
     warmup_time: float
@@ -287,76 +291,32 @@ def heading_deg(lat_rate: float, speed: float) -> float:
     return 0.0
 
 
-class CaseView:
-    """What a sink sees of one case at one step: the time, the case's log,
-    the batch's vehicle length, and its vehicles' state, in insertion order,
-    so the background vehicles' ids ascend. ``floats`` and ``ints`` are
-    views of the simulation's row arrays, their columns named by
-    ``FLOAT_FIELDS`` and ``INT_FIELDS``; each name is also an attribute
-    (``case.speed``). The views change as the simulation steps."""
-
-    def __init__(self, sim: Simulation, case: int):
-        self.time = sim.time
-        self.log = sim.logs[case]
-        self.vehicle_length = sim.vehicle_length
-        lo, hi = sim._bounds[case], sim._bounds[case + 1]
-        self.floats = sim._floats[lo:hi]
-        self.ints = sim._ints[lo:hi]
-        self._sim = sim
-        self._case = case
-        self._has_subject = sim._cases[case].has_subject
-
-    def __getattr__(self, name):
-        k = FLOAT_COLUMN.get(name)
-        if k is not None:
-            column = self.floats[:, k]
-        elif name in INT_COLUMN:
-            column = self.ints[:, INT_COLUMN[name]]
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = column
-        return column
-
-    @property
-    def subject(self) -> int | None:
-        """The subject's index in the case's arrays, None before its
-        insertion and after it left the route."""
-        return int(self.ints[:, _KIND].argmax()) if self._has_subject else None
-
-    def window(self, rear: float, front: float):
-        """The subject and the background vehicles whose route position is
-        within [rear, front] of the subject's, None without a subject: the
-        subject's (link, lane, route position, lat, speed, accel, lat_rate),
-        then arrays of the visible vehicles' id, lane, position relative to
-        the subject, lat, speed and lat_rate, in id order. The arrays are
-        copies, taken once per step for the whole batch."""
-        return self._sim._window(rear, front).get(self._case)
-
-
-def record_frame(case: CaseView) -> None:
-    """The recording sink: append the step's vehicles, in id order, to
-    ``case.log.frames``."""
-    order = np.argsort(case.vid, kind="stable")
-    speed = case.speed[order]
-    lat_rate = case.lat_rate[order]
-    heading = np.zeros(len(order))
-    for i in lat_rate.nonzero()[0].tolist():
-        heading[i] = heading_deg(float(lat_rate[i]), float(speed[i]))
-    case.log.frames.append(
-        Frame(
-            time=case.time,
-            ids=case.vid[order].astype(np.int32),
-            kinds=case.kind[order].astype(np.int8),
-            link_idx=case.link[order].astype(np.int16),
-            lanes=case.lane[order].astype(np.int16),
-            pos=case.pos[order],
-            lat=case.lat[order],
-            speed=speed,
-            accel=case.accel[order],
-            heading=heading,
-            length=np.full(len(order), case.vehicle_length),
+def record_frame(sim: Simulation) -> None:
+    """The recording sink: append each running case's vehicles, in id order,
+    to its log's frames."""
+    for c in sim.active:
+        lo = sim._bounds[c]
+        order = lo + np.argsort(sim.vid[lo:sim._bounds[c + 1]], kind="stable")
+        speed = sim.speed[order]
+        lat_rate = sim.lat_rate[order]
+        heading = np.zeros(len(order))
+        for i in lat_rate.nonzero()[0].tolist():
+            heading[i] = heading_deg(float(lat_rate[i]), float(speed[i]))
+        sim.logs[c].frames.append(
+            Frame(
+                time=sim.time,
+                ids=sim.vid[order].astype(np.int32),
+                kinds=sim.kind[order].astype(np.int8),
+                link_idx=sim.link[order].astype(np.int16),
+                lanes=sim.lane[order].astype(np.int16),
+                pos=sim.pos[order],
+                lat=sim.lat[order],
+                speed=speed,
+                accel=sim.accel[order],
+                heading=heading,
+                length=np.full(len(order), sim.vehicle_length),
+            )
         )
-    )
 
 
 class _Case:
@@ -411,10 +371,11 @@ class _Case:
 
 class Simulation:
     """A batch of scenario instances stepped together; the cases share
-    their network, time step, warm-up, horizon and vehicle length.
-    Single-threaded and self-contained; instances never share mutable
-    state. ``add_vehicle``, ``row`` and ``vehicle`` serve tests and custom
-    setups."""
+    their network, time step, warm-up, horizon, vehicle length and
+    detection range. Single-threaded and self-contained; instances never
+    share mutable state. A sink reads ``active``, the cases still running,
+    and the rows ``floats`` and ``ints``. ``add_vehicle``, ``row`` and
+    ``vehicle`` serve tests and custom setups."""
 
     def __init__(self, configs):
         self.configs = list(configs)
@@ -422,7 +383,8 @@ class Simulation:
             raise ValueError("a batch needs at least one case")
         first = self.configs[0]
         for cfg in self.configs[1:]:
-            for name in ("network", "time_step", "warmup_time", "total_time", "vehicle_length"):
+            for name in ("network", "time_step", "warmup_time", "total_time", "vehicle_length",
+                         "detection_range"):
                 if getattr(cfg, name) != getattr(first, name):
                     raise ValueError(f"the cases of a batch must share their {name}")
         net = first.network
@@ -489,7 +451,7 @@ class Simulation:
         self._slot_family = np.asarray(
             [self._families.index((type(m), len(m.terms))) for m in self._models]
         )
-        self._active = list(range(len(self.configs)))
+        self.active = list(range(len(self.configs)))
         self._n_fixed = 0
         self._lateral = False  # some vehicle may have a lateral offset or rate
 
@@ -510,8 +472,6 @@ class Simulation:
         self._key_list = None
         self._new_rows = []  # the cases of rows inserted and not yet settled
         self._group_ids = np.arange(self._n_groups + 2)
-        self._case_ids = np.arange(len(self.configs) + 1)
-        self._windows = {}
         self._derive()
 
     # -- geometry -----------------------------------------------------------
@@ -574,10 +534,10 @@ class Simulation:
     def _bind(self) -> None:
         """Point the row arrays at the first n stored rows, and each field
         name at its column."""
-        self._floats = self._float_store[:self._n]
-        self._ints = self._int_store[:self._n]
-        columns = dict(zip(FLOAT_FIELDS, self._floats.T))
-        columns.update(zip(INT_FIELDS, self._ints.T))
+        self.floats = self._float_store[:self._n]
+        self.ints = self._int_store[:self._n]
+        columns = dict(zip(FLOAT_FIELDS, self.floats.T))
+        columns.update(zip(INT_FIELDS, self.ints.T))
         self.__dict__.update(columns)
         # every row's car-following groups for ``_car_following``, worked out
         # when the rows change: per step, the take alone is a quarter of a
@@ -637,8 +597,8 @@ class Simulation:
         self._bind()
         if not in_order:
             perm = np.argsort(self.case, kind="stable")
-            self._float_store[:self._n] = self._floats[perm]
-            self._int_store[:self._n] = self._ints[perm]
+            self._float_store[:self._n] = self.floats[perm]
+            self._int_store[:self._n] = self.ints[perm]
             self._bind()
             moved = np.empty(self._n, dtype=np.int64)
             moved[perm] = np.arange(self._n)
@@ -658,13 +618,13 @@ class Simulation:
             self._bounds[c + 1] -= removed
         self._restructured = True
         n = int(np.count_nonzero(keep))
-        self._float_store[:n] = self._floats[keep]
-        self._int_store[:n] = self._ints[keep]
+        self._float_store[:n] = self.floats[keep]
+        self._int_store[:n] = self.ints[keep]
         self._n = n
         self._bind()
 
     def _drop_cases(self, cases) -> None:
-        self._active = [c for c in self._active if c not in cases]
+        self.active = [c for c in self.active if c not in cases]
         self._drop_rows(~np.isin(self.case, list(cases)))
         self._sort()
 
@@ -681,8 +641,8 @@ class Simulation:
         Python values."""
         r = self.row(vid, case)
         return {
-            **dict(zip(FLOAT_FIELDS, self._floats[r].tolist())),
-            **dict(zip(INT_FIELDS, self._ints[r].tolist())),
+            **dict(zip(FLOAT_FIELDS, self.floats[r].tolist())),
+            **dict(zip(INT_FIELDS, self.ints[r].tolist())),
         }
 
     # -- lane index -----------------------------------------------------------
@@ -911,47 +871,6 @@ class Simulation:
         )
         return r, upper
 
-    def _window(self, rear: float, front: float) -> dict:
-        """``CaseView.window`` for every case with a subject, by case; worked
-        out once per step and window for the whole batch."""
-        found = self._windows.get((rear, front))
-        if found is None:
-            found = self._windows[rear, front] = self._find_windows(rear, front)
-        return found
-
-    def _find_windows(self, rear: float, front: float) -> dict:
-        arc = self.arc0 + self.pos
-        if len(self._active) == 1:  # fewer array operations: 6-12% of a small step
-            c = self._active[0]
-            if not self._cases[c].has_subject:
-                return {}
-            s = int(self.kind.argmax())
-            subjects = [s]
-            rel = arc - arc[s]
-            inside = (rear <= rel) & (rel <= front)
-            inside[s] = False
-            visible, cuts = inside.nonzero()[0], None  # the case's columns are the whole gather
-        else:
-            subjects = (self.kind == KIND_SUBJECT).nonzero()[0]
-            if not len(subjects):
-                return {}
-            subject_arc = np.full(len(self.configs), math.nan)
-            subject_arc[self.case[subjects]] = arc[subjects]
-            rel = arc - subject_arc[self.case]
-            visible = ((rear <= rel) & (rel <= front) & (self.kind == KIND_BACKGROUND)).nonzero()[0]
-            cuts = np.searchsorted(self.case[visible], self._case_ids).tolist()
-            subjects = subjects.tolist()
-        columns = [column[visible] for column in
-                   (self.vid, self.lane, rel, self.lat, self.speed, self.lat_rate)]
-        found = {}
-        for s in subjects:
-            f, i = self._floats[s].tolist(), self._ints[s].tolist()
-            c = i[_CASE]
-            subject = (i[_LINK], i[_LANE], arc.item(s), f[_LAT], f[_SPEED], f[_ACCEL], f[_LAT_RATE])
-            found[c] = (subject, *(columns if cuts is None else
-                                   [column[cuts[c]:cuts[c + 1]] for column in columns]))
-        return found
-
     # -- insertions -----------------------------------------------------------
 
     def _try_insert(self, c: int, ei: int, factor: float) -> bool:
@@ -1154,8 +1073,8 @@ class Simulation:
         np.maximum(bound, self.speed[due] / -self.dt, out=bound)
         bound -= a[due]
         scan = due[bound > self._thresholds[self.slot[due]]]
-        if len(self._active) == 1:  # as in _find_windows
-            log = self.logs[self._active[0]]
+        if len(self.active) == 1:  # one case: no bincount
+            log = self.logs[self.active[0]]
             log.lc_evaluations += len(due)
             log.lc_scans += len(scan)
         else:
@@ -1181,7 +1100,7 @@ class Simulation:
             np.asarray(slots), *np.array(inputs).reshape(-1, 6).T
         )[0].tolist())
         starts = []
-        floats, ints = self._floats, self._ints
+        floats, ints = self.floats, self.ints
         for r, (left, right) in scanned:
             if left is not None:
                 left = NeighborView(*left, next(accel))
@@ -1220,7 +1139,7 @@ class Simulation:
         gap and speed of the vehicle ahead (inf and 0 for none), the row's
         desired speed and acceleration over the last step, and that of the
         vehicle ahead (0 for none)."""
-        floats, ints = self._floats, self._ints
+        floats, ints = self.floats, self.ints
         link_idx = ints.item(r, _LINK)
         lane = ints.item(r, _LANE)
         length = self.vehicle_length
@@ -1291,7 +1210,7 @@ class Simulation:
 
     def _start_lane_change(self, r: int, target: int) -> None:
         """Row `r` starts changing from its lane to `target` now."""
-        lane = self._ints.item(r, _LANE)
+        lane = self.ints.item(r, _LANE)
         self.lc_start[r] = self.time
         self.lc_from[r] = lane
         self.lc_to[r] = target
@@ -1315,7 +1234,7 @@ class Simulation:
         dt = self.dt
         half = LC_DURATION / 2.0
         ramp_rate = (LANE_WIDTH / 2.0) / half
-        ints = self._ints
+        ints = self.ints
         lat, lat_rate, ended = [], [], []
         for r, start, prev, origin, target, switched in zip(
             rows.tolist(), self.lc_start[rows].tolist(), self.lat[rows].tolist(),
@@ -1425,7 +1344,7 @@ class Simulation:
                     self.accel[r] = 0.0
             self._restructured = True
             self._sort()
-        for c in self._active:
+        for c in self.active:
             case = self._cases[c]
             if case.collision_pairs or c in overlapping:
                 case.collision_pairs = overlapping.get(c, set())
@@ -1434,31 +1353,31 @@ class Simulation:
         """Add the step to the gridlock time of every case whose vehicles
         all crawl; reset it for the others."""
         bounds = self._bounds
-        if len(self._active) == 1:  # as in _find_windows
-            case = self._cases[self._active[0]]
+        if len(self.active) == 1:  # one case: no reduceat
+            case = self._cases[self.active[0]]
             if self._n and self.speed.max() < GRIDLOCK_SPEED:
                 case.gridlock_accum += self.dt
             else:
                 case.gridlock_accum = 0.0
             return
-        filled = [c for c in self._active if bounds[c + 1] > bounds[c]]
+        filled = [c for c in self.active if bounds[c + 1] > bounds[c]]
         crawling = ()
         if filled:
             top = np.maximum.reduceat(self.speed, [bounds[c] for c in filled])
             crawling = [c for c, slow in zip(filled, (top < GRIDLOCK_SPEED).tolist()) if slow]
-        for c in self._active:
+        for c in self.active:
             case = self._cases[c]
             if c in crawling:
                 case.gridlock_accum += self.dt
             else:
                 case.gridlock_accum = 0.0
 
-    def step(self, sinks=None):
-        """Advance every case still running by one time step; each case's
-        sink (default ``record_frame``) sees a ``CaseView`` of it after this
-        step's insertions."""
+    def step(self, sink=None):
+        """Advance every case still running by one time step; `sink`
+        (default ``record_frame``) sees the batch after this step's
+        insertions, and the cases it returns drop out."""
         horizon = self.time + self.dt
-        for c in self._active:
+        for c in self.active:
             case = self._cases[c]
             if self.step_index == self.warmup_steps:
                 self._insert_subject(c)
@@ -1466,11 +1385,9 @@ class Simulation:
                 self._spawn_step(c)
         if self._new_rows:
             self._settle_rows()
-        self._windows = {}
         live = not self.time < self.configs[0].warmup_time
         bounds = self._bounds
-        failed = []
-        for c in self._active:
+        for c in self.active:
             log = self.logs[c]
             n = bounds[c + 1] - bounds[c]
             log.steps += 1
@@ -1478,13 +1395,16 @@ class Simulation:
             if live:
                 log.live_steps += 1
                 log.live_vehicle_steps += n
-            try:
-                (record_frame if sinks is None else sinks[c])(CaseView(self, c))
-            except MissingSubjectError as exc:
-                log.stopped_by = exc
-                failed.append(c)
-        if failed:
-            self._drop_cases(failed)
+        missing = (record_frame if sink is None else sink)(self)
+        if missing:
+            for c in missing:
+                log = self.logs[c]
+                log.stopped_by = MissingSubjectError(
+                    f"no subject vehicle in frame at t={self.time}; "
+                    "shorten the horizon or extend the route",
+                    log,
+                )
+            self._drop_cases(missing)
         lead, lead_d = self._leader_pass()
         a, free = self._accelerations(lead, lead_d)
         self._move(a, self._lane_change_decisions(a, free))
@@ -1494,14 +1414,13 @@ class Simulation:
         self.step_index += 1
         self.time = self.step_index * self.dt
 
-    def run(self, sinks=None) -> list[TrajectoryLog]:
-        """Step to the horizon, handing every step of case c to `sinks[c]`
-        (default ``record_frame``); a case that gridlocks or whose sink
-        raises ``MissingSubjectError`` drops out on the way. Returns the
-        logs."""
-        while self.step_index < self.n_steps and self._active:
-            self.step(sinks)
-            stuck = [c for c in self._active if self._cases[c].gridlock_accum > GRIDLOCK_TIME]
+    def run(self, sink=None) -> list[TrajectoryLog]:
+        """Step to the horizon, handing every step to `sink` (default
+        ``record_frame``); a case that gridlocks or that the sink finds
+        without its subject drops out on the way. Returns the logs."""
+        while self.step_index < self.n_steps and self.active:
+            self.step(sink)
+            stuck = [c for c in self.active if self._cases[c].gridlock_accum > GRIDLOCK_TIME]
             for c in stuck:
                 self.logs[c].feasible = False
                 self.logs[c].gridlock_at = self.time
@@ -1513,23 +1432,24 @@ class Simulation:
         return self.logs
 
 
-def run_batch(configs, sinks=None) -> list[TrajectoryLog]:
-    """Simulate every scenario of `configs` together, handing each step of
-    case c to `sinks[c]`; without sinks every log records its frames. The
-    configs must share network, time step, warm-up, horizon and vehicle
-    length. A case whose sink raises ``MissingSubjectError`` stops there
-    with the exception in its log's ``stopped_by``; the others run on. Any
-    other exception a sink raises propagates. Each log equals that of the
-    case run alone."""
-    return Simulation(configs).run(sinks)
+def run_batch(configs, sink=None) -> list[TrajectoryLog]:
+    """Simulate every scenario of `configs` together, handing each step to
+    `sink`; without one every log records its frames. The configs must
+    share network, time step, warm-up, horizon, vehicle length and
+    detection range. A case that the sink finds without its subject stops
+    there with a ``MissingSubjectError`` in its log's ``stopped_by``; the
+    others run on. Any exception the sink raises propagates. Each log equals
+    that of the case run alone."""
+    return Simulation(configs).run(sink)
 
 
 def run_scenario(config: ScenarioConfig, sink=None) -> TrajectoryLog:
     """Simulate one scenario, a batch of one, handing every step to `sink`;
-    without one the log records every frame. An exception the sink raises
-    ends the run and propagates. Identical configs (same seed) give
+    without one the log records every frame. A step without the subject
+    that the sink reports raises its ``MissingSubjectError``, and any
+    exception the sink raises propagates. Identical configs (same seed) give
     identical logs."""
-    (log,) = run_batch([config], None if sink is None else [sink])
+    (log,) = run_batch([config], sink)
     if log.stopped_by is not None:
         raise log.stopped_by
     return log

@@ -182,14 +182,14 @@ def test_evaluate_case_deterministic(micro_scenario):
 def _detected(scenario, sink=None):
     """The detection dataset of one run of scenario; sink, if given, sees
     every step before the detector does."""
-    detector = VirtualDetector(scenario)
+    detector = VirtualDetector([scenario])
 
     def both(sim):
         sink(sim)
-        detector(sim)
+        return detector(sim)
 
     run_scenario(scenario, detector if sink is None else both)
-    return virtual_detector_sample(detector)
+    return virtual_detector_sample(detector, 0)
 
 
 def test_replications_average_runs_on_derived_seeds(micro_scenario):
@@ -213,9 +213,10 @@ def test_subject_drives_at_its_own_desired_speed():
     def run(s):
         entry = []
 
-        def note_entry(case):
-            if case.subject is not None and not entry:
-                entry.append(float(case.speed[case.subject]))
+        def note_entry(sim):
+            subjects = (sim.kind == engine.KIND_SUBJECT).nonzero()[0]
+            if len(subjects) and not entry:
+                entry.append(float(sim.speed[subjects[0]]))
 
         records = _detected(s, note_entry).records
         return entry[0], records, sum(r.speed_kmh for r in records) / len(records)
@@ -254,10 +255,10 @@ def test_subject_leaving_the_route_scores_minus_inf(micro_scenario, caplog, monk
     ctx = replace(ctx, scenario=apply_parameters(micro_scenario, {"subject.cf.v0": 60.0 * KMH}))
     runs = []
 
-    def spied_run(configs, sinks=None):
+    def spied_run(configs, sink=None):
         sim = Simulation(configs)
         try:
-            return sim.run(sinks)
+            return sim.run(sink)
         finally:
             runs.extend(zip(configs, sim.logs))
 
@@ -650,9 +651,9 @@ def test_total_simulations_counts_simulator_runs(micro_scenario, monkeypatch):
         calls.append(cfg)
         return run_scenario(cfg, sink)
 
-    def counted_batch(configs, sinks=None):
+    def counted_batch(configs, sink=None):
         calls.extend(configs)
-        return run_batch(configs, sinks)
+        return run_batch(configs, sink)
 
     monkeypatch.setattr(pipeline, "run_scenario", counted_run)
     monkeypatch.setattr(pipeline, "run_batch", counted_batch)

@@ -6,7 +6,6 @@ import pytest
 from avcalib.fielddata import parse_field_data, export_detection_csv
 from avcalib.roadsim import (
     BehaviorSpec,
-    CaseView,
     Entrance,
     IdmParams,
     LaneChangeParams,
@@ -53,22 +52,34 @@ def default_times(config, rows_per_frame):
     return [config.warmup_time + k * config.time_step for k in range(len(rows_per_frame))]
 
 
-def detect(config, rows_per_frame, times=None):
-    """Hand a detector one step per entry of rows_per_frame, each a list of
-    vehicles placed as (vid, kind, link_idx, lane, pos, lat, speed) in a
-    simulation of their own, and return its dataset."""
-    detector = VirtualDetector(config)
+def detect_batch(config, frames_per_case, times=None):
+    """Hand a detector of a batch of copies of `config` one step per frame,
+    each case's vehicles of a frame placed as (vid, kind, link_idx, lane,
+    pos, lat, speed) in a simulation of their own, and return each case's
+    dataset. A frame in which a case has no subject raises
+    ``MissingSubjectError``, as the engine does when the detector reports
+    the case."""
+    detector = VirtualDetector([config] * len(frames_per_case))
     if times is None:
-        times = default_times(config, rows_per_frame)
-    for t, rows in zip(times, rows_per_frame):
-        sim = Simulation([config])
-        for vid, kind, link_idx, lane, pos, lat, speed in rows:
-            sim.add_vehicle(link_idx=link_idx, lane=lane, pos=pos, speed=speed, kind=kind)
-            sim.vid[-1] = vid  # the newest vehicle is the last row
-            sim.lat[-1] = lat
+        times = default_times(config, frames_per_case[0])
+    for k, t in enumerate(times):
+        sim = Simulation([config] * len(frames_per_case))
+        for c, frames in enumerate(frames_per_case):
+            for vid, kind, link_idx, lane, pos, lat, speed in frames[k]:
+                sim.add_vehicle(link_idx=link_idx, lane=lane, pos=pos, speed=speed, kind=kind,
+                                case=c)
+                sim.vid[-1] = vid  # the newest vehicle is the last row
+                sim.lat[-1] = lat
         sim.time = t
-        detector(CaseView(sim, 0))
-    return virtual_detector_sample(detector)
+        missing = detector(sim)
+        if missing:
+            raise MissingSubjectError(f"no subject in cases {missing} at t={t}")
+    return [virtual_detector_sample(detector, c) for c in range(len(frames_per_case))]
+
+
+def detect(config, rows_per_frame, times=None):
+    """``detect_batch`` of one case."""
+    return detect_batch(config, [rows_per_frame], times)[0]
 
 
 def subject_row(link_idx=0, lane=1, pos=500.0, lat=0.0, speed=15.0):
@@ -81,9 +92,10 @@ def bg(vid, link_idx=0, lane=1, pos=500.0, lat=0.0, speed=20.0):
 
 def test_vehicle_just_beyond_range_is_absent():
     cfg = make_config()
-    ds = detect(cfg, [[subject_row(pos=500.0), bg(1, pos=651.0), bg(2, pos=650.0)]])
+    ds = detect(cfg, [[subject_row(pos=500.0), bg(1, pos=651.0), bg(2, pos=650.0),
+                       bg(3, pos=350.0), bg(4, pos=349.0)]])
     ids = [o.vehicle_id for o in ds.records[0].surroundings]
-    assert ids == ["2"]  # +151 m excluded, +150 m included
+    assert ids == ["2", "3"]  # +151 m and -151 m excluded, +150 m and -150 m included
 
 
 def test_relative_positions_same_lane_ahead():
@@ -156,13 +168,9 @@ def _brute_force_records(cfg, rows_per_frame):
     return out
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_detector_equals_brute_force_filter(seed):
-    rng = np.random.default_rng(seed)
-    cfg = make_config(lengths=(400.0, 300.0, 500.0), lanes=3, rng=(-120.0, 90.0))
+def _random_frames(rng, cfg, n_frames=12, n_veh=6):
     frames = []
-    n_veh = 6
-    for k in range(12):
+    for k in range(n_frames):
         rows = [
             subject_row(link_idx=int(rng.integers(0, 3)), lane=int(rng.integers(1, 4)),
                         pos=float(rng.uniform(0, 300)), speed=float(rng.uniform(0, 25)))
@@ -177,13 +185,34 @@ def test_detector_equals_brute_force_filter(seed):
                    speed=float(rng.uniform(0, 30)))
             )
         frames.append(rows)
-    ds = detect(cfg, frames)
-    got = [
+    return frames
+
+
+def _ids_and_offsets(ds):
+    return [
         (r.timestamp, tuple(sorted((int(o.vehicle_id), round(o.rel_longitudinal, 9))
                                    for o in r.surroundings)))
         for r in ds.records
     ]
-    assert got == _brute_force_records(cfg, frames)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_detector_equals_brute_force_filter(seed):
+    rng = np.random.default_rng(seed)
+    cfg = make_config(lengths=(400.0, 300.0, 500.0), lanes=3, rng=(-120.0, 90.0))
+    frames = _random_frames(rng, cfg)
+    assert _ids_and_offsets(detect(cfg, frames)) == _brute_force_records(cfg, frames)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_case_of_a_batch_sees_only_its_own_vehicles(seed):
+    # the cases' vehicles share route positions; each case's subject must
+    # see its own vehicles only
+    rng = np.random.default_rng(seed)
+    cfg = make_config(lengths=(400.0, 300.0, 500.0), lanes=3, rng=(-120.0, 90.0))
+    frames = [_random_frames(rng, cfg, n_veh=int(rng.integers(0, 8))) for _ in range(3)]
+    for ds, case_frames in zip(detect_batch(cfg, frames), frames):
+        assert _ids_and_offsets(ds) == _brute_force_records(cfg, case_frames)
 
 
 def test_detector_output_parses_identically():

@@ -231,31 +231,50 @@ def test_exactly_one_live_frame_when_total_is_warmup_plus_dt():
 
 
 class PerStepDetector:
-    """Reference sink: one detection record built per live step from the
-    step's window, value by value in Python."""
+    """Reference sink: per case and live step, one detection record built
+    row by row in Python from the batch's state, its observations sorted by
+    id; a running case without a subject on a live step is returned, as the
+    detector does."""
 
-    def __init__(self, config):
-        self.config = config
-        self.links = config.network.route_links()
-        self.records = []
+    def __init__(self, configs):
+        self.configs = list(configs)
+        self.links = self.configs[0].network.route_links()
+        self.records = [[] for _ in self.configs]
 
-    def __call__(self, case):
-        if case.time < self.config.warmup_time:
-            return
-        subject, *visible = case.window(*self.config.detection_range)
-        s_link, s_lane, s_arc, s_lat, s_speed, s_accel, s_lat_rate = subject
-        obs = tuple(
-            SurroundingObs(str(vid), lane, rel, (lane - s_lane) * LANE_WIDTH + (lat - s_lat),
-                           speed * 3.6, heading_deg(lat_rate, speed) if lat_rate else 0.0)
-            for vid, lane, rel, lat, speed, lat_rate in zip(*(c.tolist() for c in visible))
-        )
-        d = LANE_WIDTH / 2.0 - abs(s_lat)
-        link = self.links[s_link]
-        self.records.append(DetectionRecord(
-            float(case.time), link.id, link.speed_limit, s_speed * 3.6,
-            s_lat_rate / max(s_speed, 0.1), s_arc, 0.0, s_accel, s_lane,
-            d if s_lat >= 0.0 else -d, obs,
-        ))
+    def __call__(self, sim):
+        if sim.time < self.configs[0].warmup_time:
+            return None
+        rear, front = self.configs[0].detection_range
+        rows = [dict(zip(engine.FLOAT_FIELDS, f), **dict(zip(engine.INT_FIELDS, i)))
+                for f, i in zip(sim.floats.tolist(), sim.ints.tolist())]
+        missing = []
+        for c in sim.active:
+            mine = [row for row in rows if row["case"] == c]
+            subjects = [row for row in mine if row["kind"] == KIND_SUBJECT]
+            if not subjects:
+                missing.append(c)
+                continue
+            (s,) = subjects
+            s_arc = s["arc0"] + s["pos"]
+            obs = []
+            for row in sorted(mine, key=lambda row: row["vid"]):
+                rel = row["arc0"] + row["pos"] - s_arc
+                if row is s or not rear <= rel <= front:
+                    continue
+                obs.append(SurroundingObs(
+                    str(row["vid"]), row["lane"], rel,
+                    (row["lane"] - s["lane"]) * LANE_WIDTH + (row["lat"] - s["lat"]),
+                    row["speed"] * 3.6,
+                    heading_deg(row["lat_rate"], row["speed"]) if row["lat_rate"] else 0.0,
+                ))
+            d = LANE_WIDTH / 2.0 - abs(s["lat"])
+            link = self.links[s["link"]]
+            self.records[c].append(DetectionRecord(
+                float(sim.time), link.id, link.speed_limit, s["speed"] * 3.6,
+                s["lat_rate"] / max(s["speed"], 0.1), s_arc, 0.0, s["accel"], s["lane"],
+                d if s["lat"] >= 0.0 else -d, tuple(obs),
+            ))
+        return missing
 
 
 @pytest.mark.parametrize("dt, warmup, total, live", [
@@ -267,25 +286,64 @@ class PerStepDetector:
 def test_detector_sample_matches_per_step_records(dt, warmup, total, live):
     cfg = corridor(inputs=1500.0, lanes=2, total=total, warmup=warmup, dt=dt,
                    length=3000.0, seed=1, variation=0.1)
-    detector, reference = VirtualDetector(cfg), PerStepDetector(cfg)
+    detector, reference = VirtualDetector([cfg]), PerStepDetector([cfg])
 
-    def sink(case):
-        detector(case)
-        reference(case)
+    def sink(sim):
+        reference(sim)
+        return detector(sim)
 
     run_scenario(cfg, sink)
-    records = virtual_detector_sample(detector).records
-    assert len(records) == len(reference.records) == live
-    assert [repr(r) for r in records] == [repr(r) for r in reference.records]
+    records = virtual_detector_sample(detector, 0).records
+    assert len(records) == len(reference.records[0]) == live
+    assert [repr(r) for r in records] == [repr(r) for r in reference.records[0]]
     assert sum(len(r.surroundings) for r in records) > live
     assert any(o.heading_deg for r in records for o in r.surroundings)
 
 
-def test_detector_sample_without_live_steps_is_empty():
-    dataset = virtual_detector_sample(VirtualDetector(corridor()))
+def _assert_empty(dataset):
     assert len(dataset.timestamp) == len(dataset.obs_vehicle) == 0
     assert dataset.obs_offsets.tolist() == [0]
     assert dataset.records == ()
+
+
+def test_detector_sample_without_live_steps_is_empty():
+    _assert_empty(virtual_detector_sample(VirtualDetector([corridor()]), 0))
+    # a horizon that ends in the warm-up leaves every case of a batch empty
+    configs = [corridor(inputs=900.0, total=5.0, warmup=4.95, seed=seed) for seed in (0, 1)]
+    detector = VirtualDetector(configs)
+    logs = run_batch(configs, detector)
+    assert [log.steps for log in logs] == [50, 50] and logs[0].vehicle_steps > 0
+    for c in (0, 1):
+        _assert_empty(virtual_detector_sample(detector, c))
+
+
+class SubjectlessSimulation(Simulation):
+    """Inserts no subject into case 1."""
+
+    def _insert_subject(self, c):
+        if c != 1:
+            super()._insert_subject(c)
+
+
+def test_a_case_without_its_subject_on_its_first_live_step_drops_alone():
+    configs = [corridor(inputs=900.0, lanes=2, total=60.0, warmup=20.0, dt=0.2, seed=s)
+               for s in (3, 4, 5)]
+    detector = VirtualDetector(configs)
+    logs = SubjectlessSimulation(configs).run(detector)
+    assert repr(logs[1].stopped_by) == repr(engine.MissingSubjectError(
+        "no subject vehicle in frame at t=20.0; shorten the horizon or extend the route"
+    ))
+    assert logs[1].stopped_by.log is logs[1]
+    assert logs[1].live_steps == 1 and logs[1].steps == 101
+    _assert_empty(virtual_detector_sample(detector, 1))
+    # its batch-mates run to the end, as they do alone
+    for c in (0, 2):
+        assert logs[c].stopped_by is None and logs[c].steps == 300
+        alone = VirtualDetector([configs[c]])
+        run_scenario(configs[c], alone)
+        assert [repr(r) for r in virtual_detector_sample(detector, c).records] == [
+            repr(r) for r in virtual_detector_sample(alone, 0).records
+        ]
 
 
 def test_subject_present_for_whole_live_horizon():
@@ -589,7 +647,7 @@ def leader_corridor(seed, lanes, inflows, model, dt):
 )
 def test_leader_pass_matches_brute_force(seed, lanes, inflows, model, dt):
     sim = LeaderCheckedSimulation([leader_corridor(seed, lanes, inflows, model, dt)])
-    sim.run([lambda case: None])
+    sim.run(lambda sim: None)
     assert sim.checked > 0
 
 
@@ -642,7 +700,7 @@ def scan_checked(lanes, dt, cases):
             "subject": BehaviorSpec(IdmParams(), lc),
         }))
     sim = ScanCheckedSimulation(configs)
-    sim.run([lambda case: None] * len(configs))
+    sim.run(lambda sim: None)
     return sim
 
 
@@ -680,28 +738,33 @@ def _crawling(cfg):
 
 
 def _recorded(configs, batch):
-    """Per config: its log and detection records, simulated as one batch or
-    one by one."""
-    detectors = [VirtualDetector(cfg) for cfg in configs]
+    """Per config: its log and detection records, simulated as one batch
+    through the virtual detector, or one by one through the reference
+    ``PerStepDetector``."""
 
-    def sink(detector):
-        def both(case):
-            record_frame(case)
-            detector(case)
+    def recording(detector):
+        def both(sim):
+            record_frame(sim)
+            return detector(sim)
         return both
 
-    sinks = [sink(d) for d in detectors]
     if batch:
-        logs = run_batch(configs, sinks)
+        detector = VirtualDetector(configs)
+        logs = run_batch(configs, recording(detector))
+        records = [virtual_detector_sample(detector, c).records for c in range(len(configs))]
     else:
-        logs = [run_batch([cfg], [s])[0] for cfg, s in zip(configs, sinks)]
+        logs, records = [], []
+        for cfg in configs:
+            reference = PerStepDetector([cfg])
+            logs += run_batch([cfg], recording(reference))
+            records += reference.records
     return [
         (log.to_csv(), log.lane_changes, log.collisions, log.spawns, log.despawns,
          {eid: t.tobytes() for eid, t in log.arrival_times.items()},
          (log.steps, log.vehicle_steps, log.live_steps, log.live_vehicle_steps,
           log.lc_evaluations, log.lc_scans, log.feasible, log.gridlock_at),
-         repr(log.stopped_by), [repr(r) for r in virtual_detector_sample(d).records])
-        for log, d in zip(logs, detectors)
+         repr(log.stopped_by), [repr(r) for r in case_records])
+        for log, case_records in zip(logs, records)
     ]
 
 
@@ -745,18 +808,22 @@ def test_batch_cases_match_their_single_runs(lanes, dt, total, cases):
 
 def test_batch_rejects_cases_of_different_runs():
     cfg = corridor()
-    for other in (replace(cfg, time_step=0.2), replace(cfg, warmup_time=5.0),
-                  replace(cfg, total_time=90.0), replace(cfg, vehicle_length=5.0),
-                  corridor(lanes=2)):
-        with pytest.raises(ValueError, match="share"):
+    for other, name in ((replace(cfg, time_step=0.2), "time_step"),
+                        (replace(cfg, warmup_time=5.0), "warmup_time"),
+                        (replace(cfg, total_time=90.0), "total_time"),
+                        (replace(cfg, vehicle_length=5.0), "vehicle_length"),
+                        (replace(cfg, detection_range=(-100.0, 100.0)), "detection_range"),
+                        (corridor(lanes=2), "network")):
+        with pytest.raises(ValueError, match=f"share their {name}$"):
             run_batch([cfg, other])
 
 
 def test_a_sink_fault_propagates_out_of_the_batch():
-    # only MissingSubjectError drops a case out of its batch; a fault in a
-    # sink is not a property of the case and must surface with its traceback
-    def broken(case):
+    # only a case the sink reports without its subject drops out of its
+    # batch; a fault in a sink is not a property of a case and must surface
+    # with its traceback
+    def broken(sim):
         raise TypeError("broken sink")
 
     with pytest.raises(TypeError, match="broken sink"):
-        run_batch([corridor(), corridor()], [lambda case: None, broken])
+        run_batch([corridor(), corridor()], broken)

@@ -114,14 +114,14 @@ def _scenario(name):
 def _run(name):
     """The recorded log and the detector's dataset of one run."""
     sc = _scenario(name)
-    detector = VirtualDetector(sc)
+    detector = VirtualDetector([sc])
 
     def record_and_detect(sim):
         record_frame(sim)
-        detector(sim)
+        return detector(sim)
 
     log = run_scenario(sc, record_and_detect)
-    return sc, log, virtual_detector_sample(detector)
+    return sc, log, virtual_detector_sample(detector, 0)
 
 
 def trajectory_digest(log) -> str:
