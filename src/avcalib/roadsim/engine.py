@@ -50,10 +50,13 @@ threshold, ``free`` being the family's bound from the same call, since no
 leader in a target lane can demand more than that; the vehicle then stays
 without a neighbour-lane scan. The skip is exact: the full evaluation would
 also decide to stay. The skip is one array mask. The vehicles it lets
-through look up their neighbours per vehicle, and the accelerations behind
-every side found in a step come from one more car-following call; the
-insertions, the lane-change ramps, the link crossings and the pushbacks
-also go through Python per vehicle.
+through look up their neighbours per vehicle, right side first, and the
+accelerations behind every side found in a step come from one more
+car-following call. One scalar pass over those sides then takes, per
+vehicle, a side that ``LaneChangeParams.accepts``, the one with the larger
+advantage when both are accepted, right on a tie. The insertions, the
+lane-change ramps, the link crossings and the pushbacks also go through
+Python per vehicle.
 
 A sink is a callable that takes the simulation once per step, after the
 step's insertions, and reads the rows of every running case (``active``,
@@ -80,13 +83,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import (
-    CHANGE_LEFT,
-    CHANGE_RIGHT,
-    STAY,
-    NeighborView,
-    lane_change_decision,
-)
 from .network import ScenarioConfig
 
 LANE_WIDTH = 3.5          # m
@@ -109,13 +105,14 @@ SUBJECT_VID = 0
 # offset of the vehicle's link, gbase its lane group's key less the lane,
 # slot the index of its models (2 * case + kind), whose car-following terms
 # are column slot of ``Simulation._terms``. lc_due_at is the first step time
-# at which a lane-change evaluation is due: at or after next_lc_check and
-# once the cooldown after the last change has passed; inf while a vehicle
-# changes lanes and for a fixed vehicle. Every vehicle of a batch has the
-# same length, ``Simulation.vehicle_length``.
+# at which a lane-change evaluation is due: set at insertion, then
+# LC_CHECK_INTERVAL after each evaluation, and the first step time
+# LC_COOLDOWN after the end of a change; inf while a vehicle changes lanes
+# and for a fixed vehicle. Every vehicle of a batch has the same length,
+# ``Simulation.vehicle_length``.
 FLOAT_FIELDS = (
     "pos", "lat", "speed", "accel", "lat_rate", "factor", "v_des",
-    "lc_start", "next_lc_check", "lc_due_at", "link_end", "arc0",
+    "lc_start", "lc_due_at", "link_end", "arc0",
 )
 INT_FIELDS = (
     "vid", "kind", "case", "slot", "link", "lane",
@@ -559,7 +556,6 @@ class Simulation:
         if r == len(self._float_store):
             self._float_store = np.concatenate((self._float_store, np.empty_like(self._float_store)))
             self._int_store = np.concatenate((self._int_store, np.empty_like(self._int_store)))
-        values["lc_due_at"] = math.inf if values["fixed"] else values["next_lc_check"]
         self._float_store[r] = [values.get(f, _NEW_FLOATS.get(f)) for f in FLOAT_FIELDS]
         self._int_store[r] = [values.get(f, _NEW_INTS.get(f)) for f in INT_FIELDS]
         self._n = r + 1
@@ -914,7 +910,7 @@ class Simulation:
         self._insert_row(
             c, KIND_BACKGROUND, link_idx, lane, length / 2.0, vid=vid, speed=speed,
             factor=factor, fixed=0,
-            next_lc_check=self.time + (vid % 10) * 0.1 * LC_CHECK_INTERVAL,
+            lc_due_at=self.time + (vid % 10) * 0.1 * LC_CHECK_INTERVAL,
         )
         case.log.spawns.append(
             SpawnEvent(time=self.time, vehicle_id=vid, entrance=self._entrances[ei].id,
@@ -974,7 +970,7 @@ class Simulation:
             speed = min(speed, max(ahead_speed, 0.0))
         self._insert_row(
             c, KIND_SUBJECT, 0, lane, pos, vid=SUBJECT_VID, speed=speed, factor=1.0, fixed=0,
-            next_lc_check=self.time,
+            lc_due_at=self.time,
         )
         case.has_subject = True
         case.log.spawns.append(
@@ -1003,7 +999,7 @@ class Simulation:
         self._n_fixed += bool(fixed)
         self._insert_row(
             case, kind, link_idx, lane, pos, vid=vid, speed=speed, factor=factor,
-            fixed=int(fixed), next_lc_check=0.0,
+            fixed=int(fixed), lc_due_at=math.inf if fixed else 0.0,
         )
         self._settle_rows()
         return vid
@@ -1067,7 +1063,7 @@ class Simulation:
         due = (self.lc_due_at <= t).nonzero()[0]
         if not len(due):
             return []
-        self.next_lc_check[due] = self.lc_due_at[due] = t + LC_CHECK_INTERVAL
+        self.lc_due_at[due] = t + LC_CHECK_INTERVAL
         # the exact skip (see the module docstring) as a mask
         bound = free[due]
         np.maximum(bound, self.speed[due] / -self.dt, out=bound)
@@ -1088,31 +1084,26 @@ class Simulation:
         if not len(scan):
             return []
         pending = self._pending_targets()
-        scanned, slots, inputs = [], [], []
+        sides, slots, inputs = [], [], []
         for r, c in zip(scan.tolist(), self.case[scan].tolist()):
-            left, right = sides = self._scan_sides(r, c, pending, slots, inputs)
-            if left is not None or right is not None:
-                scanned.append((r, sides))
-        if not slots:
+            self._scan_sides(r, c, pending, sides, slots, inputs)
+        if not sides:
             return []
         # the acceleration behind every side's leader, in one call
-        accel = iter(self._car_following(
-            np.asarray(slots), *np.array(inputs).reshape(-1, 6).T
-        )[0].tolist())
-        starts = []
-        floats, ints = self.floats, self.ints
-        for r, (left, right) in scanned:
-            if left is not None:
-                left = NeighborView(*left, next(accel))
-            if right is not None:
-                right = NeighborView(*right, next(accel))
-            slot = ints.item(r, _SLOT)
-            direction = lane_change_decision(
-                floats.item(r, _SPEED), a.item(r), left, right, self._lane_change[slot]
-            )
-            if direction != STAY:
-                lane = ints.item(r, _LANE)
-                starts.append((r, lane + 1 if direction == CHANGE_LEFT else lane - 1))
+        accel = self._car_following(np.asarray(slots), *np.array(inputs).reshape(-1, 6).T)[0]
+        # a row takes its first accepted side, or its second when that one's
+        # advantage is strictly larger: right wins a tie
+        starts, best = [], 0.0
+        speed = self.speed
+        for (r, target, leader, follower), slot, a_side in zip(sides, slots, accel.tolist()):
+            advantage = a_side - a.item(r)
+            if self._lane_change[slot].accepts(speed.item(r), advantage, leader, follower):
+                if starts and starts[-1][0] == r:
+                    if advantage > best:
+                        starts[-1] = (r, target)
+                else:
+                    starts.append((r, target))
+                    best = advantage
         return starts
 
     def _pending_targets(self):
@@ -1129,16 +1120,17 @@ class Simulation:
                     pending.setdefault((case, link, target), []).append(arc)
         return pending
 
-    def _scan_sides(self, r, c, pending, slots, inputs):
-        """The neighbour lanes of row `r` of case `c`, left then right: None
-        where there is no lane or a vehicle moving into it (`pending`) is
-        near, else the (bumper gap, speed) of the closest vehicle ahead in it
-        and of the closest behind, None for none. Appends the slot of each
-        lane found to `slots`, and to `inputs` what ``_car_following`` reads
-        to give the row's acceleration in that lane: the row's speed, the
-        gap and speed of the vehicle ahead (inf and 0 for none), the row's
-        desired speed and acceleration over the last step, and that of the
-        vehicle ahead (0 for none)."""
+    def _scan_sides(self, r, c, pending, sides, slots, inputs):
+        """Scan the neighbour lanes of row `r` of case `c`, right then left,
+        skipping a side with no lane or where a vehicle moving into it
+        (`pending`) is near. For each other side, appends to `sides` (r, the
+        lane, and the (bumper gap, speed) of the closest vehicle ahead in it
+        and of the closest behind, None for none), the row's slot to
+        `slots`, and to `inputs` what ``_car_following`` reads to give the
+        row's acceleration in that lane: the row's speed, the gap and speed
+        of the vehicle ahead (inf and 0 for none), the row's desired speed
+        and acceleration over the last step, and that of the vehicle ahead
+        (0 for none)."""
         floats, ints = self.floats, self.ints
         link_idx = ints.item(r, _LINK)
         lane = ints.item(r, _LANE)
@@ -1147,13 +1139,11 @@ class Simulation:
         base = c * self._case_stride
         v, v_des, prev_accel = floats.item(r, _SPEED), floats.item(r, _V_DES), floats.item(r, _ACCEL)
         slot = ints.item(r, _SLOT)
-        sides = []
-        for target in (lane + 1, lane - 1):
+        for target in (lane - 1, lane + 1):
             near = pending.get((c, link_idx, target))
             if target < 1 or target > self._counts[link_idx] or near and any(
                 abs(p_arc - arc) < LC_CLEARANCE for p_arc in near
             ):
-                sides.append(None)
                 continue
             lead, dist_f = self._first_in_chain(base, self._ahead[link_idx, target], arc, r)
             fol, dist_r = self._follower(base, link_idx, target, arc, r)
@@ -1166,8 +1156,7 @@ class Simulation:
             if fol >= 0:
                 follower = (max(dist_r - length, 0.01), floats.item(fol, _SPEED))
             slots.append(slot)
-            sides.append((leader, follower))
-        return sides
+            sides.append((r, target, leader, follower))
 
     def _move(self, a, starts):
         """Start the decided lane changes, integrate every vehicle one step,
@@ -1220,13 +1209,14 @@ class Simulation:
 
     def _end_lane_change(self, r: int, t_next: float) -> None:
         """Row `r` ends its lane change at `t_next`; its next evaluation is
-        due at the first step time both after its next check and
-        LC_COOLDOWN after `t_next`."""
+        due at the first step time LC_COOLDOWN after `t_next`. That is
+        always past the LC_CHECK_INTERVAL after the evaluation that started
+        the change."""
         self.lc_start[r] = math.nan
         k = max(self.step_index + 1, int((t_next + LC_COOLDOWN) / self.dt) - 1)
         while not k * self.dt - t_next >= LC_COOLDOWN:
             k += 1
-        self.lc_due_at[r] = max(self.next_lc_check[r], k * self.dt)
+        self.lc_due_at[r] = k * self.dt
 
     def _ramp(self, rows, t_next):
         """Advance the lateral ramp of the changing `rows`, flipping the lane

@@ -27,9 +27,12 @@ MODEL_CLASSES, that carries the whole model interface:
 * ``spawn_gap`` is the smallest clear gap, in m, the simulation keeps ahead
   of and behind a vehicle it inserts.
 
-The lane-change model is gap acceptance: a change must be safe for the
-trailing vehicle in the target lane and for the vehicle itself, and must
-promise an acceleration advantage above a configurable threshold.
+The lane-change model is gap acceptance, one scalar test per candidate
+side, ``LaneChangeParams.accepts``: a change must be safe for the trailing
+vehicle in the target lane and for the vehicle itself, and must promise an
+acceleration advantage above a configurable threshold. The simulation
+gives it the gaps and speeds of the side's leader and follower, and the
+advantage from the family's ``accel_rows`` behind the side's leader.
 
 All models are deterministic here; stochastic driver diversity is injected
 at the simulation level through a per-vehicle desired-speed factor.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -295,6 +298,14 @@ MODEL_CLASSES = {
 MODEL_NAMES = {cls: name for name, cls in MODEL_CLASSES.items()}
 
 
+def _braking_needed(v_rear: float, v_front: float, clear_gap: float) -> float:
+    """Constant deceleration the rear vehicle needs to avoid eating the
+    clear gap; 0 when it is not closing."""
+    if v_rear <= v_front:
+        return 0.0
+    return -((v_rear - v_front) ** 2) / (2.0 * max(clear_gap, 0.1))
+
+
 @dataclass(frozen=True)
 class LaneChangeParams:
     safe_dist_reduction: float = 0.6
@@ -311,79 +322,24 @@ class LaneChangeParams:
         _require_negative(self, ("max_decel_trailing", "max_decel_own"))
         _require_finite(self, ("advantage_threshold",))
 
-
-@dataclass(frozen=True)
-class NeighborView:
-    """Gap and speed of the closest vehicles in one candidate lane; None
-    means no vehicle there (infinite gap). accel is the vehicle's own
-    car-following acceleration in that lane, behind its leader there,
-    clamped so the speed stays non-negative after one step."""
-
-    leader: Optional[tuple[float, float]] = None
-    follower: Optional[tuple[float, float]] = None
-    accel: float = 0.0
-
-
-STAY = "stay"
-CHANGE_LEFT = "change_left"
-CHANGE_RIGHT = "change_right"
-
-
-def _braking_needed(v_rear: float, v_front: float, clear_gap: float) -> float:
-    """Constant deceleration the rear vehicle needs to avoid eating the
-    clear gap; 0 when it is not closing."""
-    if v_rear <= v_front:
-        return 0.0
-    return -((v_rear - v_front) ** 2) / (2.0 * max(clear_gap, 0.1))
-
-
-def _side_evaluation(v, a_current, side: NeighborView, p: LaneChangeParams):
-    front_min = p.min_headway_front * p.safe_dist_reduction
-    rear_min = p.min_headway_rear * p.safe_dist_reduction
-    if side.leader is not None:
-        gap_f, v_f = side.leader
-        if gap_f <= front_min:
-            return False, 0.0
-        own_required = _braking_needed(v, v_f, gap_f - front_min)
-        if own_required < p.max_decel_own:
-            return False, 0.0
-    if side.follower is not None:
-        gap_r, v_r = side.follower
-        if gap_r <= rear_min:
-            return False, 0.0
-        induced = _braking_needed(v_r, v, gap_r - rear_min)
-        if induced < p.max_decel_trailing:
-            return False, 0.0
-    advantage = side.accel - a_current
-    return advantage > p.advantage_threshold, advantage
-
-
-def lane_change_decision(
-    speed: float,
-    a_current: float,
-    left: Optional[NeighborView],
-    right: Optional[NeighborView],
-    params: LaneChangeParams,
-) -> str:
-    """Gap-acceptance lane-change decision for a vehicle at `speed` m/s.
-
-    a_current is its acceleration in the current lane, as the simulation
-    decided it this step; each side's ``accel`` is its acceleration in that
-    lane. left/right are None when that side has no lane. A side is taken
-    only if it is safe (headway margins hold and neither the target
-    follower nor the vehicle itself would need to brake beyond the
-    configured bounds) and offers an acceleration advantage above the
-    threshold. With both sides eligible the larger advantage wins, right on
-    a tie.
-    """
-    v = float(speed)
-    decision, best = STAY, -math.inf
-    if right is not None:
-        ok, adv = _side_evaluation(v, a_current, right, params)
-        if ok:
-            decision, best = CHANGE_RIGHT, adv
-    if left is not None:
-        ok, adv = _side_evaluation(v, a_current, left, params)
-        if ok and adv > best:
-            decision = CHANGE_LEFT
-    return decision
+    def accepts(self, v, advantage, leader, follower) -> bool:
+        """Whether a vehicle at speed `v` takes a neighbour lane whose
+        leader and follower there are at (bumper gap, speed), None for none,
+        and where its acceleration would be `advantage` above its
+        acceleration in its own lane: the advantage must exceed the
+        threshold, the gaps must exceed the reduced headway margins, and
+        neither the vehicle itself, behind its new leader, nor its new
+        follower may need to brake harder than its bound."""
+        if not advantage > self.advantage_threshold:
+            return False
+        if leader is not None:
+            gap, v_front = leader
+            margin = self.min_headway_front * self.safe_dist_reduction
+            if gap <= margin or _braking_needed(v, v_front, gap - margin) < self.max_decel_own:
+                return False
+        if follower is not None:
+            gap, v_rear = follower
+            margin = self.min_headway_rear * self.safe_dist_reduction
+            if gap <= margin or _braking_needed(v_rear, v, gap - margin) < self.max_decel_trailing:
+                return False
+        return True

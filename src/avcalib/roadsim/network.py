@@ -10,7 +10,7 @@ routes the calibration targets without a full graph model.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -149,9 +149,7 @@ class ScenarioConfig:
 
 
 def _cf_to_dict(cf: CarFollowingParams) -> dict:
-    d = {"model": MODEL_NAMES[type(cf)]}
-    d.update((f.name, getattr(cf, f.name)) for f in fields(cf))
-    return d
+    return {"model": MODEL_NAMES[type(cf)], **asdict(cf)}
 
 
 def _keys(obj, where: str, required, optional=()) -> dict:
@@ -205,7 +203,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "behavior": {
             cls: {
                 "car_following": _cf_to_dict(spec.car_following),
-                "lane_change": dict(spec.lane_change.__dict__),
+                "lane_change": asdict(spec.lane_change),
             }
             for cls, spec in cfg.behavior.items()
         },

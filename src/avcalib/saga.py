@@ -158,7 +158,7 @@ def run_saga(
     their accuracies in input order; it must be deterministic for a given
     combination. A failed individual comes back as -inf: it gets no
     selection weight and the run continues. The evaluator does that
-    conversion (in the pipeline, evaluate_case is the one place that turns
+    conversion (in the pipeline, evaluate_batch is the one place that turns
     a case's errors into -inf); an exception it raises ends the run.
     """
     rng = np.random.default_rng([int(seed), 0x5A6A])

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from avcalib.demo import showcase_scenario
 from avcalib.roadsim import (
-    CHANGE_LEFT,
-    CHANGE_RIGHT,
-    STAY,
+    BehaviorSpec,
+    Entrance,
     FvdParams,
     GippsParams,
     IdmParams,
     KraussParams,
     LaneChangeParams,
-    NeighborView,
+    Link,
+    RoadNetwork,
+    ScenarioConfig,
+    Simulation,
     W99Params,
-    lane_change_decision,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -218,91 +219,89 @@ CF = IdmParams()
 LC = LaneChangeParams()
 
 
-def side(leader=None, follower=None, speed=15.0):
-    """A neighbour lane with the acceleration behind its leader."""
-    return NeighborView(leader, follower, cf_accel(CF, speed, leader))
+def advantage(leader=None, current=(8.0, 5.0), speed=15.0):
+    """The acceleration advantage of a side with `leader` (None for none) for
+    a vehicle at `speed` behind `current` in its own lane."""
+    return cf_accel(CF, speed, leader) - cf_accel(CF, speed, current)
 
 
 def test_blocked_by_slow_leader_with_empty_target_changes():
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
-        left=side(),  # empty lane
-        right=None,
-        params=LC,
-    )
-    assert decision == CHANGE_LEFT
+    assert LC.accepts(15.0, advantage(), None, None)
 
 
 def test_close_fast_rear_vehicle_blocks_change():
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
-        left=side(follower=(1.0, 20.0)),
-        right=None,
-        params=LC,
-    )
-    assert decision == STAY
+    assert not LC.accepts(15.0, advantage(), None, (1.0, 20.0))
+
+
+def test_close_or_much_slower_target_leader_blocks_change():
+    # the front margin is 2.0 * 0.6 = 1.2 m; 10 m behind a vehicle 10 m/s
+    # slower the changer would need -5.7 m/s^2, beyond max_decel_own
+    assert LC.accepts(15.0, 1.0, (10.0, 15.0), None)
+    assert not LC.accepts(15.0, 1.0, (1.0, 15.0), None)
+    assert not LC.accepts(15.0, 1.0, (10.0, 5.0), None)
+    assert LaneChangeParams(max_decel_own=-6.0).accepts(15.0, 1.0, (10.0, 5.0), None)
 
 
 def test_symmetric_conditions_stay():
-    same = side(leader=(40.0, 15.0), follower=(40.0, 15.0))
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (40.0, 15.0)),
-        left=same,
-        right=same,
-        params=LC,
-    )
-    assert decision == STAY
-
-
-def test_right_preferred_on_equal_advantage():
-    empty = side()
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
-        left=empty,
-        right=empty,
-        params=LC,
-    )
-    assert decision == CHANGE_RIGHT
+    same = (40.0, 15.0)
+    assert not LC.accepts(15.0, advantage(same, current=same), same, same)
 
 
 def test_absent_neighbors_mean_infinite_gaps():
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
-        left=side(leader=None, follower=None),
-        right=None,
-        params=LC,
-    )
-    assert decision == CHANGE_LEFT
+    # None stands for a vehicle too far away to matter, ahead or behind
+    assert LC.accepts(15.0, advantage(), None, None)
+    assert LC.accepts(15.0, advantage(), (1e9, 0.0), (1e9, 30.0))
 
 
 def test_trailing_decel_bound_respected():
-    # follower approaching fast: the induced braking exceeds the bound
-    strict = LaneChangeParams(max_decel_trailing=-0.5)
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (8.0, 5.0)),
-        left=side(follower=(12.0, 24.0)),
-        right=None,
-        params=strict,
-    )
-    assert decision == STAY
+    # follower approaching fast: the induced braking (-3.75 m/s^2) exceeds
+    # the bound
+    fast = (12.0, 24.0)
+    assert not LaneChangeParams(max_decel_trailing=-0.5).accepts(15.0, advantage(), None, fast)
+    assert LaneChangeParams(max_decel_trailing=-4.0).accepts(15.0, advantage(), None, fast)
 
 
 def test_insufficient_advantage_stays():
-    slightly_better = side(leader=(42.0, 15.0))
-    decision = lane_change_decision(
-        15.0,
-        a_current=cf_accel(CF, 15.0, (40.0, 15.0)),
-        left=slightly_better,
-        right=None,
-        params=LC,
+    slightly_better = (42.0, 15.0)
+    assert not LC.accepts(15.0, advantage(slightly_better, current=(40.0, 15.0)),
+                          slightly_better, None)
+
+
+def first_step_lane_changes(ahead):
+    """The target lanes of the changes started on the first step by a
+    vehicle at 15 m/s, 8 m behind a fixed vehicle at 5 m/s in the middle of
+    three lanes, when each side lane is empty but for a fixed vehicle at
+    15 m/s `ahead[lane]` m ahead."""
+    net = RoadNetwork(
+        links=(Link(id="A", length=1000.0, lane_count=3, speed_limit=72.0),),
+        entrances=(Entrance(id="E1", link="A"),),
+        subject_route=("A",),
     )
-    assert decision == STAY
+    cfg = ScenarioConfig(
+        network=net, entrance_inputs={"E1": 0.0},
+        behavior={"background": BehaviorSpec(CF, LC)},
+        total_time=10.0, warmup_time=9.0, time_step=0.1,
+    )
+    sim = Simulation([cfg])
+    length = cfg.vehicle_length
+    changer = sim.add_vehicle(lane=2, pos=100.0, speed=15.0)
+    sim.add_vehicle(lane=2, pos=100.0 + length + 8.0, speed=5.0, fixed=True)
+    for lane, gap in ahead.items():
+        sim.add_vehicle(lane=lane, pos=100.0 + length + gap, speed=15.0, fixed=True)
+    sim.step()
+    return [lc.to_lane for lc in sim.logs[0].lane_changes if lc.vehicle_id == changer]
+
+
+def test_right_preferred_on_equal_advantage():
+    assert first_step_lane_changes({}) == [1]
+    assert first_step_lane_changes({1: 60.0, 3: 60.0}) == [1]
+
+
+def test_larger_advantage_wins():
+    # both sides pay off, and the one with the farther leader pays more
+    assert LC.accepts(15.0, advantage((60.0, 15.0)), (60.0, 15.0), None)
+    assert first_step_lane_changes({1: 60.0}) == [3]
+    assert first_step_lane_changes({3: 60.0}) == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from avcalib.demo import showcase_scenario
-from avcalib.roadsim import ScenarioConfig, scenario_from_dict, scenario_to_dict
+from avcalib.roadsim import LaneChangeParams, ScenarioConfig, scenario_from_dict, scenario_to_dict
 
 
 DROP = object()
@@ -60,3 +60,18 @@ def test_impossible_scenario_values_are_rejected_at_load(key, value, message):
     d[key] = value
     with pytest.raises(ValueError, match=message):
         scenario_from_dict(d)
+
+
+def test_only_parameter_fields_are_written():
+    # a plain attribute on a params object, like the car-following
+    # families' ``terms``, is not a parameter and must not reach the JSON
+    lc = LaneChangeParams(advantage_threshold=0.3)
+    object.__setattr__(lc, "derived", 1.0)
+    sc = showcase_scenario(3)
+    sc = replace(sc, behavior={
+        **sc.behavior, "background": replace(sc.behavior["background"], lane_change=lc),
+    })
+    d = scenario_to_dict(sc)
+    assert list(d["behavior"]["background"]["lane_change"]) == [f.name for f in fields(lc)]
+    assert "terms" not in d["behavior"]["background"]["car_following"]
+    assert scenario_from_dict(d) == sc

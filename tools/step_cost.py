@@ -26,10 +26,9 @@ skip did not settle) and lane changes:
 The sampling layers report µs per detection record, each the minimum of
 `--repeats` in this process:
 
-* ``sample-ga`` and ``sample-batch16``: the detector sink, as the minimum
-  time of the run with a ``VirtualDetector`` sink less the minimum with a
-  sink that does nothing (the two alternate), ``virtual_detector_sample``,
-  and the two together (``detector_us_per_record``);
+* ``sample-ga`` and ``sample-batch16``: the detector sink, as the CPU time
+  of its own calls summed over a run, ``virtual_detector_sample``, and the
+  two together (``detector_us_per_record``);
 * ``sample-ga`` and ``sample-merge``: ``extract_events`` and
   ``compute_traffic_mops`` on the ga truth run's dataset and on the
   merge-fine-step workload's field file (its field data, parsed back).
@@ -43,9 +42,7 @@ pairs in alternating order, and prints per run and µs metric the median of
 the paired ratios this / other: a drift of the host over minutes moves both
 sides of a pair alike. It also lists every count (steps, vehicle-steps,
 lane-change evaluations and scans, lane changes, records, observations)
-that differs between the two checkouts. The script also runs on a
-checkout whose sinks serve one case each (a ``CaseView`` per case and
-step): there each case gets a sink of its own.
+that differs between the two checkouts.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ from avcalib.pipeline import (  # noqa: E402
     derive_scenario_seed,
     generate_field_data,
 )
-from avcalib import roadsim  # noqa: E402
 from avcalib.roadsim import (  # noqa: E402
     BehaviorSpec,
     VirtualDetector,
@@ -129,31 +125,15 @@ RUNS = {
 }
 
 
-# a checkout whose sinks serve one case each takes a list of sinks
-PER_CASE = hasattr(roadsim, "CaseView")
-
-
-def detector(configs):
-    """The detector sink of the batch `configs`."""
-    return [VirtualDetector(cfg) for cfg in configs] if PER_CASE else VirtualDetector(configs)
-
-
-def no_sink(configs):
-    """A sink of the batch `configs` that does nothing."""
-    return [lambda case: None] * len(configs) if PER_CASE else lambda sim: None
-
-
-def samples(sink, configs):
-    """Each case's dataset of the detector sink `sink` of `configs`."""
-    if PER_CASE:
-        return [virtual_detector_sample(d) for d in sink]
-    return [virtual_detector_sample(sink, c) for c in range(len(configs))]
+def samples(detector, configs):
+    """Each case's dataset of `detector`, the sink of `configs`."""
+    return [virtual_detector_sample(detector, c) for c in range(len(configs))]
 
 
 def simulate(configs, sink=None):
     """The logs of `configs` run as one batch through `sink` (default: the
     detector)."""
-    logs = run_batch(configs, sink or detector(configs))
+    logs = run_batch(configs, sink or VirtualDetector(configs))
     for log in logs:
         if log.stopped_by is not None:
             raise log.stopped_by
@@ -194,15 +174,25 @@ def _us(seconds, records):
 
 
 def measure_sink(configs, repeats):
-    """The detector sink and ``virtual_detector_sample`` per record."""
-    with_sink, bare = [], []
+    """The detector sink and ``virtual_detector_sample`` per record; the
+    sink's cost is the least, over `repeats` runs, of its calls' CPU time
+    summed over the run."""
+    sink = None
     for _ in range(repeats):
-        det = detector(configs)
-        with_sink.append(least(lambda: simulate(configs, det), 1)[0])
-        bare.append(least(lambda: simulate(configs, no_sink(configs)), 1)[0])
+        det = VirtualDetector(configs)
+        spent = 0.0
+
+        def timed(sim):
+            nonlocal spent
+            t0 = time.process_time()
+            dropped = det(sim)
+            spent += time.process_time() - t0
+            return dropped
+
+        simulate(configs, timed)
+        sink = spent if sink is None else min(sink, spent)
     sample, datasets = least(lambda: samples(det, configs), repeats)
     records = sum(len(ds) for ds in datasets)
-    sink = min(with_sink) - min(bare)
     return {
         "records": records,
         "sink_us_per_record": _us(sink, records),
@@ -236,7 +226,7 @@ def merge_field_file():
 def sample_ga(repeats):
     configs = RUNS["ga"]()
     out = measure_sink(configs, repeats)
-    det = detector(configs)
+    det = VirtualDetector(configs)
     simulate(configs, det)
     out.update(measure_extraction(samples(det, configs)[0], repeats))
     return out
