@@ -106,8 +106,8 @@ class Stage2Config:
     saga: SagaConfig = field(default_factory=SagaConfig)
 
     def __post_init__(self):
-        if self.k_critical > len(self.candidates):
-            raise ValueError("k_critical exceeds the number of candidate parameters")
+        if not 1 <= self.k_critical <= len(self.candidates):
+            raise ValueError("k_critical must lie between 1 and the number of candidate parameters")
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,14 @@ class CalibrationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        """Reject a config that cannot run: both stages' parameter spaces
+        and orthogonal arrays are built here, as the stages build them."""
         if self.replications < 1:
             raise ValueError("replication count must be >= 1")
+        if self.workers < 1:
+            raise ValueError("worker count must be >= 1")
+        build_orthogonal_array(self.stage1.levels, len(_inflow_space(self)))
+        build_orthogonal_array(self.stage2.levels, len(_candidate_space(self)))
 
 
 def derive_scenario_seed(master_seed: int, replication: int) -> int:
@@ -445,10 +451,7 @@ def run_stage1(
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
     )
-    initial = {
-        eid: cfg.scenario.entrance_inputs[eid] for eid in sorted(cfg.scenario.entrance_inputs)
-    }
-    space = build_parameter_space(initial, cfg.stage1.delta)
+    space = _inflow_space(cfg)
     oa = build_orthogonal_array(cfg.stage1.levels, len(space))
     cases = map_levels_to_values(oa, space)
     ctx = EvalContext(
@@ -464,7 +467,7 @@ def run_stage1(
         evaluator = CaseEvaluator()
 
     def outcomes():
-        start, size = 0, max(1, cfg.workers)
+        start, size = 0, cfg.workers
         while start < len(cases):
             chunk = cases[start : start + size]
             yield from zip(chunk, evaluator.evaluate_all([c.values for c in chunk], ctx))
@@ -511,6 +514,12 @@ class Stage2Result:
     n_simulations_phase2: int
     field_mops: MopVector
     field_events: object  # the field data's extracted events
+
+
+def _inflow_space(cfg: CalibrationConfig) -> ParameterSpace:
+    """Stage 1's parameters: the entrance inputs, in id order."""
+    inputs = cfg.scenario.entrance_inputs
+    return build_parameter_space({eid: inputs[eid] for eid in sorted(inputs)}, cfg.stage1.delta)
 
 
 def _candidate_space(cfg: CalibrationConfig) -> ParameterSpace:

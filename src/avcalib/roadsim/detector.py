@@ -3,13 +3,14 @@
 ``VirtualDetector`` is the sink of a batch (see ``engine.py``). On each live
 step it makes one pass over the whole batch: it finds every case's subject
 and the rows whose route position is within the detection range of their
-case's subject, and keeps those rows whole, the subjects among them. A
-running case without a subject on a live step goes back to the engine,
-which stops that case with ``MissingSubjectError``.
+case's subject, and keeps those rows whole, the subjects among them. It
+tells the cases apart by the rows' ``case`` column alone, whatever the
+order of the rows. A running case without a subject on a live step goes
+back to the engine, which stops that case with ``MissingSubjectError``.
 
 Every ``PACK_STEPS`` live steps the kept rows are packed into one block of
 columns: per record (one subject on one step) its case, time, subject
-values and observation count, per observation its vehicle values and
+values and observation count, per observation its case, vehicle values and
 position relative to its subject. ``virtual_detector_sample`` cuts one
 case out of a finished run into the columns of a validated
 ``FieldDataset``: positions front-positive / left-positive, speeds in km/h,
@@ -70,15 +71,12 @@ class VirtualDetector:
             return None
         arc = sim.arc0 + sim.pos
         subjects = sim.kind.nonzero()[0]  # the subject is the only nonzero kind
-        # each case's subject arc, by case: the subjects are in case order
-        subject_arc = arc[subjects]
-        missing = None
-        if len(subjects) < len(self.configs):
-            # a case has stopped or has no subject: nan puts its rows
-            # outside every window
-            subject_arc = np.full(len(self.configs), np.nan)
-            subject_arc[sim.case[subjects]] = arc[subjects]
-            missing = [c for c in sim.active if np.isnan(subject_arc[c])] or None
+        # each case's subject arc, by case; a stopped case has no rows
+        subject_arc = np.empty(len(self.configs))
+        lacking = len(subjects) < len(sim.active)
+        if lacking:  # a running case has no subject: nan keeps its rows out of every window
+            subject_arc.fill(np.nan)
+        subject_arc[sim.case[subjects]] = arc[subjects]
         rel = arc - subject_arc[sim.case]
         # detection_range straddles 0, so each subject keeps its own row
         inside = rel >= self.rear
@@ -88,7 +86,9 @@ class VirtualDetector:
         if len(self.steps) == PACK_STEPS:
             self.blocks.append(_pack(self.steps, len(self.configs)))
             self.steps = []
-        return missing
+        if lacking:
+            return [c for c in sim.active if np.isnan(subject_arc[c])]
+        return None
 
     def _columns(self) -> tuple:
         """Every block packed so far and the steps not yet packed, as one
@@ -104,8 +104,10 @@ class VirtualDetector:
 def _pack(steps, n_cases: int) -> tuple:
     """The rows kept on `steps` as columns: per record, its case, time,
     link, lane, route position, lat, speed, accel, lat_rate and number of
-    observations (``_RECORD_COLUMNS`` columns); per observation, its id,
-    lane, position relative to its subject, lat, speed and lat_rate."""
+    observations (``_RECORD_COLUMNS`` columns); per observation, its case,
+    id, lane, position relative to its subject, lat, speed and lat_rate.
+    Records and observations are in step order, and within a step in row
+    order."""
     counts = np.array([len(floats) for _, floats, _ in steps])
     floats = np.concatenate([floats for _, floats, _ in steps])
     ints = np.concatenate([ints for *_, ints in steps])
@@ -114,16 +116,16 @@ def _pack(steps, n_cases: int) -> tuple:
     arc = floats[:, _ARC0] + floats[:, _POS]
     # a record is the rows one case kept on one step, its subject among them
     key = np.repeat(np.arange(len(steps)) * n_cases, counts) + case
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    record = np.cumsum(first) - 1
     is_subject = ints[:, _KIND] == KIND_SUBJECT
     s, o = is_subject.nonzero()[0], (~is_subject).nonzero()[0]
-    of = record[o]
+    record = np.empty(len(steps) * n_cases, dtype=np.int64)
+    record[key[s]] = np.arange(len(s))
+    of = record[key[o]]
     times = np.repeat(np.array([t for t, *_ in steps]), counts)
     return (
         case[s], times[s], link[s], lane[s], arc[s], lat[s], speed[s], accel[s], lat_rate[s],
         np.bincount(of, minlength=len(s)),
+        case[o].astype(np.min_scalar_type(n_cases)),
         vid[o], lane[o], arc[o] - arc[s][of], lat[o], speed[o], lat_rate[o],
     )
 
@@ -135,11 +137,11 @@ def virtual_detector_sample(detector: VirtualDetector, case: int) -> FieldDatase
     records, observations = columns[:_RECORD_COLUMNS], columns[_RECORD_COLUMNS:]
     mine = records[0] == case
     if not mine.all():  # cut the case out; a case that owns every record takes no copy
-        seen = np.repeat(mine, records[-1])
+        seen = observations[0] == case
         records = [column[mine] for column in records]
         observations = [column[seen] for column in observations]
     _case, times, link, lane, arc, lat, speed, accel, lat_rate, counts = records
-    vid, o_lane, rel, o_lat, o_speed, o_lat_rate = observations
+    _o_case, vid, o_lane, rel, o_lat, o_speed, o_lat_rate = observations
     cfg = detector.configs[case]
     n = len(times)
     heading = np.zeros(len(vid))

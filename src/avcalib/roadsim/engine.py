@@ -10,12 +10,13 @@ bit.
 
 State lives in numpy arrays, one row per vehicle (``FLOAT_FIELDS`` and
 ``INT_FIELDS``: link, lane, pos, speed, accel, lateral offset and rate,
-lane-change timers, desired speed, kind, case); the rows of a case are
-contiguous and in insertion order, and the cases follow in order. Each step
-runs synchronously from a pre-step snapshot, in this order: insert the
-subject (at the end of warm-up) and queued arrivals; count the step on each
-case's log and hand the batch to the sink; find every vehicle's leader, then
-take car-following and lane-change decisions for every vehicle against the
+lane-change timers, desired speed, kind, case), in insertion order over
+the whole batch: a new vehicle's row is the last row, whatever its case,
+and a vehicle that leaves takes its row with it. Each step runs
+synchronously from a pre-step snapshot, in this order: insert the subject
+(at the end of warm-up) and queued arrivals; count the step on each case's
+log and hand the batch to the sink; find every vehicle's leader, then take
+car-following and lane-change decisions for every vehicle against the
 snapshot; integrate once (explicit Euler, speed clamped at zero) and move
 vehicles across link ends; sort the lane index; push back overlapping
 vehicles. Lane changes flip the lane at the midpoint of a fixed-duration
@@ -123,8 +124,8 @@ INT_COLUMN = {name: k for k, name in enumerate(INT_FIELDS)}
 _POS, _SPEED, _ACCEL, _V_DES = (
     FLOAT_COLUMN[name] for name in ("pos", "speed", "accel", "v_des")
 )
-_CASE, _SLOT, _LINK, _LANE, _LC_SWITCHED = (
-    INT_COLUMN[name] for name in ("case", "slot", "link", "lane", "lc_switched")
+_SLOT, _LINK, _LANE, _LC_SWITCHED = (
+    INT_COLUMN[name] for name in ("slot", "link", "lane", "lc_switched")
 )
 # lc_start is nan while a vehicle is not changing lanes
 _NEW_FLOATS = dict(lat=0.0, accel=0.0, lat_rate=0.0, lc_start=math.nan)
@@ -292,8 +293,8 @@ def record_frame(sim: Simulation) -> None:
     """The recording sink: append each running case's vehicles, in id order,
     to its log's frames."""
     for c in sim.active:
-        lo = sim._bounds[c]
-        order = lo + np.argsort(sim.vid[lo:sim._bounds[c + 1]], kind="stable")
+        (rows,) = (sim.case == c).nonzero()
+        order = rows[np.argsort(sim.vid[rows], kind="stable")]
         speed = sim.speed[order]
         lat_rate = sim.lat_rate[order]
         heading = np.zeros(len(order))
@@ -371,8 +372,9 @@ class Simulation:
     their network, time step, warm-up, horizon, vehicle length and
     detection range. Single-threaded and self-contained; instances never
     share mutable state. A sink reads ``active``, the cases still running,
-    and the rows ``floats`` and ``ints``. ``add_vehicle``, ``row`` and
-    ``vehicle`` serve tests and custom setups."""
+    and the rows ``floats`` and ``ints``, in insertion order (the ``case``
+    column tells the cases apart). ``add_vehicle``, ``row`` and ``vehicle``
+    serve tests and custom setups."""
 
     def __init__(self, configs):
         self.configs = list(configs)
@@ -456,7 +458,7 @@ class Simulation:
         self._float_store = np.empty((64, len(FLOAT_FIELDS)))
         self._int_store = np.empty((64, len(INT_FIELDS)), dtype=np.int64)
         self._n = 0
-        self._bounds = [0] * (len(self.configs) + 1)  # case c: rows bounds[c] to bounds[c + 1]
+        self._vehicles = [0] * len(self.configs)  # per case
         self._bind()
         # the lane index: each sorted entry's row, group key and pos
         self._order = np.empty(0, dtype=np.int64)
@@ -467,7 +469,6 @@ class Simulation:
         self._leaders = (-1,)  # who leads whom, per structure
         self._restructured = True  # since the last sort
         self._key_list = None
-        self._new_rows = []  # the cases of rows inserted and not yet settled
         self._group_ids = np.arange(self._n_groups + 2)
         self._derive()
 
@@ -543,8 +544,8 @@ class Simulation:
 
     def _insert_row(self, c: int, kind: int, link: int, lane: int, pos: float, **values) -> None:
         """Store a vehicle of case `c` after every row and merge it into the
-        lane index's lists, after any members of its group at an equal pos.
-        ``_settle_rows`` then files it after its case's other rows."""
+        lane index's lists, after any members of its group at an equal pos;
+        ``_settle_rows`` then makes the rows and the index whole."""
         model = self._cases[c].cf[kind]
         desired = self._limits[link] if model.desired_speed is None else model.desired_speed
         values.update(
@@ -572,46 +573,23 @@ class Simulation:
         if self._pairs is not None:
             rows, first, second = self._pairs
             self._pairs = (rows, first + (first >= at), second + (second >= at))
-        self._new_rows.append(c)
+        self._vehicles[c] += 1
 
     def _settle_rows(self) -> None:
-        """After insertions: file the new rows after their cases' other rows
-        and rebuild the lane index's arrays from its lists."""
+        """After insertions: take in the new rows and rebuild the lane
+        index's arrays from its lists."""
         order, positions, _starts = self._lists
         self._order = np.asarray(order, dtype=np.int64)
         self._keys = np.asarray(self._key_list, dtype=np.int64)
         self._epos = np.asarray(positions)
-        settled = self._bounds[-1]
-        last_case = int(self._int_store[settled - 1, _CASE]) if settled else -1
-        in_order = self._new_rows[0] >= last_case and all(
-            a <= b for a, b in zip(self._new_rows, self._new_rows[1:])
-        )
-        for c in self._new_rows:
-            for k in range(c + 1, len(self._bounds)):
-                self._bounds[k] += 1
-        self._new_rows = []
         self._bind()
-        if not in_order:
-            perm = np.argsort(self.case, kind="stable")
-            self._float_store[:self._n] = self.floats[perm]
-            self._int_store[:self._n] = self.ints[perm]
-            self._bind()
-            moved = np.empty(self._n, dtype=np.int64)
-            moved[perm] = np.arange(self._n)
-            self._order = moved[self._order]
-            if self._pairs is not None:
-                rows, first, second = self._pairs
-                self._pairs = (moved[rows], first, second)
         self._derive()
 
     def _drop_rows(self, keep: np.ndarray) -> None:
-        """Keep only the rows where `keep` holds; the lane index is stale
-        until the next ``_sort``."""
+        """Keep only the rows where `keep` holds, in their order; the lane
+        index is stale until the next ``_sort``."""
         counts = np.bincount(self.case[~keep], minlength=len(self.configs)).tolist()
-        removed = 0
-        for c, n in enumerate(counts):
-            removed += n
-            self._bounds[c + 1] -= removed
+        self._vehicles = [n - gone for n, gone in zip(self._vehicles, counts)]
         self._restructured = True
         n = int(np.count_nonzero(keep))
         self._float_store[:n] = self.floats[keep]
@@ -626,11 +604,10 @@ class Simulation:
 
     def row(self, vid: int, case: int = 0) -> int:
         """The row of vehicle `vid` of `case`."""
-        lo, hi = self._bounds[case], self._bounds[case + 1]
-        (rows,) = np.nonzero(self.vid[lo:hi] == vid)
+        (rows,) = ((self.case == case) & (self.vid == vid)).nonzero()
         if not len(rows):
             raise KeyError(f"no vehicle {vid} in case {case}")
-        return lo + int(rows[0])
+        return int(rows[0])
 
     def vehicle(self, vid: int, case: int = 0) -> dict:
         """The state of vehicle `vid` of `case` as {field: value}, in plain
@@ -980,9 +957,10 @@ class Simulation:
 
     def add_vehicle(self, link_idx=0, lane=1, pos=10.0, speed=0.0, kind=KIND_BACKGROUND,
                     fixed=False, factor=1.0, case=0) -> int:
-        """Insert a vehicle directly into `case` and return its id. A fixed
-        vehicle keeps its speed and never changes lanes. Its link must be on
-        the route, its lane on its link and its pos on its link."""
+        """Insert a vehicle directly into `case` and return its id; its row
+        is the last row. A fixed vehicle keeps its speed and never changes
+        lanes. Its link must be on the route, its lane on its link and its
+        pos on its link."""
         if not 0 <= link_idx < len(self.route):
             raise ValueError(f"link index {link_idx} is off the route")
         if not 1 <= lane <= self._counts[link_idx]:
@@ -1340,24 +1318,13 @@ class Simulation:
                 case.collision_pairs = overlapping.get(c, set())
 
     def _count_gridlock(self):
-        """Add the step to the gridlock time of every case whose vehicles
-        all crawl; reset it for the others."""
-        bounds = self._bounds
-        if len(self.active) == 1:  # one case: no reduceat
-            case = self._cases[self.active[0]]
-            if self._n and self.speed.max() < GRIDLOCK_SPEED:
-                case.gridlock_accum += self.dt
-            else:
-                case.gridlock_accum = 0.0
-            return
-        filled = [c for c in self.active if bounds[c + 1] > bounds[c]]
-        crawling = ()
-        if filled:
-            top = np.maximum.reduceat(self.speed, [bounds[c] for c in filled])
-            crawling = [c for c, slow in zip(filled, (top < GRIDLOCK_SPEED).tolist()) if slow]
+        """Add the step to the gridlock time of every case with vehicles
+        that all crawl; reset it for the others."""
+        fast = self.case[self.speed >= GRIDLOCK_SPEED]
+        moving = np.bincount(fast, minlength=len(self.configs)).tolist()
         for c in self.active:
             case = self._cases[c]
-            if c in crawling:
+            if self._vehicles[c] and not moving[c]:
                 case.gridlock_accum += self.dt
             else:
                 case.gridlock_accum = 0.0
@@ -1373,13 +1340,12 @@ class Simulation:
                 self._insert_subject(c)
             if case.first_arrival < horizon or case.queued:
                 self._spawn_step(c)
-        if self._new_rows:
+        if len(self.floats) < self._n:  # rows were inserted
             self._settle_rows()
         live = not self.time < self.configs[0].warmup_time
-        bounds = self._bounds
         for c in self.active:
             log = self.logs[c]
-            n = bounds[c + 1] - bounds[c]
+            n = self._vehicles[c]
             log.steps += 1
             log.vehicle_steps += n
             if live:

@@ -740,6 +740,32 @@ def test_stage2_requires_sane_k():
         Stage2Config(candidates=(CandidateParam(id="background.cf.T"),), k_critical=2)
 
 
+_T = CandidateParam(id="background.cf.T")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("workers", 0),
+    ("workers", -3),
+    ("stage1.levels", 1),
+    ("stage2.levels", 1),
+    *((f"stage{k}.delta", delta) for k in (1, 2) for delta in (0.0, -0.1, 1.5)),
+    ("stage2.k_critical", 0),
+    ("stage2.candidates", (_T, CandidateParam(id="background.cf.no_such_term"))),
+    ("stage2.candidates", (_T, _T)),
+    ("stage2.candidates", (_T, CandidateParam(id="background.cf.s0", lower=2.0, upper=2.0))),
+])
+def test_a_config_that_cannot_run_is_rejected_when_built(micro_scenario, field, value):
+    # each of these used to load, and failed (or ran serially) only once
+    # the calibration reached the stage that needs it
+    cfg = micro_calibration(micro_scenario)
+    block, _, name = field.rpartition(".")
+    with pytest.raises(ValueError):
+        if block:
+            replace(cfg, **{block: replace(getattr(cfg, block), **{name: value})})
+        else:
+            replace(cfg, **{name: value})
+
+
 def test_workers_1_and_2_write_identical_artifacts(micro_scenario, tmp_path):
     field = generate_field_data(
         apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0

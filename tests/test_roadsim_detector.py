@@ -52,24 +52,42 @@ def default_times(config, rows_per_frame):
     return [config.warmup_time + k * config.time_step for k in range(len(rows_per_frame))]
 
 
-def detect_batch(config, frames_per_case, times=None):
+# added to a placed vehicle's id until every vehicle of the frame is placed,
+# so that it cannot collide with an id the engine hands out
+PLACED = 1000
+
+
+def detect_batch(config, frames_per_case, times=None, case_order=None):
     """Hand a detector of a batch of copies of `config` one step per frame,
     each case's vehicles of a frame placed as (vid, kind, link_idx, lane,
-    pos, lat, speed) in a simulation of their own, and return each case's
-    dataset. A frame in which a case has no subject raises
+    pos, lat, speed) in a simulation of their own, the cases in
+    `case_order` (default: in order), each vehicle addressed by ``row`` with
+    the id ``add_vehicle`` returned and found again by ``vehicle``; return
+    each case's dataset. A frame in which a case has no subject raises
     ``MissingSubjectError``, as the engine does when the detector reports
     the case."""
     detector = VirtualDetector([config] * len(frames_per_case))
     if times is None:
         times = default_times(config, frames_per_case[0])
+    if case_order is None:
+        case_order = range(len(frames_per_case))
     for k, t in enumerate(times):
         sim = Simulation([config] * len(frames_per_case))
+        for c in case_order:
+            for vid, kind, link_idx, lane, pos, lat, speed in frames_per_case[c][k]:
+                added = sim.add_vehicle(link_idx=link_idx, lane=lane, pos=pos, speed=speed,
+                                        kind=kind, case=c)
+                r = sim.row(added, c)
+                sim.vid[r] = PLACED + vid
+                sim.lat[r] = lat
+        sim.vid[:] -= PLACED
         for c, frames in enumerate(frames_per_case):
             for vid, kind, link_idx, lane, pos, lat, speed in frames[k]:
-                sim.add_vehicle(link_idx=link_idx, lane=lane, pos=pos, speed=speed, kind=kind,
-                                case=c)
-                sim.vid[-1] = vid  # the newest vehicle is the last row
-                sim.lat[-1] = lat
+                state = sim.vehicle(vid, c)
+                assert (state["case"], state["kind"], state["link"], state["lane"]) == (
+                    c, kind, link_idx, lane
+                )
+                assert (state["pos"], state["lat"], state["speed"]) == (pos, lat, speed)
         sim.time = t
         missing = detector(sim)
         if missing:
@@ -204,14 +222,19 @@ def test_detector_equals_brute_force_filter(seed):
     assert _ids_and_offsets(detect(cfg, frames)) == _brute_force_records(cfg, frames)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_each_case_of_a_batch_sees_only_its_own_vehicles(seed):
+@pytest.mark.parametrize("seed, case_order", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in range(4)),
+    # the rows of the three cases interleave: the detector must tell them
+    # apart by their case alone
+    *(pytest.param(seed, (2, 1, 0), id=f"{seed}-cases-2-1-0") for seed in range(4)),
+])
+def test_each_case_of_a_batch_sees_only_its_own_vehicles(seed, case_order):
     # the cases' vehicles share route positions; each case's subject must
     # see its own vehicles only
     rng = np.random.default_rng(seed)
     cfg = make_config(lengths=(400.0, 300.0, 500.0), lanes=3, rng=(-120.0, 90.0))
     frames = [_random_frames(rng, cfg, n_veh=int(rng.integers(0, 8))) for _ in range(3)]
-    for ds, case_frames in zip(detect_batch(cfg, frames), frames):
+    for ds, case_frames in zip(detect_batch(cfg, frames, case_order=case_order), frames):
         assert _ids_and_offsets(ds) == _brute_force_records(cfg, case_frames)
 
 

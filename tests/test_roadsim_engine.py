@@ -477,6 +477,15 @@ def test_add_vehicle_rejects_a_link_or_lane_off_the_route(link_idx, lane):
     assert sim.vehicle(1)["link"] == 3 and sim.vehicle(1)["lane"] == 2
 
 
+def test_a_new_vehicle_takes_the_last_row_whatever_its_case():
+    # the rows of a batch are in insertion order, not grouped by case
+    sim = Simulation([showcase_scenario(0)] * 3)
+    placed = [(c, sim.add_vehicle(pos=10.0 * (k + 1), case=c)) for k, c in enumerate((2, 0, 1, 0))]
+    assert [sim.row(vid, c) for c, vid in placed] == [0, 1, 2, 3]
+    assert sim.case.tolist() == [2, 0, 1, 0]
+    assert sim.vehicle(2, case=0)["pos"] == 40.0
+
+
 def test_fixed_vehicle_keeps_its_speed_through_a_pushback():
     # a fixed vehicle runs into a slower free one: the pushback moves it
     # back, but it keeps its speed, as add_vehicle promises

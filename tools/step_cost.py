@@ -8,7 +8,8 @@ Each run simulates through the virtual detector, as a calibration does, and
 reports the minimum CPU time (``time.process_time``) of `--repeats` runs in
 this process, in µs per step and per vehicle-step, with the run's
 lane-change evaluations, neighbour-lane scans (the evaluations the exact
-skip did not settle) and lane changes:
+skip did not settle) and lane changes, and the number of function calls
+(``calls``, Python and built-in, as cProfile counts them) of one more run:
 
 * ``ga``: the ga-search-2w workload's truth scenario (about 17 vehicles);
 * ``recovery``: the recovery study's truth scenario (about 45 vehicles);
@@ -42,16 +43,20 @@ pairs in alternating order, and prints per run and µs metric the median of
 the paired ratios this / other: a drift of the host over minutes moves both
 sides of a pair alike. It also lists every count (steps, vehicle-steps,
 lane-change evaluations and scans, lane changes, records, observations)
-that differs between the two checkouts.
+that differs between the two checkouts, and apart from those, per run the
+``calls`` of each checkout on each pair: a change to the hot path shows in
+them even when the host's noise hides it in the times.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import functools
 import io
 import json
 import os
+import pstats
 import statistics
 import subprocess
 import sys
@@ -151,6 +156,14 @@ def least(fn, repeats):
     return best, result
 
 
+def calls(fn) -> int:
+    """The number of function calls, Python and built-in, of one call of
+    `fn`."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return pstats.Stats(profile).total_calls
+
+
 def measure(configs, repeats):
     best, logs = least(lambda: simulate(configs), repeats)
     steps = max(log.steps for log in logs)
@@ -166,6 +179,7 @@ def measure(configs, repeats):
         "lc_evaluations": sum(log.lc_evaluations for log in logs),
         "lc_scans": sum(log.lc_scans for log in logs),
         "lane_changes": sum(len(log.lane_changes) for log in logs),
+        "calls": calls(lambda: simulate(configs)),
     }
 
 
@@ -255,13 +269,14 @@ _ON_CHECKOUT = (
 def against(other, args) -> dict:
     """Median paired ratio (this / other) per run and µs metric over
     `args.pairs` alternating pairs of fresh processes, one on this
-    checkout's code and one on the other's, and the counts that differ
-    between the two."""
+    checkout's code and one on the other's, the counts that differ between
+    the two, and per run each side's calls on each pair."""
     checkouts = {"this": ROOT, "other": Path(other).resolve()}
     flags = ["--repeats", str(args.repeats)] + [f"--only={name}" for name in args.only or ()]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     ratios: dict = {}
     differ = set()
+    counted: dict = {}
     for pair in range(args.pairs):
         sides = ["this", "other"] if pair % 2 == 0 else ["other", "this"]
         out = {}
@@ -273,6 +288,10 @@ def against(other, args) -> dict:
             if done.returncode:
                 sys.exit(f"{side} ({checkouts[side]}) failed:\n{done.stderr}")
             out[side] = json.loads(done.stdout)
+        for side in ("this", "other"):
+            for run, metrics in out[side].items():
+                if "calls" in metrics:
+                    counted.setdefault(run, {}).setdefault(side, []).append(metrics["calls"])
         for run, metrics in out["this"].items():
             for metric, value in metrics.items():
                 theirs = out["other"].get(run, {}).get(metric)
@@ -288,6 +307,7 @@ def against(other, args) -> dict:
             for run, metrics in ratios.items()
         },
         "counts_differ": sorted(differ),
+        "calls": counted,
     }
 
 
