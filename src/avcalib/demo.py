@@ -15,12 +15,16 @@ Two corridors ship with the package:
   and a wide desired-speed spread; it produces lane changes and cut-ins and
   is the right input for demonstrating event extraction and the evaluation
   report.
+
+Both run on the same four-link corridor, as does ``paper_truth_scenario``,
+the recovery truth scenario at the paper's step and horizon.
 """
 
 from __future__ import annotations
 
-from .doe import build_orthogonal_array, map_levels_to_values
-from .params import build_parameter_space
+import functools
+from dataclasses import replace
+
 from .pipeline import (
     CalibrationConfig,
     CandidateParam,
@@ -75,27 +79,34 @@ RECOVERY_TRUTH_CASE = 5  # stage-1 design row used as ground-truth inflows
 
 RECOVERY_EXTRACTION = ExtractionConfig(cutin_front_max=100.0, cf_max_gap=40.0)
 
+# L4 of the paper-scale corridor: long enough that the subject, at its
+# desired speed, stays on the route through the 1750 s horizon
+PAPER_L4 = 12000.0
 
-def recovery_scenario(seed: int = 0) -> ScenarioConfig:
-    lengths = {"L1": 500.0, "L2": 700.0, "L3": 1000.0, "L4": 2200.0}
-    names = list(lengths)
+
+def _corridor(l4: float, speed_limit: float, entry_speed: float) -> RoadNetwork:
+    """Four two-lane links in a row, 500, 700 and 1000 m and then `l4` m
+    long, all at `speed_limit` km/h, and the subject's route along them;
+    entrance Ek at the start of link Lk, E2 to E4 at `entry_speed` km/h."""
+    names = ("L1", "L2", "L3", "L4")
     links = tuple(
-        Link(
-            id=n,
-            length=lengths[n],
-            lane_count=2,
-            speed_limit=70.0,
-            downstream=names[i + 1] if i < 3 else None,
-        )
+        Link(id=n, length=length, lane_count=2, speed_limit=speed_limit,
+             downstream=names[i + 1] if i < 3 else None)
+        for i, (n, length) in enumerate(zip(names, (500.0, 700.0, 1000.0, l4)))
+    )
+    entrances = tuple(
+        Entrance(id=f"E{i + 1}", link=n, entry_speed=entry_speed if i else None)
         for i, n in enumerate(names)
     )
-    entrances = (
-        Entrance(id="E1", link="L1"),
-        Entrance(id="E2", link="L2", entry_speed=60.0),
-        Entrance(id="E3", link="L3", entry_speed=60.0),
-        Entrance(id="E4", link="L4", entry_speed=60.0),
-    )
-    network = RoadNetwork(links=links, entrances=entrances, subject_route=tuple(names))
+    return RoadNetwork(links=links, entrances=entrances, subject_route=names)
+
+
+def recovery_scenario(seed: int = 0) -> ScenarioConfig:
+    return _recovery_scenario(seed, 2200.0)
+
+
+def _recovery_scenario(seed: int, l4: float) -> ScenarioConfig:
+    network = _corridor(l4, speed_limit=70.0, entry_speed=60.0)
     lane_change = LaneChangeParams(advantage_threshold=6.0)
     behavior = {
         "background": BehaviorSpec(
@@ -119,24 +130,36 @@ def recovery_scenario(seed: int = 0) -> ScenarioConfig:
 
 
 def recovery_truth_values(scenario: ScenarioConfig | None = None) -> dict:
-    """Ground-truth parameter values for the recovery study: inflows from
-    one stage-1 design case plus the planted behavior values."""
+    """Ground-truth parameter values for the recovery study: the inflows of
+    case RECOVERY_TRUTH_CASE of the recovery calibration's stage-1 design,
+    plus the planted behavior values, `scenario`'s (default: the recovery
+    scenario's) times their factors."""
     if scenario is None:
         scenario = recovery_scenario()
-    space = build_parameter_space(
-        {eid: scenario.entrance_inputs[eid] for eid in sorted(scenario.entrance_inputs)},
-        delta=0.2,
-    )
-    oa = build_orthogonal_array(4, len(space))
-    case = map_levels_to_values(oa, space)[RECOVERY_TRUTH_CASE]
-    truth = dict(case.values)
+    truth = dict(_recovery_stage1_cases()[RECOVERY_TRUTH_CASE].values)
     for path, factor in RECOVERY_PLANTED.items():
         truth[path] = get_parameter(scenario, path) * factor
     return truth
 
 
+@functools.cache
+def _recovery_stage1_cases():
+    # once per process: a whole config takes several times as long to build
+    # as the rest of recovery_truth_values
+    return recovery_calibration_config().stage1_design.cases
+
+
 def recovery_truth_scenario(seed: int = 0) -> ScenarioConfig:
     scenario = recovery_scenario(seed)
+    return apply_parameters(scenario, recovery_truth_values(scenario))
+
+
+def paper_truth_scenario(seed: int = 0) -> ScenarioConfig:
+    """The recovery truth scenario at the paper's scale: 0.1 s steps, a
+    1750 s horizon and a 600 s warm-up, with L4 lengthened to PAPER_L4."""
+    scenario = replace(
+        _recovery_scenario(seed, PAPER_L4), time_step=0.1, total_time=1750.0, warmup_time=600.0
+    )
     return apply_parameters(scenario, recovery_truth_values(scenario))
 
 
@@ -191,25 +214,7 @@ def recovery_calibration_config(
 def showcase_scenario(seed: int = 0) -> ScenarioConfig:
     """Merge corridor with slow on-ramps and a wide desired-speed spread;
     produces lane changes and cut-ins around the subject."""
-    lengths = {"L1": 500.0, "L2": 700.0, "L3": 1000.0, "L4": 2600.0}
-    names = list(lengths)
-    links = tuple(
-        Link(
-            id=n,
-            length=lengths[n],
-            lane_count=2,
-            speed_limit=80.0,
-            downstream=names[i + 1] if i < 3 else None,
-        )
-        for i, n in enumerate(names)
-    )
-    entrances = (
-        Entrance(id="E1", link="L1"),
-        Entrance(id="E2", link="L2", entry_speed=45.0),
-        Entrance(id="E3", link="L3", entry_speed=45.0),
-        Entrance(id="E4", link="L4", entry_speed=45.0),
-    )
-    network = RoadNetwork(links=links, entrances=entrances, subject_route=tuple(names))
+    network = _corridor(2600.0, speed_limit=80.0, entry_speed=45.0)
     behavior = {
         "background": BehaviorSpec(car_following=IdmParams(), lane_change=LaneChangeParams()),
         "subject": BehaviorSpec(

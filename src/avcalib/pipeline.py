@@ -29,11 +29,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .detection import FieldDataset
 from .doe import (
+    OrthogonalArray,
+    TestCase,
     build_orthogonal_array,
     level_values,
     map_levels_to_values,
@@ -110,8 +113,26 @@ class Stage2Config:
             raise ValueError("k_critical must lie between 1 and the number of candidate parameters")
 
 
+class StageDesign(NamedTuple):
+    """A stage's orthogonal-array design: its parameter space, the array
+    over it and the array's runs as parameter values, in run order."""
+
+    space: ParameterSpace
+    array: OrthogonalArray
+    cases: tuple[TestCase, ...]
+
+
+def _design(stage: Stage1Config | Stage2Config, space: ParameterSpace) -> StageDesign:
+    array = build_orthogonal_array(stage.levels, len(space))
+    return StageDesign(space, array, tuple(map_levels_to_values(array, space)))
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
+    """A whole calibration; it keeps both stages' designs as the attributes
+    ``stage1_design`` (the entrance inputs, in id order) and
+    ``stage2_design`` (the candidates), which are not fields."""
+
     scenario: ScenarioConfig
     stage1: Stage1Config
     stage2: Stage2Config
@@ -125,14 +146,16 @@ class CalibrationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        """Reject a config that cannot run: both stages' parameter spaces
-        and orthogonal arrays are built here, as the stages build them."""
+        """Reject a config that cannot run, and keep both stages' designs;
+        building them rejects bad levels, deltas and candidates."""
         if self.replications < 1:
             raise ValueError("replication count must be >= 1")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
-        build_orthogonal_array(self.stage1.levels, len(_inflow_space(self)))
-        build_orthogonal_array(self.stage2.levels, len(_candidate_space(self)))
+        inputs = dict(sorted(self.scenario.entrance_inputs.items()))
+        inflows = build_parameter_space(inputs, self.stage1.delta)
+        object.__setattr__(self, "stage1_design", _design(self.stage1, inflows))
+        object.__setattr__(self, "stage2_design", _design(self.stage2, _candidate_space(self)))
 
 
 def derive_scenario_seed(master_seed: int, replication: int) -> int:
@@ -344,14 +367,14 @@ class CaseEvaluator:
     case once; a stage called without an evaluator makes its own."""
 
     def __init__(self, pool=None, workers: int = 1):
-        self._pool = pool
+        self._map = map if pool is None else pool.map
         self._workers = workers if pool is not None else 1
         self._memo: dict[str, CaseOutcome] = {}
 
     def evaluate_all(self, values_list, ctx: EvalContext) -> list[CaseOutcome]:
         """One outcome per case, in input order. Only cases not seen before
-        in this calibration are simulated, once each: in one batch without
-        a pool, else each worker gets its contiguous share of them as one
+        in this calibration are simulated, once each, every worker (without
+        a pool, this process) taking its contiguous share of them as one
         batch. A repeat gets the stored outcome with n_simulations = 0."""
         keys = [_case_key(values, ctx) for values in values_list]
         new = {}
@@ -359,15 +382,10 @@ class CaseEvaluator:
             if key not in self._memo:
                 new.setdefault(key, values)
         cases = list(new.values())
-        if self._pool is None:
-            outs = evaluate_batch(cases, ctx) if cases else []
-        else:
-            size, extra = divmod(len(cases), self._workers)
-            ends = [k * size + min(k, extra) for k in range(self._workers + 1)]
-            chunks = [cases[a:b] for a, b in zip(ends, ends[1:]) if b > a]
-            outs = [
-                out for part in self._pool.map(evaluate_batch, chunks, repeat(ctx)) for out in part
-            ]
+        size, extra = divmod(len(cases), self._workers)
+        ends = [k * size + min(k, extra) for k in range(self._workers + 1)]
+        chunks = [cases[a:b] for a, b in zip(ends, ends[1:]) if b > a]
+        outs = [out for part in self._map(evaluate_batch, chunks, repeat(ctx)) for out in part]
         fresh = dict(zip(new, outs))
         self._memo.update(fresh)
         log.info(
@@ -451,9 +469,7 @@ def run_stage1(
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
     )
-    space = _inflow_space(cfg)
-    oa = build_orthogonal_array(cfg.stage1.levels, len(space))
-    cases = map_levels_to_values(oa, space)
+    space, oa, cases = cfg.stage1_design
     ctx = EvalContext(
         scenario=cfg.scenario,
         stage=1,
@@ -516,12 +532,6 @@ class Stage2Result:
     field_events: object  # the field data's extracted events
 
 
-def _inflow_space(cfg: CalibrationConfig) -> ParameterSpace:
-    """Stage 1's parameters: the entrance inputs, in id order."""
-    inputs = cfg.scenario.entrance_inputs
-    return build_parameter_space({eid: inputs[eid] for eid in sorted(inputs)}, cfg.stage1.delta)
-
-
 def _candidate_space(cfg: CalibrationConfig) -> ParameterSpace:
     specs = []
     for cand in cfg.stage2.candidates:
@@ -547,9 +557,7 @@ def run_stage2(
     field_mops = usable_field_mops(compute_vehicle_mops(field_events))
     scenario = apply_parameters(cfg.scenario, stage1.best_values)
 
-    space = _candidate_space(cfg)
-    oa = build_orthogonal_array(cfg.stage2.levels, len(space))
-    cases = map_levels_to_values(oa, space)
+    space, oa, cases = cfg.stage2_design
     ctx = EvalContext(
         scenario=scenario,
         stage=2,
@@ -711,11 +719,7 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     calibrated = dict(stage1.best_values)
     calibrated.update(stage2.frozen_values)
     calibrated.update(stage2.best_values)
-    final_scenario = apply_parameters(cfg.scenario, calibrated)
-    final_scenario = replace(final_scenario, seed=derive_scenario_seed(cfg.master_seed, 0))
-    detector = VirtualDetector([final_scenario])
-    final_log = run_scenario(final_scenario, detector)
-    sim_dataset = virtual_detector_sample(detector, 0)
+    final_log, sim_dataset = _detect(apply_parameters(cfg.scenario, calibrated), cfg.master_seed, 0)
     sim_events = extract_events(sim_dataset, **cfg.extraction.kwargs())
     final_moes = evaluate_moes(
         field_dataset, stage2.field_events, sim_dataset, sim_events, cfg.cutin_error
@@ -873,7 +877,13 @@ def generate_field_data(
     """Simulate a scenario under the pipeline's seed policy and sample it
     through the virtual detector; the result parses and scores like real
     field data."""
+    return _detect(scenario, master_seed, replication)[1].with_meta(source="field")
+
+
+def _detect(scenario: ScenarioConfig, master_seed: int, replication: int):
+    """Run `scenario` alone under the pipeline's seed policy through the
+    virtual detector: its log and its detected dataset."""
     cfg = replace(scenario, seed=derive_scenario_seed(master_seed, replication))
     detector = VirtualDetector([cfg])
-    run_scenario(cfg, detector)
-    return virtual_detector_sample(detector, 0).with_meta(source="field")
+    log = run_scenario(cfg, detector)
+    return log, virtual_detector_sample(detector, 0)

@@ -30,7 +30,7 @@ from .engine import (
     INT_FIELDS,
     KIND_SUBJECT,
     LANE_WIDTH,
-    heading_deg,
+    heading_rows,
 )
 
 MS_TO_KMH = 3.6
@@ -144,9 +144,6 @@ def virtual_detector_sample(detector: VirtualDetector, case: int) -> FieldDatase
     _o_case, vid, o_lane, rel, o_lat, o_speed, o_lat_rate = observations
     cfg = detector.configs[case]
     n = len(times)
-    heading = np.zeros(len(vid))
-    for i in o_lat_rate.nonzero()[0].tolist():  # 0 when not moving sideways
-        heading[i] = heading_deg(o_lat_rate.item(i), o_speed.item(i))
     codes, names = intern_ids(vid)
     # signed distance from the centerline to the nearest lane marking,
     # positive when that marking is on the left
@@ -173,7 +170,7 @@ def virtual_detector_sample(detector: VirtualDetector, case: int) -> FieldDatase
         obs_rel_lateral=(o_lane - np.repeat(lane, counts)) * LANE_WIDTH
         + (o_lat - np.repeat(lat, counts)),
         obs_speed_kmh=o_speed * MS_TO_KMH,
-        obs_heading_deg=heading,
+        obs_heading_deg=heading_rows(o_lat_rate, o_speed),
         meta=DatasetMeta(
             source="simulation",
             interval=cfg.time_step,

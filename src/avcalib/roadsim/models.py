@@ -22,8 +22,9 @@ MODEL_CLASSES, that carries the whole model interface:
   calls it (``np.power`` and squaring by multiplication differ from it in
   the last bit on some inputs), so each element is bit for bit the scalar
   result. No rule warns on the engine's inputs.
-* ``desired_speed`` is the model's own target speed in m/s; None (W99)
-  means the link speed limit.
+* ``desired_speed(limit)`` is the model's target speed in m/s on a link
+  whose speed limit is `limit` m/s: its own parameter for IDM, Gipps, FVD
+  and Krauss, the limit itself for W99.
 * ``spawn_gap`` is the smallest clear gap, in m, the simulation keeps ahead
   of and behind a vehicle it inserts.
 
@@ -90,8 +91,7 @@ class IdmParams:
         _require_positive(self, ("a_max", "b", "T", "s0", "delta", "v0"))
         _set_terms(self, self.a_max, self.T, self.s0, self.delta, 2.0 * math.sqrt(self.a_max * self.b))
 
-    @property
-    def desired_speed(self) -> float:
+    def desired_speed(self, limit: float) -> float:
         return self.v0
 
     @property
@@ -130,8 +130,7 @@ class GippsParams:
             -bn * self.tau, self.leader_eff_length - PCU_LENGTH, self.tau, bhat,
         )
 
-    @property
-    def desired_speed(self) -> float:
+    def desired_speed(self, limit: float) -> float:
         return self.v_desired
 
     @staticmethod
@@ -162,8 +161,7 @@ class FvdParams:
         _set_terms(self, self.alpha, self.lambda0, self.v0, self.b_len, self.sc,
                    self.sc - self.b_len, self.beta)
 
-    @property
-    def desired_speed(self) -> float:
+    def desired_speed(self, limit: float) -> float:
         return self.v0
 
     @property
@@ -195,8 +193,7 @@ class KraussParams:
         _require_positive(self, ("a", "b", "tau", "v_max"))
         _set_terms(self, self.a, self.b, self.tau, self.v_max)
 
-    @property
-    def desired_speed(self) -> float:
+    def desired_speed(self, limit: float) -> float:
         return self.v_max
 
     @staticmethod
@@ -222,13 +219,14 @@ class W99Params:
     cc8: float = 3.5        # standstill acceleration, m/s^2
     cc9: float = 1.5        # acceleration at 80 km/h, m/s^2
 
-    desired_speed = None  # the link speed limit drives W99
-
     def __post_init__(self):
         _require_positive(self, ("cc0", "cc1", "cc2", "cc6", "cc7", "cc8", "cc9"))
         _require_finite(self, ("cc3", "cc4", "cc5"))
         _set_terms(self, self.cc0, self.cc1, self.cc2, self.cc3, self.cc4, self.cc5, self.cc6,
                    self.cc7, -self.cc7, self.cc8, self.cc9 - self.cc8)
+
+    def desired_speed(self, limit: float) -> float:
+        return limit  # the link speed limit drives W99
 
     @property
     def spawn_gap(self) -> float:

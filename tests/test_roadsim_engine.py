@@ -660,6 +660,35 @@ def test_leader_pass_matches_brute_force(seed, lanes, inflows, model, dt):
     assert sim.checked > 0
 
 
+def checked_leaders(sim):
+    """Sort the lane index, run the leader pass, check it against
+    brute_force_leaders and return its {row: (leader row, distance)}."""
+    sim._sort()
+    lead, lead_d = sim._leader_pass()
+    found = {r: (l, d) for r, (l, d) in enumerate(zip(lead.tolist(), lead_d.tolist())) if l >= 0}
+    assert found == brute_force_leaders(sim)
+    return found
+
+
+def test_two_vehicles_at_one_pos_lead_each_other():
+    # the arc tie: the last member of the group finds the member abreast of
+    # it as its leader at distance 0, as the member before it does
+    sim = Simulation([corridor(lanes=2)])
+    a, b = (sim.row(sim.add_vehicle(lane=1, pos=100.0)) for _ in range(2))
+    assert checked_leaders(sim) == {a: (b, 0.0), b: (a, 0.0)}
+
+
+def test_a_two_lane_tie_goes_to_the_group_met_first():
+    # x changes from lane 2 to lane 1 with leaders 20 m ahead in both; the
+    # lane-1 group holds q, inserted before x, so it was met first
+    sim = Simulation([corridor(lanes=2)])
+    q = sim.row(sim.add_vehicle(lane=1, pos=120.0))
+    x = sim.row(sim.add_vehicle(lane=2, pos=100.0))
+    sim.add_vehicle(lane=2, pos=120.0)  # p, the leader in x's own lane
+    sim._start_lane_change(x, 1)
+    assert checked_leaders(sim)[x] == (q, 20.0)
+
+
 class ScanCheckedSimulation(Simulation):
     """Checks each step's neighbour-lane scans against the scalar skip rule:
     a vehicle due an evaluation scans exactly when

@@ -41,7 +41,7 @@ def cf_rows(model, speed, leader=None, dt=0.1, desired_speed=None, leader_accel=
     (bumper gap, speed) or None for free flow: its acceleration, unclamped,
     and its bound ``free``."""
     gap, v_leader = (math.inf, 0.0) if leader is None else leader
-    v_des = model.desired_speed if desired_speed is None else desired_speed
+    v_des = model.desired_speed(math.inf) if desired_speed is None else desired_speed
     a, free = type(model).accel_rows(
         np.asarray(model.terms)[:, None],
         *(np.asarray([float(x)]) for x in (speed, gap, v_leader, v_des, prev_accel, leader_accel)),
@@ -160,11 +160,11 @@ def test_w99_free_acceleration_ramp():
 
 
 def test_model_desired_speeds():
-    assert IdmParams(v0=21.0).desired_speed == 21.0
-    assert GippsParams(v_desired=23.0).desired_speed == 23.0
-    assert FvdParams(v0=19.0).desired_speed == 19.0
-    assert KraussParams(v_max=24.0).desired_speed == 24.0
-    assert W99Params().desired_speed is None
+    assert IdmParams(v0=21.0).desired_speed(30.0) == 21.0
+    assert GippsParams(v_desired=23.0).desired_speed(30.0) == 23.0
+    assert FvdParams(v0=19.0).desired_speed(30.0) == 19.0
+    assert KraussParams(v_max=24.0).desired_speed(30.0) == 24.0
+    assert W99Params().desired_speed(30.0) == 30.0  # the link speed limit
 
 
 def test_model_spawn_gaps():

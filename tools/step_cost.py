@@ -14,9 +14,9 @@ skip did not settle) and lane changes, and the number of function calls
 * ``ga``: the ga-search-2w workload's truth scenario (about 17 vehicles);
 * ``recovery``: the recovery study's truth scenario (about 45 vehicles);
 * ``merge``: the merge-fine-step workload's corridor at 0.1 s (about 73);
-* ``paper``: the recovery truth scenario at the paper's scale, 0.1 s steps,
-  a 1750 s horizon and a 600 s warm-up, with L4 lengthened to 12 km so that
-  the subject stays on the route (about 180);
+* ``paper``: ``demo.paper_truth_scenario``, the recovery truth scenario at
+  the paper's scale, 0.1 s steps, a 1750 s horizon and a 600 s warm-up, with
+  L4 lengthened to 12 km so that the subject stays on the route (about 180);
 * ``batch16``: the 16 stage-1 design cases of the recovery calibration,
   simulated as one batch (``run_batch``). Its µs per step is per batch step;
 * ``showcase-idm``, ``showcase-gipps``, ``showcase-fvd``, ``showcase-krauss``
@@ -69,12 +69,11 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from avcalib.demo import (  # noqa: E402
+    paper_truth_scenario,
     recovery_calibration_config,
     recovery_truth_scenario,
     showcase_scenario,
 )
-from avcalib.doe import build_orthogonal_array, map_levels_to_values  # noqa: E402
-from avcalib.params import build_parameter_space  # noqa: E402
 from avcalib.fielddata import export_detection_csv, extract_events, parse_field_data  # noqa: E402
 from avcalib.metrics import compute_traffic_mops  # noqa: E402
 from avcalib.pipeline import (  # noqa: E402
@@ -92,26 +91,14 @@ from avcalib.roadsim.models import MODEL_CLASSES  # noqa: E402
 from workloads import STREAM_SEED, ga_scenario, ga_truth, merge_scenario  # noqa: E402
 
 SEED = derive_scenario_seed(0, 0)
-PAPER_L4 = 12000.0
-
-
-def paper_scenario():
-    sc = recovery_truth_scenario(SEED)
-    links = tuple(
-        replace(link, length=PAPER_L4) if link.id == "L4" else link for link in sc.network.links
-    )
-    return replace(
-        sc, network=replace(sc.network, links=links),
-        time_step=0.1, total_time=1750.0, warmup_time=600.0,
-    )
 
 
 def stage1_batch():
     cfg = recovery_calibration_config()
-    inputs = cfg.scenario.entrance_inputs
-    space = build_parameter_space({eid: inputs[eid] for eid in sorted(inputs)}, cfg.stage1.delta)
-    cases = map_levels_to_values(build_orthogonal_array(cfg.stage1.levels, len(space)), space)
-    return [replace(apply_parameters(cfg.scenario, c.values), seed=SEED) for c in cases]
+    return [
+        replace(apply_parameters(cfg.scenario, c.values), seed=SEED)
+        for c in cfg.stage1_design.cases
+    ]
 
 
 def showcase_run(family):
@@ -124,7 +111,7 @@ RUNS = {
     "ga": lambda: [replace(apply_parameters(ga_scenario(), ga_truth(0)), seed=SEED)],
     "recovery": lambda: [recovery_truth_scenario(SEED)],
     "merge": lambda: [replace(merge_scenario(), seed=SEED)],
-    "paper": lambda: [paper_scenario()],
+    "paper": lambda: [paper_truth_scenario(SEED)],
     "batch16": stage1_batch,
     **{f"showcase-{family}": functools.partial(showcase_run, family) for family in MODEL_CLASSES},
 }
