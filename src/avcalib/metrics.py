@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,6 +340,31 @@ def _traffic_mops(dataset: FieldDataset, lane_count: int | None) -> MopVector | 
         return None
 
 
+class MoeSide(NamedTuple):
+    """One side's inputs of the evaluation measures, field or simulated:
+    its vehicle MoPs (compute_vehicle_mops), its mean subject headway, its
+    traffic MoPs (None when compute_traffic_mops cannot score the dataset)
+    and its pooled traffic speed."""
+
+    vehicle: MopVector
+    subject_headway: float | None
+    traffic: MopVector | None
+    speed: float | None
+
+
+def moe_side(
+    dataset: FieldDataset, events: EventSet, vehicle_mops: MopVector, lane_count: int | None
+) -> MoeSide:
+    """The evaluation inputs of one dataset and its extracted events, whose
+    vehicle MoPs the caller has computed."""
+    return MoeSide(
+        vehicle_mops,
+        _subject_headway(events)[0],
+        _traffic_mops(dataset, lane_count),
+        _pooled_traffic_speed(dataset),
+    )
+
+
 def evaluate_moes(
     field_dataset: FieldDataset,
     field_events: EventSet,
@@ -347,7 +373,17 @@ def evaluate_moes(
     cutin_params: CutinErrorParams = CutinErrorParams(),
     lane_count: int | None = None,
 ) -> MoeReport:
-    """Full evaluation between a field and a simulated dataset.
+    """Full evaluation between a field and a simulated dataset: combine_moes
+    of the two sides."""
+    return combine_moes(
+        moe_side(field_dataset, field_events, compute_vehicle_mops(field_events), lane_count),
+        moe_side(sim_dataset, sim_events, compute_vehicle_mops(sim_events), lane_count),
+        cutin_params,
+    )
+
+
+def combine_moes(field: MoeSide, sim: MoeSide, cutin_params: CutinErrorParams) -> MoeReport:
+    """The evaluation measures of a simulated side against a field side.
 
     Vehicle level: subject headway, background headway, subject and
     background lane-change distances, and the fuzzy cut-in error. Traffic
@@ -359,37 +395,32 @@ def evaluate_moes(
     and the rest of the report is still produced.
     """
     errors: dict = {}
-    f_veh, s_veh = compute_vehicle_mops(field_events), compute_vehicle_mops(sim_events)
-    f_traffic = _traffic_mops(field_dataset, lane_count)
-    s_traffic = _traffic_mops(sim_dataset, lane_count)
 
     def vehicle(name, moe):
-        return _relative_error(f_veh.value(name), s_veh.value(name), moe, errors)
+        return _relative_error(field.vehicle.value(name), sim.vehicle.value(name), moe, errors)
 
-    def traffic(mops, name):
-        return None if mops is None else mops.value(name)
+    def traffic(side, name):
+        return None if side.traffic is None else side.traffic.value(name)
 
-    f_t_sub, _ = _subject_headway(field_events)
-    s_t_sub, _ = _subject_headway(sim_events)
-    e_t_sub = _relative_error(f_t_sub, s_t_sub, "e_t_sub", errors)
+    e_t_sub = _relative_error(field.subject_headway, sim.subject_headway, "e_t_sub", errors)
     e_t_bg = vehicle(AVG_CF_HEADWAY_BG, "e_t_bg")
     e_d_sub = vehicle(AVG_LC_DISTANCE_SUBJECT, "e_d_sub")
     e_d_bg = vehicle(AVG_LC_DISTANCE_BG, "e_d_bg")
-    e_cutin = cutin_error(f_veh.value(CUTIN_COUNT), s_veh.value(CUTIN_COUNT), cutin_params)
+    e_cutin = cutin_error(
+        field.vehicle.value(CUTIN_COUNT), sim.vehicle.value(CUTIN_COUNT), cutin_params
+    )
 
-    f_speed = _pooled_traffic_speed(field_dataset)
-    s_speed = _pooled_traffic_speed(sim_dataset)
-    e_v = _relative_error(f_speed, s_speed, "e_v", errors)
-    f_rho, s_rho = traffic(f_traffic, AVG_DENSITY), traffic(s_traffic, AVG_DENSITY)
+    e_v = _relative_error(field.speed, sim.speed, "e_v", errors)
+    f_rho, s_rho = traffic(field, AVG_DENSITY), traffic(sim, AVG_DENSITY)
     e_rho = _relative_error(f_rho, s_rho, "e_rho", errors)
 
     # volume is estimated from the moving observer as density * mean speed;
     # there is no fixed detector in this kind of data
-    f_vol = None if (f_rho is None or f_speed is None) else f_rho * f_speed * 3.6
-    s_vol = None if (s_rho is None or s_speed is None) else s_rho * s_speed * 3.6
+    f_vol = None if (f_rho is None or field.speed is None) else f_rho * field.speed * 3.6
+    s_vol = None if (s_rho is None or sim.speed is None) else s_rho * sim.speed * 3.6
     e_vol = _relative_error(f_vol, s_vol, "e_vol", errors)
     e_dynamics = _relative_error(
-        traffic(f_traffic, AVG_SUBJECT_SPEED), traffic(s_traffic, AVG_SUBJECT_SPEED),
+        traffic(field, AVG_SUBJECT_SPEED), traffic(sim, AVG_SUBJECT_SPEED),
         "e_dynamics", errors,
     )
 

@@ -14,7 +14,9 @@ simulated once per calibration: a repeat, within a batch or from an earlier
 one, gets the stored outcome. Every simulation count in a report therefore
 counts simulations actually run, not cases scored. The distinct new cases of
 a batch are simulated together (``roadsim.run_batch``), one batch per
-worker.
+worker. The final evaluation is such a repeat too: a stage-2 outcome keeps
+what its replication-0 run gives the final report, so the calibrated case,
+which SAGA has scored, is not simulated again.
 """
 
 from __future__ import annotations
@@ -45,12 +47,15 @@ from .doe import (
 from .fielddata import extract_events, parse_field_data, preprocess
 from .metrics import (
     MoeReport,
+    MoeSide,
     MopVector,
     CutinErrorParams,
     accuracy,
+    combine_moes,
     compute_traffic_mops,
     compute_vehicle_mops,
-    evaluate_moes,
+    evaluate_moes,  # not called here: perfbench/spans.py traces it by this module's name
+    moe_side,
 )
 from .params import ParameterSpace, ParameterSpec, build_parameter_space
 from .roadsim import VirtualDetector, run_batch, run_scenario, virtual_detector_sample
@@ -258,6 +263,16 @@ class EvalContext:
     per_road: bool = False
 
 
+class FirstRun(NamedTuple):
+    """What a scored stage-2 case's replication-0 run gives the final
+    report: the simulated side of the evaluation measures, that run's
+    collision count and its feasibility."""
+
+    side: MoeSide
+    collisions: int
+    feasible: bool
+
+
 @dataclass(frozen=True)
 class CaseOutcome:
     accuracy: float
@@ -266,6 +281,8 @@ class CaseOutcome:
     n_simulations: int
     collisions: int
     diagnostic: str = ""
+    # not a score: two outcomes that score alike are equal
+    first_run: FirstRun | None = field(default=None, compare=False)
 
 
 def evaluate_case(values: dict, ctx: EvalContext) -> CaseOutcome:
@@ -282,11 +299,13 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
     subject, and its case then scores -inf with that diagnostic. An
     exception raised while a case's run is sampled and scored also scores
     that case -inf, with ``"<ExceptionType>: <message>"``; its batch-mates
-    are unaffected."""
+    are unaffected. A stage-2 case scored at replication 0 keeps that run's
+    ``FirstRun``."""
     scenarios = [apply_parameters(ctx.scenario, values) for values in values_list]
     outcomes: list[CaseOutcome | None] = [None] * len(scenarios)
     vectors = [[] for _ in scenarios]
     collisions = [0] * len(scenarios)
+    first: list[FirstRun | None] = [None] * len(scenarios)
 
     def fail(i, n_sims, diagnostic, feasible=False, exc=None):
         # a scoring fault keeps its traceback in the log
@@ -315,9 +334,13 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
                     if ctx.stage == 1:
                         mops = compute_traffic_mops(dataset, per_road=ctx.per_road)
                     else:
-                        mops = compute_vehicle_mops(
-                            extract_events(dataset, **ctx.extraction.kwargs())
-                        )
+                        events = extract_events(dataset, **ctx.extraction.kwargs())
+                        mops = compute_vehicle_mops(events)
+                        if rep == 0:
+                            first[i] = FirstRun(
+                                moe_side(dataset, events, mops, lane_count=None),
+                                sim_log.collision_count, sim_log.feasible,
+                            )
                 except Exception as exc:
                     fail(i, rep + 1, _describe(exc), feasible=True, exc=exc)
                 else:
@@ -336,6 +359,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
             outcomes[i] = CaseOutcome(
                 accuracy=float("-inf"), mops=mean, feasible=True,
                 n_simulations=ctx.replications, collisions=collisions[i], diagnostic=str(exc),
+                first_run=first[i],
             )
         except Exception as exc:
             fail(i, ctx.replications, _describe(exc), feasible=True, exc=exc)
@@ -343,6 +367,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
             outcomes[i] = CaseOutcome(
                 accuracy=acc, mops=mean, feasible=True,
                 n_simulations=ctx.replications, collisions=collisions[i],
+                first_run=first[i],
             )
     return outcomes
 
@@ -458,13 +483,15 @@ def run_stage1(
     """Evaluate the inflow design in design order, stopping at the first case
     that reaches the accuracy threshold.
 
-    Cases go out in batches that double in size, from one case per worker:
-    each worker simulates its share of a batch together, which costs less
-    per case the larger the share, while a stop wastes at most the rest of
-    its batch, no more than the cases before the batch plus workers - 1.
-    Records and simulation counts stop at the stopping case, so the result
-    is the same for any worker count; the batch-mates after it are still
-    simulated but not recorded.
+    Each worker simulates its share of a batch together, which costs less
+    per case the larger the share. Accuracy is at most 1, so a threshold of
+    1 or more stops only on an exact match: the whole design goes out as one
+    batch. Below 1, batches double in size from one case per worker, so a
+    stop wastes at most the rest of its batch, no more than the cases
+    before the batch plus workers - 1. Records and simulation counts stop at
+    the stopping case, so the result is the same for any worker count and
+    either schedule; the batch-mates after it are still simulated, counted
+    only in the log.
     """
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
@@ -482,11 +509,17 @@ def run_stage1(
     if evaluator is None:
         evaluator = CaseEvaluator()
 
+    simulated = 0
+
     def outcomes():
-        start, size = 0, cfg.workers
+        nonlocal simulated
+        start = 0
+        size = len(cases) if cfg.stage1.accuracy_threshold >= 1.0 else cfg.workers
         while start < len(cases):
             chunk = cases[start : start + size]
-            yield from zip(chunk, evaluator.evaluate_all([c.values for c in chunk], ctx))
+            outs = evaluator.evaluate_all([c.values for c in chunk], ctx)
+            simulated += sum(o.n_simulations for o in outs)
+            yield from zip(chunk, outs)
             start += size
             size *= 2
 
@@ -500,6 +533,11 @@ def run_stage1(
             best_values = dict(case.values)
         if out.accuracy >= cfg.stage1.accuracy_threshold:
             break
+    n_simulations = sum(r.n_simulations for r in records)
+    log.info(
+        "stage 1 scored %d of %d cases; %d simulations after the stopping case discarded",
+        len(records), len(cases), simulated - n_simulations,
+    )
     if best_values is None or not np.isfinite(best_acc):
         raise RuntimeError("stage 1 failed: no feasible case")
     return Stage1Result(
@@ -509,7 +547,7 @@ def run_stage1(
         best_values=best_values,
         best_accuracy=best_acc,
         n_evaluated=len(records),
-        n_simulations=sum(r.n_simulations for r in records),
+        n_simulations=n_simulations,
     )
 
 
@@ -530,6 +568,7 @@ class Stage2Result:
     n_simulations_phase2: int
     field_mops: MopVector
     field_events: object  # the field data's extracted events
+    context: EvalContext  # phase II's: stage 1's inputs and the frozen values applied
 
 
 def _candidate_space(cfg: CalibrationConfig) -> ParameterSpace:
@@ -624,6 +663,7 @@ def run_stage2(
         n_simulations_phase2=sum(phase2_sims),
         field_mops=field_mops,
         field_events=field_events,
+        context=ctx_ii,
     )
 
 
@@ -696,9 +736,13 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     """Run the whole pipeline: field processing, stage 1, stage 2, final
     evaluation, and artifact persistence when an output directory is set.
 
-    Both stages share one case evaluator, so a case simulated in either is
-    not simulated again. With workers > 1 it holds one process pool, shut
-    down (its workers reaped) before the final evaluation."""
+    Both stages and the final evaluation share one case evaluator, so a
+    case simulated in any of them is not simulated again. The final
+    evaluation asks it for the calibrated case, SAGA's best, whose stored
+    outcome carries its replication-0 run, and scores that run's evaluation
+    measures against the field data's: no simulation unless the memo
+    misses. With workers > 1 the evaluator holds one process pool, shut
+    down (its workers reaped) once that outcome is back."""
     timings: dict[str, float] = {}
     t0 = _time.perf_counter()
     if field_dataset is None:
@@ -715,16 +759,18 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
         stage2 = run_stage2(cfg, field_dataset, stage1, evaluator)
         timings["stage2"] = _time.perf_counter() - t2
 
-    t3 = _time.perf_counter()
+        t3 = _time.perf_counter()
+        (final,) = evaluator.evaluate_all([stage2.best_values], stage2.context)
+        field_events = stage2.field_events
+        field_side = moe_side(
+            field_dataset, field_events, compute_vehicle_mops(field_events), lane_count=None
+        )
+        final_moes = combine_moes(field_side, final.first_run.side, cfg.cutin_error)
+        timings["final_evaluation"] = _time.perf_counter() - t3
+
     calibrated = dict(stage1.best_values)
     calibrated.update(stage2.frozen_values)
     calibrated.update(stage2.best_values)
-    final_log, sim_dataset = _detect(apply_parameters(cfg.scenario, calibrated), cfg.master_seed, 0)
-    sim_events = extract_events(sim_dataset, **cfg.extraction.kwargs())
-    final_moes = evaluate_moes(
-        field_dataset, stage2.field_events, sim_dataset, sim_events, cfg.cutin_error
-    )
-    timings["final_evaluation"] = _time.perf_counter() - t3
 
     opt_sims = stage1.n_simulations + stage2.n_simulations_phase1 + stage2.n_simulations_phase2
     saga_cfg = cfg.stage2.saga
@@ -738,15 +784,15 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
         stage2=stage2,
         calibrated_values=calibrated,
         final_moes=final_moes,
-        total_simulations=opt_sims + 1,
+        total_simulations=opt_sims + final.n_simulations,
         optimization_simulations=opt_sims,
         cases_scored=(
             stage1.n_evaluated + len(stage2.phase1_cases) + stage2.saga.n_evaluations
         ),
         simulation_budget=budget,
         diagnostics={
-            "final_run_collisions": final_log.collision_count,
-            "final_run_feasible": final_log.feasible,
+            "final_run_collisions": final.first_run.collisions,
+            "final_run_feasible": final.first_run.feasible,
             "within_simulation_budget": opt_sims <= budget,
         },
         timings=timings,
@@ -877,13 +923,7 @@ def generate_field_data(
     """Simulate a scenario under the pipeline's seed policy and sample it
     through the virtual detector; the result parses and scores like real
     field data."""
-    return _detect(scenario, master_seed, replication)[1].with_meta(source="field")
-
-
-def _detect(scenario: ScenarioConfig, master_seed: int, replication: int):
-    """Run `scenario` alone under the pipeline's seed policy through the
-    virtual detector: its log and its detected dataset."""
     cfg = replace(scenario, seed=derive_scenario_seed(master_seed, replication))
     detector = VirtualDetector([cfg])
-    log = run_scenario(cfg, detector)
-    return log, virtual_detector_sample(detector, 0)
+    run_scenario(cfg, detector)
+    return virtual_detector_sample(detector, 0).with_meta(source="field")

@@ -262,9 +262,11 @@ def test_criterion_8_synthetic_recovery(recovery_study):
     passes = 0
     details = []
     for master, cfg, report in recovery_study["results"]:
+        # one level step of the stage-1 design
+        space, oa, _ = cfg.stage1_design
         step = {
-            eid: (1.2 - 0.8) * x0 / (cfg.stage1.levels - 1)
-            for eid, x0 in cfg.scenario.entrance_inputs.items()
+            eid: (space.spec(eid).upper - space.spec(eid).lower) / (oa.levels - 1)
+            for eid in space.ids
         }
         stage1_ok = all(
             abs(report.stage1.best_values[eid] - truth[eid]) <= step[eid] + 1e-9

@@ -15,7 +15,13 @@ from avcalib import pipeline
 from avcalib.demo import recovery_scenario
 from avcalib.detection import DetectionRecord, SurroundingObs
 from avcalib.fielddata import export_detection_csv
-from avcalib.metrics import MopEntry, MopVector, compute_traffic_mops, compute_vehicle_mops
+from avcalib.metrics import (
+    MopEntry,
+    MopVector,
+    compute_traffic_mops,
+    compute_vehicle_mops,
+    evaluate_moes,
+)
 from avcalib.fielddata import extract_events
 from avcalib.params import build_parameter_space
 from avcalib.pipeline import (
@@ -398,10 +404,9 @@ def test_stage1_early_stop_after_first_acceptable_case(micro_scenario):
     assert result.n_evaluated == 1
 
 
-def test_stage1_batches_double_from_one_case_per_worker(micro_scenario, monkeypatch):
-    # a stop at the first case sends out that case alone; the whole design
-    # goes out in batches of 1, 2, 4, ... cases
-    field = generate_field_data(micro_scenario, 0)
+def _spy_stage1(micro_scenario, monkeypatch):
+    """run_stage1 on a 3-level design at a given threshold, and the size of
+    every evaluate_all call it made."""
     sizes = []
     evaluate_all = CaseEvaluator.evaluate_all
 
@@ -410,22 +415,74 @@ def test_stage1_batches_double_from_one_case_per_worker(micro_scenario, monkeypa
         return evaluate_all(self, values_list, ctx)
 
     monkeypatch.setattr(CaseEvaluator, "evaluate_all", spied)
-    for threshold in (-10.0, 2.0):  # 2.0: no case can stop stage 1
+
+    def stage1(threshold, field):
         cfg = micro_calibration(
             micro_scenario,
             stage1=Stage1Config(levels=3, delta=0.2, accuracy_threshold=threshold),
         )
         sizes.clear()
-        result = run_stage1(cfg, field)
-        if threshold < 0:
-            assert sizes == [1]
-        else:
-            assert result.oa_runs > 3
-            expected, left = [], result.oa_runs
-            while left > 0:
-                expected.append(min(2 ** len(expected), left))
-                left -= expected[-1]
-            assert sizes == expected
+        return run_stage1(cfg, field), list(sizes)
+
+    return stage1
+
+
+def _doubling(runs):
+    expected, left = [], runs
+    while left > 0:
+        expected.append(min(2 ** len(expected), left))
+        left -= expected[-1]
+    return expected
+
+
+def test_stage1_batches_double_from_one_case_per_worker(micro_scenario, monkeypatch):
+    # below a threshold of 1, a stop at the first case sends out that case
+    # alone, and the whole design goes out in batches of 1, 2, 4, ... cases;
+    # at 1 or more, which only an exact match reaches, it goes out at once
+    stage1 = _spy_stage1(micro_scenario, monkeypatch)
+    field = generate_field_data(micro_scenario, 0)
+    assert stage1(-10.0, field)[1] == [1]
+    result, sizes = stage1(2.0, field)  # no case can stop stage 1
+    assert result.oa_runs > 3 and sizes == [result.oa_runs]
+    # a field from another seed, which no case matches exactly, and a
+    # threshold below 1 that no case reaches
+    other = generate_field_data(micro_scenario, 1)
+    best = stage1(2.0, other)[0].best_accuracy
+    assert best < 1.0
+    result, sizes = stage1((best + 1.0) / 2, other)
+    assert result.n_evaluated == result.oa_runs
+    assert sizes == _doubling(result.oa_runs)
+
+
+def test_stage1_in_one_round_records_what_the_doubling_schedule_does(
+    micro_scenario, monkeypatch, caplog
+):
+    # the largest threshold below 1 stops where 1 does, on an exact match,
+    # but keeps the doubling schedule; the seed-0 field is matched exactly
+    # by the design's middle case, the seed-1 field by no case
+    stage1 = _spy_stage1(micro_scenario, monkeypatch)
+    below_one = float(np.nextafter(1.0, 0.0))
+    for master in (0, 1):
+        field = generate_field_data(micro_scenario, master)
+        with caplog.at_level(logging.INFO, logger="avcalib.pipeline"):
+            caplog.clear()
+            one_round, sizes = stage1(1.0, field)
+            log_text = caplog.text
+        doubled, doubled_sizes = stage1(below_one, field)
+        assert sizes == [one_round.oa_runs]
+        assert doubled_sizes == _doubling(one_round.oa_runs)[: len(doubled_sizes)]
+        assert replace(one_round, space=None) == replace(doubled, space=None)
+        stopped = one_round.n_evaluated < one_round.oa_runs
+        assert stopped == (master == 0)
+        # the one round simulates every distinct case; those after the stop
+        # are discarded, and the log says how many
+        cases = micro_calibration(
+            micro_scenario, stage1=Stage1Config(levels=3, delta=0.2, accuracy_threshold=1.0)
+        ).stage1_design.cases
+        n_distinct = len({tuple(sorted(c.values.items())) for c in cases})
+        discarded = n_distinct - one_round.n_simulations
+        assert (discarded > 0) == stopped
+        assert f"{discarded} simulations after the stopping case discarded" in log_text
 
 
 def test_stage2_freezes_stage1_inputs_and_selects_critical(micro_scenario):
@@ -625,7 +682,8 @@ def micro_report(tmp_path_factory):
 def test_calibrate_produces_consistent_report(micro_report):
     cfg, report, field = micro_report
     assert report.optimization_simulations <= report.simulation_budget
-    assert report.total_simulations == report.optimization_simulations + 1
+    # the final evaluation reuses SAGA's run of the calibrated case
+    assert report.total_simulations == report.optimization_simulations
     # the truncated stage-1 design repeats cases, which are scored but not
     # simulated again
     assert report.cases_scored == (
@@ -665,6 +723,42 @@ def test_total_simulations_counts_simulator_runs(micro_scenario, monkeypatch):
         assert report.total_simulations == len(calls)
         totals.append(len(calls))
     assert totals[0] == totals[1] > 1
+
+
+@pytest.mark.parametrize("replications", [1, 2])
+def test_final_evaluation_reuses_the_calibrated_case_run(micro_scenario, monkeypatch, replications):
+    # the final report's measures and run diagnostics equal those of a
+    # fresh solo run of the calibrated scenario at replication 0, and no
+    # simulation runs after the optimization
+    field = generate_field_data(
+        apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0
+    )
+    calls = []
+
+    def counted_batch(configs, sink=None):
+        calls.extend(configs)
+        return run_batch(configs, sink)
+
+    monkeypatch.setattr(pipeline, "run_scenario", lambda cfg, sink=None: pytest.fail("solo run"))
+    monkeypatch.setattr(pipeline, "run_batch", counted_batch)
+    cfg = micro_calibration(micro_scenario, replications=replications)
+    report = calibrate(cfg, field_dataset=field)
+    assert len(calls) == report.optimization_simulations == report.total_simulations
+
+    scenario = replace(
+        apply_parameters(micro_scenario, report.calibrated_values),
+        seed=derive_scenario_seed(cfg.master_seed, 0),
+    )
+    detector = VirtualDetector([scenario])
+    log = run_scenario(scenario, detector)
+    sim = virtual_detector_sample(detector, 0)
+    kwargs = cfg.extraction.kwargs()
+    fresh = evaluate_moes(
+        field, extract_events(field, **kwargs), sim, extract_events(sim, **kwargs), cfg.cutin_error
+    )
+    assert report.final_moes == fresh
+    assert report.diagnostics["final_run_collisions"] == log.collision_count
+    assert report.diagnostics["final_run_feasible"] == log.feasible
 
 
 def test_reported_best_re_evaluates_to_reported_accuracy(micro_report):
