@@ -201,7 +201,6 @@ class RangeAnalysisResult:
     """Per-factor level means, accuracy ranges, impact ranking and the best
     level combination."""
 
-    parameter_ids: tuple[str, ...]
     level_means: dict[tuple[str, int], float]
     ranges: dict[str, float]
     ranking: tuple[str, ...]
@@ -249,7 +248,6 @@ def range_analysis(
     order = sorted(range(oa.factors), key=lambda j: (-ranges[parameter_ids[j]], j))
     ranking = tuple(parameter_ids[j] for j in order)
     return RangeAnalysisResult(
-        parameter_ids=parameter_ids,
         level_means=level_means,
         ranges=ranges,
         ranking=ranking,

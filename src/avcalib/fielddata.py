@@ -67,7 +67,6 @@ def parse_field_data(
     source,
     source_kind: str = "field",
     detection_range: tuple[float, float] = (-150.0, 150.0),
-    route: str = "",
 ) -> FieldDataset:
     """Parse Table-1-schema CSV (long format) into a FieldDataset.
 
@@ -154,7 +153,6 @@ def parse_field_data(
         meta=DatasetMeta(
             source=source_kind,
             interval=infer_interval(times),
-            route=route,
             detection_range=detection_range,
         ),
     )

@@ -265,12 +265,11 @@ class EvalContext:
 
 class FirstRun(NamedTuple):
     """What a scored stage-2 case's replication-0 run gives the final
-    report: the simulated side of the evaluation measures, that run's
-    collision count and its feasibility."""
+    report: the simulated side of the evaluation measures and that run's
+    collision count."""
 
     side: MoeSide
     collisions: int
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,7 @@ def evaluate_batch(values_list, ctx: EvalContext) -> list[CaseOutcome]:
                         if rep == 0:
                             first[i] = FirstRun(
                                 moe_side(dataset, events, mops, lane_count=None),
-                                sim_log.collision_count, sim_log.feasible,
+                                sim_log.collision_count,
                             )
                 except Exception as exc:
                     fail(i, rep + 1, _describe(exc), feasible=True, exc=exc)
@@ -468,7 +467,6 @@ class CaseRecord:
 
 @dataclass
 class Stage1Result:
-    space: ParameterSpace
     oa_runs: int
     cases: list
     best_values: dict
@@ -496,7 +494,7 @@ def run_stage1(
     field_mops = usable_field_mops(
         compute_traffic_mops(field_dataset, per_road=cfg.stage1.per_road_density)
     )
-    space, oa, cases = cfg.stage1_design
+    _, oa, cases = cfg.stage1_design
     ctx = EvalContext(
         scenario=cfg.scenario,
         stage=1,
@@ -541,7 +539,6 @@ def run_stage1(
     if best_values is None or not np.isfinite(best_acc):
         raise RuntimeError("stage 1 failed: no feasible case")
     return Stage1Result(
-        space=space,
         oa_runs=oa.runs,
         cases=records,
         best_values=best_values,
@@ -553,7 +550,10 @@ def run_stage1(
 
 @dataclass
 class Stage2Result:
-    space: ParameterSpace
+    """Both phases of stage 2. `field_side` is the field data's side of the
+    final evaluation measures, built from the events and vehicle MoPs that
+    stage 2 scores against."""
+
     oa_runs: int
     phase1_cases: list
     ranking: tuple
@@ -567,7 +567,7 @@ class Stage2Result:
     n_simulations_phase1: int
     n_simulations_phase2: int
     field_mops: MopVector
-    field_events: object  # the field data's extracted events
+    field_side: MoeSide
     context: EvalContext  # phase II's: stage 1's inputs and the frozen values applied
 
 
@@ -593,7 +593,10 @@ def run_stage2(
     evaluator: CaseEvaluator | None = None,
 ) -> Stage2Result:
     field_events = extract_events(field_dataset, **cfg.extraction.kwargs())
-    field_mops = usable_field_mops(compute_vehicle_mops(field_events))
+    field_side = moe_side(
+        field_dataset, field_events, compute_vehicle_mops(field_events), lane_count=None
+    )
+    field_mops = usable_field_mops(field_side.vehicle)
     scenario = apply_parameters(cfg.scenario, stage1.best_values)
 
     space, oa, cases = cfg.stage2_design
@@ -648,7 +651,6 @@ def run_stage2(
         seed_individuals=seed_individuals,
     )
     return Stage2Result(
-        space=space,
         oa_runs=oa.runs,
         phase1_cases=records,
         ranking=tuple(ra.ranking),
@@ -662,7 +664,7 @@ def run_stage2(
         n_simulations_phase1=n_sims_p1,
         n_simulations_phase2=sum(phase2_sims),
         field_mops=field_mops,
-        field_events=field_events,
+        field_side=field_side,
         context=ctx_ii,
     )
 
@@ -740,9 +742,10 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
     case simulated in any of them is not simulated again. The final
     evaluation asks it for the calibrated case, SAGA's best, whose stored
     outcome carries its replication-0 run, and scores that run's evaluation
-    measures against the field data's: no simulation unless the memo
-    misses. With workers > 1 the evaluator holds one process pool, shut
-    down (its workers reaped) once that outcome is back."""
+    measures against the field side stage 2 built: no simulation unless the
+    memo misses, and no field MoP computed twice. With workers > 1 the
+    evaluator holds one process pool, shut down (its workers reaped) once
+    that outcome is back."""
     timings: dict[str, float] = {}
     t0 = _time.perf_counter()
     if field_dataset is None:
@@ -761,11 +764,7 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
 
         t3 = _time.perf_counter()
         (final,) = evaluator.evaluate_all([stage2.best_values], stage2.context)
-        field_events = stage2.field_events
-        field_side = moe_side(
-            field_dataset, field_events, compute_vehicle_mops(field_events), lane_count=None
-        )
-        final_moes = combine_moes(field_side, final.first_run.side, cfg.cutin_error)
+        final_moes = combine_moes(stage2.field_side, final.first_run.side, cfg.cutin_error)
         timings["final_evaluation"] = _time.perf_counter() - t3
 
     calibrated = dict(stage1.best_values)
@@ -792,7 +791,7 @@ def calibrate(cfg: CalibrationConfig, field_dataset: FieldDataset | None = None)
         simulation_budget=budget,
         diagnostics={
             "final_run_collisions": final.first_run.collisions,
-            "final_run_feasible": final.first_run.feasible,
+            "final_run_feasible": final.feasible,
             "within_simulation_budget": opt_sims <= budget,
         },
         timings=timings,
@@ -862,9 +861,6 @@ def _cases_csv(records, target) -> None:
 
     with open(target, "w", newline="") as f:
         w = _csv.writer(f, lineterminator="\n")
-        if not records:
-            w.writerow(["case_id"])
-            return
         param_ids = sorted(records[0].values)
         w.writerow(
             ["case_id"] + param_ids
@@ -917,13 +913,11 @@ def write_artifacts(cfg: CalibrationConfig, report: CalibrationReport) -> Path:
 # synthetic data helper
 
 
-def generate_field_data(
-    scenario: ScenarioConfig, master_seed: int, replication: int = 0
-) -> FieldDataset:
-    """Simulate a scenario under the pipeline's seed policy and sample it
-    through the virtual detector; the result parses and scores like real
-    field data."""
-    cfg = replace(scenario, seed=derive_scenario_seed(master_seed, replication))
+def generate_field_data(scenario: ScenarioConfig, master_seed: int) -> FieldDataset:
+    """Simulate a scenario under the pipeline's seed policy, with the seed
+    of `master_seed`'s replication 0, and sample it through the virtual
+    detector; the result parses and scores like real field data."""
+    cfg = replace(scenario, seed=derive_scenario_seed(master_seed, 0))
     detector = VirtualDetector([cfg])
     run_scenario(cfg, detector)
     return virtual_detector_sample(detector, 0).with_meta(source="field")

@@ -398,11 +398,6 @@ class Simulation:
         self._limits = [l.speed_limit_ms for l in self.route]
         self._entrances = sorted(net.entrances, key=lambda e: e.id)
         route_index = {lid: i for i, lid in enumerate(self.route_ids)}
-        for e in self._entrances:
-            if e.link not in route_index:
-                raise ValueError(
-                    f"entrance {e.id} must attach to a subject-route link; got {e.link}"
-                )
         self._entrance_link = [route_index[e.link] for e in self._entrances]
         self._entry_speed = []
         for e, link_idx in zip(self._entrances, self._entrance_link):
@@ -468,8 +463,6 @@ class Simulation:
         self._keys = np.empty(0, dtype=np.int64)
         self._epos = np.empty(0)
         self._pairs = None  # the two sorted entries of each two-lane vehicle
-        self._structure = 0  # counts the index's structures
-        self._leaders = (-1,)  # who leads whom, per structure
         self._restructured = True  # since the last sort
         self._key_list = None
         self._group_ids = np.arange(self._n_groups + 2)
@@ -682,7 +675,7 @@ class Simulation:
             ends[-1] = True
         self._last = ends.nonzero()[0]
         self._arc0_sorted = self.arc0[self._order]
-        self._structure += 1
+        self._leaders = None  # who leads whom, worked out for this structure
         self._starts = None
         self._key_list = None
         self._take_positions()
@@ -767,7 +760,7 @@ class Simulation:
         m, n = len(order), len(self.pos)
         if not m:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        if self._leaders[0] != self._structure:
+        if self._leaders is None:
             to, odd = self._targets(self._keys[last])
             # the first entry of each group, then the stand-in for "none"
             firsts = np.empty(len(last) + 1, dtype=np.int64)
@@ -781,8 +774,8 @@ class Simulation:
             row_lead = np.empty(n, dtype=np.int64)
             row_lead[order] = lead
             odd = [int(last[i]) for i in odd]
-            self._leaders = (self._structure, first, odd, lead, row_lead)
-        _, first, odd, lead, row_lead = self._leaders
+            self._leaders = (first, odd, lead, row_lead)
+        first, odd, lead, row_lead = self._leaders
         lead_d = np.empty(m)
         lead_d[:-1] = self._gap
         arc = self._arc_ext
@@ -808,18 +801,18 @@ class Simulation:
 
     def _odd_last_leader(self, i, lead, lead_d):
         """The leader of sorted entry `i`, the last of its group, worked out
-        per vehicle: its chain starts at its own group when the lane does not
-        exist on its link or its arc ties with the member before it."""
-        order, positions, starts = self._index_lists()
+        per vehicle along its lane's whole chain, its own link included: its
+        lane does not exist on its link (the chain starts at the link's last
+        lane), or its arc ties with the member before it (which then leads
+        it at distance 0)."""
+        order, positions, _starts = self._index_lists()
         key = int(self._keys[i])
         local = key % self._case_stride
         link_idx, lane = divmod(local, self._stride)
-        offset = self.offsets[link_idx]
-        arc = offset + positions[i]
-        chain = self._ahead[link_idx, lane]
-        if chain[0][1] == lane and (i - starts[key] < 1 or offset + positions[i - 1] < arc):
-            chain = chain[1:]
-        lead[i], lead_d[i] = self._first_in_chain(key - local, chain, arc, order[i])
+        arc = self.offsets[link_idx] + positions[i]
+        lead[i], lead_d[i] = self._first_in_chain(
+            key - local, self._ahead[link_idx, lane], arc, order[i]
+        )
 
     def _two_lane_leaders(self, row_lead, row_d, lead, lead_d):
         """Fix the leaders of the vehicles with an entry in two lanes: the

@@ -72,6 +72,11 @@ class RoadNetwork:
         for lid in self.subject_route:
             if lid not in by_id:
                 raise ValueError(f"route references unknown link {lid}")
+        for e in self.entrances:
+            if e.link not in self.subject_route:
+                raise ValueError(
+                    f"entrance {e.id} must attach to a subject-route link; got {e.link}"
+                )
         for a, b in zip(self.subject_route[:-1], self.subject_route[1:]):
             if by_id[a].downstream != b:
                 raise ValueError(f"route links {a} -> {b} are not connected")

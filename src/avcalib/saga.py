@@ -50,7 +50,6 @@ class GenerationRecord:
     accuracies: tuple[float, ...]
     f_max_cur: float
     f_avg_cur: float
-    best_so_far: dict
     best_accuracy_so_far: float
 
 
@@ -195,7 +194,6 @@ def run_saga(
                 accuracies=tuple(accuracies),
                 f_max_cur=f_max_cur,
                 f_avg_cur=f_avg_cur,
-                best_so_far=dict(best),
                 best_accuracy_so_far=best_acc,
             )
         )

@@ -16,6 +16,8 @@ from avcalib.demo import recovery_scenario
 from avcalib.detection import DetectionRecord, SurroundingObs
 from avcalib.fielddata import export_detection_csv
 from avcalib.metrics import (
+    AVG_CF_HEADWAY_BG,
+    AVG_LC_DISTANCE_SUBJECT,
     MopEntry,
     MopVector,
     compute_traffic_mops,
@@ -322,6 +324,69 @@ def test_a_failing_case_scores_minus_inf_and_spares_its_batch_mates(
     assert "failing_second" in caplog.text  # the warning carries the traceback
 
 
+# every vehicle stands: entering at the entry speed, it brakes to a stop and
+# then creeps at a_max * dt, below the gridlock speed
+CRAWL = {f"{cls}.cf.{name}": 0.05 for cls in ("background", "subject") for name in ("v0", "a_max")}
+
+
+def test_a_gridlocked_case_scores_minus_inf_and_spares_its_batch_mates(
+    micro_scenario, monkeypatch
+):
+    # the crawling case stands still for GRIDLOCK_TIME, shortened here to
+    # fit the 90 s horizon, and drops out; its batch-mates score as alone
+    monkeypatch.setattr(engine, "GRIDLOCK_TIME", 10.0)
+    _, ctx = _field_and_ctx(micro_scenario, stage=1)
+    cases = [{"E1": 600.0}, CRAWL, {"E1": 800.0}]
+    outcomes = pipeline.evaluate_batch(cases, ctx)
+    for i in (0, 2):
+        alone = evaluate_case(cases[i], ctx)
+        assert replace(outcomes[i], mops=None) == replace(alone, mops=None)
+        assert outcomes[i].mops.to_dict() == alone.mops.to_dict()
+    stuck = outcomes[1]
+    assert stuck.accuracy == -math.inf and not stuck.feasible
+    assert stuck.mops is None and stuck.n_simulations == 1
+    assert stuck.diagnostic.startswith("gridlock at t=")
+    assert 10.0 < float(stuck.diagnostic.removeprefix("gridlock at t=")) < 90.0
+
+
+def test_a_case_whose_accuracy_is_undefined_keeps_its_mops(micro_scenario):
+    # the one-lane corridor has no lane change, so the only field MoP has
+    # no simulated counterpart and the accuracy is undefined
+    _, ctx = _field_and_ctx(micro_scenario, stage=2)
+    ctx = replace(ctx, field_mops=MopVector([MopEntry(AVG_LC_DISTANCE_SUBJECT, 100.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = evaluate_case({}, ctx)
+    assert out.accuracy == -math.inf and out.feasible
+    assert out.diagnostic == "every shared MoP was missing on one side"
+    assert out.n_simulations == 1
+    assert out.mops.value(AVG_LC_DISTANCE_SUBJECT) is None
+    assert out.mops.value(AVG_CF_HEADWAY_BG) is not None
+    assert out.first_run is not None
+
+
+def test_cases_that_fail_their_first_replication_are_not_run_again(
+    micro_scenario, monkeypatch
+):
+    # one case loses its subject off the route, the other gridlocks: both
+    # fail at replication 0, so replication 1 runs no batch at all
+    monkeypatch.setattr(engine, "GRIDLOCK_TIME", 10.0)
+    _, ctx = _field_and_ctx(micro_scenario, stage=1)
+    ctx = replace(ctx, replications=2)
+    batches = []
+
+    def counted(configs, sink=None):
+        batches.append(len(configs))
+        return run_batch(configs, sink)
+
+    monkeypatch.setattr(pipeline, "run_batch", counted)
+    outcomes = pipeline.evaluate_batch([{"subject.cf.v0": 60.0 * KMH}, CRAWL], ctx)
+    assert batches == [2]
+    assert [o.n_simulations for o in outcomes] == [1, 1]
+    assert outcomes[0].diagnostic.startswith("MissingSubjectError: ")
+    assert outcomes[1].diagnostic.startswith("gridlock at t=")
+
+
 def test_field_events_are_extracted_once_per_calibration(micro_scenario, monkeypatch):
     field = generate_field_data(
         apply_parameters(micro_scenario, {"background.cf.T": IdmParams().T * 1.2}), 0
@@ -336,7 +401,7 @@ def test_field_events_are_extracted_once_per_calibration(micro_scenario, monkeyp
     monkeypatch.setattr(pipeline, "extract_events", noted)
     report = calibrate(micro_calibration(micro_scenario), field_dataset=field)
     assert seen.count(True) == 1
-    assert report.stage2.field_events is not None
+    assert report.stage2.field_side is not None
 
 
 def test_calibration_path_builds_no_frame(micro_scenario, monkeypatch):
@@ -471,7 +536,7 @@ def test_stage1_in_one_round_records_what_the_doubling_schedule_does(
         doubled, doubled_sizes = stage1(below_one, field)
         assert sizes == [one_round.oa_runs]
         assert doubled_sizes == _doubling(one_round.oa_runs)[: len(doubled_sizes)]
-        assert replace(one_round, space=None) == replace(doubled, space=None)
+        assert one_round == doubled
         stopped = one_round.n_evaluated < one_round.oa_runs
         assert stopped == (master == 0)
         # the one round simulates every distinct case; those after the stop

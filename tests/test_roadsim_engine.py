@@ -346,6 +346,22 @@ def test_a_case_without_its_subject_on_its_first_live_step_drops_alone():
         ]
 
 
+def test_a_packed_first_link_takes_the_subject_stopped_at_its_entry_in_lane_1():
+    # fixed vehicles 5 m apart in both lanes leave no slot with the spawn
+    # margin clear on both bumpers, so the subject goes in at the link
+    # entry of lane 1, at a standstill
+    cfg = corridor(lanes=2, length=40.0, total=1.0, warmup=0.0, dt=0.5)
+    sim = Simulation([cfg])
+    for lane in (1, 2):
+        for k in range(8):
+            sim.add_vehicle(lane=lane, pos=2.25 + 5.0 * k, speed=0.0, fixed=True)
+    sim.step()
+    frame = sim.logs[0].frames[0]
+    (i,) = (frame.kinds == KIND_SUBJECT).nonzero()[0]
+    assert (frame.lanes[i], frame.pos[i], frame.speed[i]) == (1, cfg.vehicle_length / 2.0, 0.0)
+    assert [s.lane for s in sim.logs[0].spawns if s.vehicle_id == frame.ids[i]] == [1]
+
+
 def test_subject_present_for_whole_live_horizon():
     cfg = corridor(inputs=400.0, lanes=2, total=120.0, warmup=30.0, dt=0.2,
                    length=3000.0, seed=2, subject_speed=50.0)

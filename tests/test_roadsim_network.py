@@ -3,7 +3,14 @@ from dataclasses import fields, replace
 import pytest
 
 from avcalib.demo import showcase_scenario
-from avcalib.roadsim import LaneChangeParams, ScenarioConfig, scenario_from_dict, scenario_to_dict
+from avcalib.roadsim import (
+    LaneChangeParams,
+    Link,
+    RoadNetwork,
+    ScenarioConfig,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 
 DROP = object()
@@ -58,6 +65,23 @@ def test_missing_scenario_settings_take_the_defaults():
 def test_impossible_scenario_values_are_rejected_at_load(key, value, message):
     d = scenario_to_dict(showcase_scenario())
     d[key] = value
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)
+
+
+def test_an_entrance_off_the_subject_route_is_rejected_at_load():
+    # the simulator only places vehicles on the subject route; a ramp that
+    # feeds no route link is refused when the network is built
+    net = showcase_scenario().network
+    ramp = Link(id="R1", length=200.0, lane_count=1, speed_limit=60.0)
+    entrances = (replace(net.entrances[0], link="R1"),) + net.entrances[1:]
+    message = "entrance E1 must attach to a subject-route link; got R1"
+    with pytest.raises(ValueError, match=message):
+        RoadNetwork(links=net.links + (ramp,), entrances=entrances,
+                    subject_route=net.subject_route)
+    d = scenario_to_dict(showcase_scenario())
+    d["links"].append({"id": "R1", "length": 200.0, "lanes": 1, "speed_limit": 60.0})
+    d["entrances"][0]["link"] = "R1"
     with pytest.raises(ValueError, match=message):
         scenario_from_dict(d)
 

@@ -1,4 +1,4 @@
-"""Simulator cost per step and per vehicle-step on ten fixed runs, and the
+"""Simulator cost per step and per vehicle-step on twelve fixed runs, and the
 cost of the sampling layers per detection record.
 
     PYTHONPATH=src python3 tools/step_cost.py [--repeats 5] [--only merge]
@@ -19,6 +19,10 @@ skip did not settle) and lane changes, and the number of function calls
   L4 lengthened to 12 km so that the subject stays on the route (about 180);
 * ``batch16``: the 16 stage-1 design cases of the recovery calibration,
   simulated as one batch (``run_batch``). Its µs per step is per batch step;
+* ``batch64``: those 16 cases under each of the scenario seeds
+  ``derive_scenario_seed(0, k)``, k = 0 to 3, as one batch of 64;
+* ``paper16``: the 16 cases applied to ``demo.paper_truth_scenario``, as one
+  batch;
 * ``showcase-idm``, ``showcase-gipps``, ``showcase-fvd``, ``showcase-krauss``
   and ``showcase-w99``: the showcase corridor for 300 s with that
   car-following family, at its default parameters, for the background
@@ -34,8 +38,8 @@ The sampling layers report µs per detection record, each the minimum of
   ``compute_traffic_mops`` on the ga truth run's dataset and on the
   merge-fine-step workload's field file (its field data, parsed back).
 
-All runs use the scenario seed ``derive_scenario_seed(0, 0)``. The output is
-one JSON object.
+All runs but ``batch64`` use the scenario seed ``derive_scenario_seed(0,
+0)``. The output is one JSON object.
 
 With ``--against CHECKOUT`` the script runs its runs on this checkout's
 ``src`` and on the other's, each in a fresh interpreter, for `--pairs`
@@ -93,11 +97,12 @@ from workloads import STREAM_SEED, ga_scenario, ga_truth, merge_scenario  # noqa
 SEED = derive_scenario_seed(0, 0)
 
 
-def stage1_batch():
-    cfg = recovery_calibration_config()
+def stage1_batch(scenario, seeds):
+    """The recovery calibration's stage-1 design cases applied to
+    `scenario`, once under each of `seeds`."""
+    cases = recovery_calibration_config().stage1_design.cases
     return [
-        replace(apply_parameters(cfg.scenario, c.values), seed=SEED)
-        for c in cfg.stage1_design.cases
+        replace(apply_parameters(scenario, c.values), seed=seed) for seed in seeds for c in cases
     ]
 
 
@@ -112,7 +117,11 @@ RUNS = {
     "recovery": lambda: [recovery_truth_scenario(SEED)],
     "merge": lambda: [replace(merge_scenario(), seed=SEED)],
     "paper": lambda: [paper_truth_scenario(SEED)],
-    "batch16": stage1_batch,
+    "batch16": lambda: stage1_batch(recovery_calibration_config().scenario, [SEED]),
+    "batch64": lambda: stage1_batch(
+        recovery_calibration_config().scenario, [derive_scenario_seed(0, k) for k in range(4)]
+    ),
+    "paper16": lambda: stage1_batch(paper_truth_scenario(SEED), [SEED]),
     **{f"showcase-{family}": functools.partial(showcase_run, family) for family in MODEL_CLASSES},
 }
 
@@ -235,7 +244,7 @@ def sample_ga(repeats):
 
 LAYERS = {
     "sample-ga": sample_ga,
-    "sample-batch16": lambda repeats: measure_sink(stage1_batch(), repeats),
+    "sample-batch16": lambda repeats: measure_sink(RUNS["batch16"](), repeats),
     "sample-merge": lambda repeats: measure_extraction(merge_field_file(), repeats),
 }
 
